@@ -26,7 +26,7 @@ from .ensembles import (
     sample_mcmc,
     save_sample,
 )
-from .equilibrium import EquilibriumData, eval_density, recentering_coeffs, solve_equilibrium
+from .equilibrium import EquilibriumData, recentering_coeffs, solve_equilibrium
 from .errors import BetalabError, NumericalError, UsageError
 from .operators import (
     ChebGrid,
@@ -50,7 +50,7 @@ from .potentials import (
     normalize_support,
     support_endpoints,
 )
-from .transport import EdgeSeries, TransportMap, edge_series, eval_zeta, eval_zeta_prime, solve_transport
+from .transport import EdgeSeries, TransportMap, edge_series, solve_transport
 from .universality import (
     CLTReport,
     HamiltonianIdentity,
@@ -94,9 +94,6 @@ __all__ = [
     "direct_expectation",
     "edge_series",
     "eigendecompose",
-    "eval_density",
-    "eval_zeta",
-    "eval_zeta_prime",
     "hamiltonian_identity_residual",
     "kernel_matrix",
     "linear_statistic",

@@ -349,7 +349,7 @@ def cmd_clt(cfg: dict) -> int:
             for r in reports
         ],
     }
-    _write_json(_out_path(cfg, ".report.json"), payload)
+    _write_json(_out_path(cfg, ".clt.json"), payload)
     _write_csv(
         _out_path(cfg, ".clt.csv"),
         ["name", "emp_mean", "pred_mean", "z_mean", "emp_var", "pred_var", "z_var", "normality_p"],
@@ -404,7 +404,7 @@ def cmd_bulk(cfg: dict) -> int:
         "gaps_reference": dist.gaps_b,
         "passed": dist.passed(),
     }
-    _write_json(_out_path(cfg, ".report.json"), payload)
+    _write_json(_out_path(cfg, ".bulk.json"), payload)
     print(
         f"bulk: ks {dist.ks_distance:.4f} (floor {dist.noise_floor:.4f}), "
         f"max |phi z| {np.max(np.abs(dist.phi_z)):.2f}, passed {dist.passed()}"
@@ -470,7 +470,7 @@ def cmd_verify(cfg: dict) -> int:
         ],
         "passed": all(ok for *_, ok in checks),
     }
-    _write_json(_out_path(cfg, ".report.json"), payload)
+    _write_json(_out_path(cfg, ".verify.json"), payload)
     if not payload["passed"]:
         raise NumericalError(
             "verification-failure",

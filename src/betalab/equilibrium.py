@@ -139,12 +139,11 @@ class EquilibriumData:
         center = -2.0 if side == "left" else 2.0
         inward = 1.0 if side == "left" else -1.0
         rt = min(1.0, self.potential.analyticity_radius) / 4.0
-        n = 256
+        n = max(256, count)
         theta = np.arange(n) * (2.0 * np.pi / n)
         vals = self._p_complex(center + rt * np.exp(1j * theta))
         m = np.arange(count)
-        dft = np.exp(-1j * np.outer(m, theta))
-        coeffs = (dft @ vals) / n / rt**m
+        coeffs = np.fft.fft(vals)[:count] / n / rt**m
         return np.real(coeffs) * inward**m
 
     # -- serialization ---------------------------------------------------
@@ -274,10 +273,8 @@ def solve_equilibrium(
         den = (x_real[:, None] - w[None, :]) * xw[None, :]
         return np.real((num / den) @ dw / (2.0j * np.pi))
 
-    ang = ops._angles(grid_nodes)
-    mid, half = 0.0, 2.0 + eps
-    x_eps = half * np.cos(ang)
-    p_cheb = ops.chop_coeffs(ops.coeffs_from_values(p_at(x_eps), ang), 1e-14)
+    x_eps = ops.cheb_grid(grid_nodes, interval).nodes
+    p_cheb = ops.chop_coeffs(ops.coeffs_from_values(p_at(x_eps)), 1e-14)
 
     # genericity on the closed support: candidate minima are the endpoints
     # and the real critical points of the (chopped) Chebyshev series
@@ -308,9 +305,8 @@ def solve_equilibrium(
         )
 
     # CDF modes from the support restriction
-    ang_s = ops._angles(grid_nodes)
-    p_sigma = ops.cheb_val(p_cheb, 2.0 * np.cos(ang_s), interval)
-    sigma_coeffs = ops.chop_coeffs(ops.coeffs_from_values(p_sigma, ang_s), 1e-14)
+    p_sigma = ops.cheb_val(p_cheb, ops.cheb_grid(grid_nodes).nodes, interval)
+    sigma_coeffs = ops.chop_coeffs(ops.coeffs_from_values(p_sigma), 1e-14)
     cdf_modes = _cdf_modes_from_sigma(sigma_coeffs)
     mass = float(cdf_modes[0] * np.pi)
     if abs(mass - 1.0) > 1e-8:
@@ -363,11 +359,6 @@ def solve_equilibrium(
     eq.robin_constant = robin
     eq.v_residual = v_residual
     return eq
-
-
-def eval_density(eq: EquilibriumData, x):
-    """Equilibrium density at x (zero outside the support)."""
-    return eq.density(x)
 
 
 @dataclass(frozen=True)

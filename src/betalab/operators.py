@@ -16,6 +16,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import dct
 
 from .errors import NumericalError, UsageError
 
@@ -40,7 +41,6 @@ class ChebGrid:
     interval: tuple
     nodes: np.ndarray
     weights: np.ndarray
-    angles: np.ndarray
 
     @property
     def n(self) -> int:
@@ -48,7 +48,11 @@ class ChebGrid:
 
 
 def cheb_grid(n: int = 256, interval=SIGMA) -> ChebGrid:
-    """Build the n-point first-kind grid on ``interval``, nodes increasing."""
+    """Build the n-point first-kind grid on ``interval``, nodes increasing.
+
+    These nodes are the one convention of this module: every
+    values-to-coefficients transform reads samples taken at them.
+    """
     if n < 4:
         raise UsageError("invalid-spec", f"grid needs at least 4 nodes, got {n}")
     lo, hi = float(interval[0]), float(interval[1])
@@ -60,32 +64,33 @@ def cheb_grid(n: int = 256, interval=SIGMA) -> ChebGrid:
     theta = theta[::-1]  # increasing nodes
     nodes = mid + half * np.cos(theta)
     weights = (np.pi / n) * half * np.sin(theta)
-    return ChebGrid((lo, hi), nodes, weights, theta)
+    return ChebGrid((lo, hi), nodes, weights)
 
 
-def _angles(n: int) -> np.ndarray:
-    j = np.arange(n)
-    return ((2.0 * j + 1.0) * np.pi / (2.0 * n))[::-1]
-
-
-def coeffs_from_values(vals: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients from samples at the first-kind nodes.
+def coeffs_from_values(vals: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients from samples at the :func:`cheb_grid` nodes.
 
     Convention: f = c[0]/2 + sum_{k>=1} c[k] T_k. Exact through degree
-    n-1 by discrete orthogonality.
+    n-1 by discrete orthogonality. Works along axis 0, so a 2-D array
+    transforms one function per column.
     """
-    n = angles.size
-    k = np.arange(n)
-    return (2.0 / n) * (np.cos(np.outer(k, angles)) @ np.asarray(vals))
+    vals = np.asarray(vals, dtype=float)
+    # increasing nodes are the DCT-II angles in reverse order
+    return dct(vals[::-1], type=2, axis=0) / vals.shape[0]
 
 
 def cheb_val(coeffs: np.ndarray, x, interval=SIGMA):
-    """Evaluate a coefficient vector in the halved-c0 convention."""
+    """Evaluate Chebyshev series in the halved-c0 convention.
+
+    A 2-D ``coeffs`` holds one function per row; the result then stacks
+    the functions on a last axis, shape ``x.shape + (rows,)``.
+    """
     lo, hi = interval
     u = (2.0 * np.asarray(x, dtype=float) - (lo + hi)) / (hi - lo)
-    c = np.array(coeffs, dtype=float)
+    c = np.array(coeffs, dtype=float).T
     c[0] *= 0.5
-    return np.polynomial.chebyshev.chebval(u, c)
+    out = np.polynomial.chebyshev.chebval(u, c)
+    return out if c.ndim == 1 else np.moveaxis(out, 0, -1)
 
 
 def cheb_der(coeffs: np.ndarray, interval=SIGMA) -> np.ndarray:
@@ -114,9 +119,8 @@ def chop_coeffs(coeffs: np.ndarray, rel: float = 1e-13) -> np.ndarray:
 def cheb_coeffs(h, count: int, interval=SIGMA) -> np.ndarray:
     """First ``count + 1`` Chebyshev coefficients of a callable.
 
-    Uses a discrete cosine quadrature at 4x oversampling so that the
-    returned coefficients are alias-free whenever h is resolved by the
-    oversampled grid.
+    Samples h on a 4x oversampled grid so that the returned coefficients
+    are alias-free whenever h is resolved by the oversampled grid.
 
     Returns
     -------
@@ -125,14 +129,8 @@ def cheb_coeffs(h, count: int, interval=SIGMA) -> np.ndarray:
     """
     if count < 0:
         raise UsageError("invalid-spec", "coefficient count must be >= 0")
-    nq = 4 * max(count + 1, 8)
-    lo, hi = interval
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    m = np.arange(nq)
-    theta = (m + 0.5) * np.pi / nq
-    vals = np.asarray(h(mid + half * np.cos(theta)), dtype=float)
-    k = np.arange(count + 1)
-    return (2.0 / nq) * (np.cos(np.outer(k, theta)) @ vals)
+    x = cheb_grid(4 * max(count + 1, 8), interval).nodes
+    return coeffs_from_values(h(x))[: count + 1]
 
 
 # ----------------------------------------------------------------------
@@ -142,9 +140,7 @@ def cheb_coeffs(h, count: int, interval=SIGMA) -> np.ndarray:
 def gauss_inv_sqrt(n: int, interval=SIGMA):
     """Nodes for integrals of g(x) / sqrt((b-x)(x-a)); the rule is
     (pi/n) * sum g(nodes), independent of the interval length."""
-    lo, hi = interval
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid + half * np.cos(_angles(n)), np.pi / n
+    return cheb_grid(n, interval).nodes, np.pi / n
 
 
 def gauss_semicircle(n: int, interval=SIGMA):
@@ -181,9 +177,7 @@ def semicircle_log_potential(x):
 def _derivative_callable(h, h_prime, n: int = 512):
     if h_prime is not None:
         return h_prime
-    ang = _angles(n)
-    vals = np.asarray(h(2.0 * np.cos(ang)), dtype=float)
-    d = cheb_der(coeffs_from_values(vals, ang), SIGMA)
+    d = cheb_der(coeffs_from_values(h(cheb_grid(n).nodes)), SIGMA)
     return lambda x: cheb_val(d, x, SIGMA)
 
 
@@ -245,20 +239,6 @@ class CovForm:
     kappa: float
 
 
-@functools.lru_cache(maxsize=1)
-def _cov_calibration(quad_nodes: int = 512, modes: int = 64) -> float:
-    """Calibration constant tying the Chebyshev mode sum to the PV route.
-
-    Determined once from h = lambda, for which the PV route is exact to
-    quadrature precision. Analytically the constant is 1/sqrt(2); the
-    runtime value is used so the two routes stay consistent bit-for-bit.
-    """
-    pv = _cov_form_pv(lambda x: x, lambda x: np.ones_like(x), quad_nodes)
-    c = cheb_coeffs(lambda x: x, modes, SIGMA)
-    raw = float(np.arange(c.size) @ (c * c))
-    return float(np.sqrt(pv / raw))
-
-
 def _cov_form_pv(h, h_prime, quad_nodes: int = 512) -> float:
     x, scalar_w = gauss_inv_sqrt(quad_nodes, SIGMA)
     hp = _derivative_callable(h, h_prime)
@@ -272,11 +252,12 @@ def cov_form(h, h_prime=None, modes: int = 64, quad_nodes: int = 512) -> CovForm
     """Quadratic form of the symmetrized covariance operator, both routes.
 
     The principal-value route is the ground truth; the Chebyshev route is
-    the calibrated mode sum kappa^2 * sum_k k h_k^2. Their relative
-    discrepancy is reported so callers can assert consistency.
+    the mode sum kappa^2 * sum_k k h_k^2 with kappa = 1/sqrt(2) in closed
+    form. Their relative discrepancy is reported so callers can assert
+    consistency.
     """
     pv = _cov_form_pv(h, h_prime, quad_nodes)
-    kappa = _cov_calibration()
+    kappa = np.sqrt(0.5)
     c = cheb_coeffs(h, modes, SIGMA)
     cheb = kappa * kappa * float(np.arange(c.size) @ (c * c))
     rel = abs(pv - cheb) / max(abs(pv), 1e-300)
@@ -294,10 +275,8 @@ def log_kernel_apply(f, n: int = 512):
     weight; the constant mode contributes nothing because the reference
     interval has logarithmic capacity one.
     """
-    ang = _angles(n)
-    x = 2.0 * np.cos(ang)
-    u = np.asarray(f(x), dtype=float) * np.sqrt(4.0 - x * x)
-    c = coeffs_from_values(u, ang)
+    x = cheb_grid(n).nodes
+    c = coeffs_from_values(np.asarray(f(x), dtype=float) * np.sqrt(4.0 - x * x))
     d = np.zeros_like(c)
     d[1:] = -np.pi * c[1:] / np.arange(1, c.size)
 
@@ -325,19 +304,18 @@ def _sigma_ops(n: int = 256):
     weighted transpose, so structural identities (adjointness, the
     rank-one inversion identity) hold to rounding.
     """
-    ang = _angles(n)
-    x = 2.0 * np.cos(ang)
+    x = cheb_grid(n).nodes
     sq = np.sqrt(4.0 - x * x)
     wq = (np.pi / n) * sq
     k = np.arange(n)
-    cosmat = np.cos(ang[:, None] * k[None, :])  # (i, k) -> T_k at node i
-    ct = (2.0 / n) * cosmat.T  # values -> coefficients
-    dmat = (cosmat * (k / np.pi)[None, :] / sq[:, None]) @ ct
+    ct = coeffs_from_values(np.eye(n))  # values -> coefficients
+    vander = 0.5 * n * ct.T  # (i, k) -> T_k at node i, by discrete orthogonality
+    dmat = (vander * (k / np.pi)[None, :] / sq[:, None]) @ ct
     dstar = (dmat.T * wq[None, :]) / wq[:, None]
     dbar = 0.5 * (dmat + dstar)
     lfac = np.zeros(n)
     lfac[1:] = -np.pi / k[1:]
-    lmat = (cosmat * lfac[None, :]) @ ct @ np.diag(sq)
+    lmat = (vander * lfac[None, :]) @ ct * sq[None, :]
     return x, wq, dmat, dstar, dbar, lmat
 
 
@@ -439,14 +417,16 @@ class KernelSpectrum:
     def stored(self) -> int:
         return self.phi_coeffs.shape[0]
 
-    def phi(self, x, k: int):
-        if not 0 <= k < self.stored:
+    def phi(self, x, k):
+        """Mode k at x; a sequence of modes is stacked on a last axis."""
+        idx = np.asarray(k, dtype=int)
+        if np.any((idx < 0) | (idx >= self.stored)):
             raise UsageError("invalid-spec", f"mode {k} not stored (have {self.stored})")
         lo, hi = self.grid.interval
         x_arr = np.asarray(x, dtype=float)
         if np.any((x_arr < lo - 1e-12) | (x_arr > hi + 1e-12)):
             raise UsageError("out-of-domain", "mode evaluated outside the grid interval")
-        return cheb_val(self.phi_coeffs[k], x_arr, self.grid.interval)
+        return cheb_val(self.phi_coeffs[idx], x_arr, self.grid.interval)
 
 
 def eigendecompose(
@@ -473,10 +453,8 @@ def eigendecompose(
     eta = eta[order]
     psi = psi[:, order]
     # deterministic sign: largest-magnitude component positive
-    for k in range(n):
-        j = int(np.argmax(np.abs(psi[:, k])))
-        if psi[j, k] < 0:
-            psi[:, k] = -psi[:, k]
+    lead = psi[np.argmax(np.abs(psi), axis=0), np.arange(n)]
+    psi = np.where(lead < 0, -psi, psi)
 
     # kill eigenvalues below the eigh noise floor so the tail sum is
     # dominated by genuine modes, not accumulated rounding
@@ -510,12 +488,9 @@ def eigendecompose(
 
     stored = min(max(m, 12), n)
     phi_nodes = psi[:, :stored] / s[:, None]
-    coeffs = np.empty((stored, n))
-    proj = np.empty(stored)
+    coeffs = coeffs_from_values(phi_nodes).T
     xs, ws = gauss_semicircle(256, SIGMA)
-    for k in range(stored):
-        coeffs[k] = coeffs_from_values(phi_nodes[:, k], grid.angles)
-        proj[k] = float(ws @ cheb_val(coeffs[k], xs, grid.interval)) / (2.0 * np.pi)
+    proj = ws @ cheb_val(coeffs, xs, grid.interval) / (2.0 * np.pi)
 
     tail_val = float(tails[m - 1]) if m >= 1 else total
     return KernelSpectrum(
@@ -561,9 +536,7 @@ def contraction_matrices(spectrum: KernelSpectrum, n_sigma: int = 256) -> Contra
         z = np.zeros((0, 0))
         e = np.zeros(0, dtype=int)
         return ContractionMatrices(z, z, 0.0, 0.0, e, e)
-    vals = np.column_stack(
-        [cheb_val(spectrum.phi_coeffs[k], x, spectrum.grid.interval) for k in range(m)]
-    )
+    vals = spectrum.phi(x, range(m))
     form = vals.T @ (wq[:, None] * (dbar @ vals))
     form = 0.5 * (form + form.T)
     scale = np.sqrt(np.abs(eta))
@@ -593,15 +566,13 @@ def mean_shift_pairing(h, eq, beta: float, n: int = 256) -> float:
     if beta <= 0:
         raise UsageError("invalid-spec", f"beta must be positive, got {beta}")
     x, _, _, _, _, _ = _sigma_ops(n)
-    ang = _angles(n)
     hv = np.asarray(h(x), dtype=float)
     edge_vals = np.asarray(h(np.array([-2.0, 2.0])), dtype=float)
     t_edge = 0.25 * float(edge_vals.sum())
     t_arcsine = float(np.mean(hv)) / 2.0
     lp = np.log(np.asarray(eq.p_value(x), dtype=float))
-    c = coeffs_from_values(lp, ang)
-    k = np.arange(n)
-    g = np.cos(ang[:, None] * k[None, :]) @ (c * k / np.pi)
+    c = coeffs_from_values(lp)
+    g = cheb_val(c * np.arange(n) / np.pi, x)
     t_logp = (np.pi / n) * float(g @ hv)
     return (1.0 - beta / 2.0) * (t_edge - t_arcsine - 0.5 * t_logp)
 

@@ -288,13 +288,12 @@ def solve_transport(
         sols[sign] = sol
 
     interior_interval = (-cut, cut)
-    ang = ops._angles(fit_nodes)
-    t_fit = cut * np.cos(ang)
+    t_fit = ops.cheb_grid(fit_nodes, interior_interval).nodes
     z_fit = np.empty_like(t_fit)
     neg = t_fit < 0
     z_fit[neg] = sols[-1.0].sol(t_fit[neg])[0]
     z_fit[~neg] = sols[1.0].sol(t_fit[~neg])[0]
-    interior_cheb = ops.chop_coeffs(ops.coeffs_from_values(z_fit, ang), 1e-13)
+    interior_cheb = ops.chop_coeffs(ops.coeffs_from_values(z_fit), 1e-13)
 
     left = edge_series(eq, "left", edge_count)
     right = edge_series(eq, "right", edge_count)
@@ -356,13 +355,3 @@ def solve_transport(
     resid = np.abs(eq.density(z_probe) * dz_indep - ops.semicircle_density(lam_probe))
     tmap.residual_max = float(np.max(resid))
     return tmap
-
-
-def eval_zeta(tmap: TransportMap, lam):
-    """Transport map values on the working window."""
-    return tmap.value(lam)
-
-
-def eval_zeta_prime(tmap: TransportMap, lam):
-    """Transport map derivative: density ratio inside, series at the edges."""
-    return tmap.derivative(lam)

@@ -147,6 +147,44 @@ def support_moment_oracle(dv, a: float, b: float):
     return v1, v2 / (2.0 * np.pi) - 1.0
 
 
+def linearization_right_tensor(eq, tmap, spectrum, beta, observable, n, modes, gh_nodes, gl_nodes=96):
+    """Right route of the linearization check on the full tensor-product rule.
+
+    Averages exp(q . s) over every point of the gh_nodes**modes
+    Gauss-Hermite tensor grid instead of factorizing the rule per mode. The configuration quadrature and the reference density
+    are the package's own, so the two routes differ only in the
+    auxiliary-integral weight. Cost grows like gh_nodes**modes.
+    """
+    from betalab.ensembles import _log_density_ordered, _ordered_chunks
+
+    box = (-(2.0 + 0.5 * eq.eps), 2.0 + 0.5 * eq.eps)
+    parts = list(_ordered_chunks(n, box, gl_nodes))
+    configs = np.concatenate([p[0] for p in parts])
+    logw = np.concatenate([p[1] for p in parts])
+    obs = np.asarray(observable(configs), dtype=float)
+    log_ref = _log_density_ordered(lambda x: 0.5 * x * x, beta, n, configs) + logw
+    wr = np.exp(log_ref - log_ref.max())
+
+    eta = spectrum.eigenvalues[:modes]
+    proj = spectrum.semicircle_proj[:modes]
+    qmat = np.stack(
+        [spectrum.phi(configs.ravel(), k).reshape(-1, n).sum(axis=1) - n * proj[k] for k in range(modes)],
+        axis=1,
+    )
+    coef = np.sqrt(beta * eta.astype(complex))
+    gh_x, gh_w = np.polynomial.hermite_e.hermegauss(gh_nodes)
+    u = np.stack([g.ravel() for g in np.meshgrid(*([gh_x] * modes), indexing="ij")], axis=1)
+    uw = np.ones(u.shape[0])
+    for g in np.meshgrid(*([gh_w] * modes), indexing="ij"):
+        uw = uw * g.ravel()
+    uw /= uw.sum()
+    w_mode = np.exp(qmat @ (u * coef[None, :]).T).real @ uw
+
+    logzp = np.log(tmap.derivative(configs)).sum(axis=1)
+    wfull = wr * w_mode * np.exp(-(0.5 * beta - 1.0) * logzp)
+    return float((wfull @ obs) / wfull.sum())
+
+
 class PerturbedMap:
     """Monotone perturbation of a transport map (negative-control shim)."""
 

@@ -173,13 +173,18 @@ def test_clt_small_run(tmp_path, capsys):
         capsys,
     )
     assert code == 0, err
-    payload = json.loads((tmp_path / "run.report.json").read_text())
+    payload = json.loads((tmp_path / "run.clt.json").read_text())
     names = {row["name"] for row in payload["reports"]}
     assert names == {"lambda", "lambda2", "cos"}
     for row in payload["reports"]:
         assert abs(row["z_mean"]) < 3.0 and abs(row["z_var"]) < 3.0
     lines = (tmp_path / "run.clt.csv").read_text().strip().splitlines()
     assert len(lines) == 4
+    # a second report command with the same prefix keeps the first report
+    code, _, err = run_cli(["verify", "--kind", "gaussian", "-o", str(tmp_path)], capsys)
+    assert code == 0, err
+    assert (tmp_path / "run.verify.json").exists()
+    assert json.loads((tmp_path / "run.clt.json").read_text()) == payload
 
 
 def test_bulk_small_run(tmp_path, capsys):
@@ -191,7 +196,7 @@ def test_bulk_small_run(tmp_path, capsys):
         capsys,
     )
     assert code == 0, err
-    payload = json.loads((tmp_path / "run.report.json").read_text())
+    payload = json.loads((tmp_path / "run.bulk.json").read_text())
     assert payload["passed"] is True
     assert payload["ks_distance"] < payload["noise_floor"] + 0.02
     lines = (tmp_path / "run.gaps.csv").read_text().strip().splitlines()
@@ -205,5 +210,5 @@ def test_verify_gaussian_passes(tmp_path, capsys):
     lines = [ln for ln in out.strip().splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10
     assert all(ln.startswith("PASS") for ln in lines)
-    payload = json.loads((tmp_path / "run.report.json").read_text())
+    payload = json.loads((tmp_path / "run.verify.json").read_text())
     assert payload["passed"] is True

@@ -25,6 +25,15 @@ def test_cheb_coeffs_match_quadrature_oracle():
     mine = ops.cheb_coeffs(h, 8)
     for k in range(1, 9):
         assert abs(mine[k] - oracles.cheb_coeff_oracle(h, k)) < 1e-10
+    # one call transforms every column, at odd and even node counts
+    fns = (np.cos, lambda x: np.exp(0.3 * x))
+    for n in (33, 64):
+        x = ops.cheb_grid(n).nodes
+        both = ops.coeffs_from_values(np.column_stack([f(x) for f in fns]))
+        assert both.shape == (n, 2)
+        for j, f in enumerate(fns):
+            for k in range(9):
+                assert abs(both[k, j] - oracles.cheb_coeff_oracle(f, k)) < 1e-12
 
 
 def test_cheb_roundtrip_and_derivative():
@@ -151,6 +160,12 @@ def test_mode_orthonormality(quartic_spectrum):
     vals = np.stack([quartic_spectrum.phi(grid.nodes, k) for k in range(m)], axis=1)
     gram = vals.T @ (grid.weights[:, None] * vals)
     assert np.max(np.abs(gram - np.eye(m))) < 1e-9
+    # a sequence of modes stacks them on a last axis
+    pts = np.linspace(-2.1, 2.1, 12).reshape(3, 4)
+    want = np.stack([quartic_spectrum.phi(pts, k) for k in range(m)], axis=-1)
+    assert np.max(np.abs(quartic_spectrum.phi(pts, range(m)) - want)) < 1e-13
+    with pytest.raises(UsageError):
+        quartic_spectrum.phi(pts, [0, quartic_spectrum.stored])
 
 
 @pytest.mark.parametrize("g,nplus,nminus", [

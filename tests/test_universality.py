@@ -160,6 +160,18 @@ def test_linearization_two_routes(quartic_eq, quartic_tmap, quartic_spectrum):
     assert out.left > 0 and out.right > 0
 
 
+def test_linearization_factorized_weight_matches_tensor_grid(quartic_eq, quartic_tmap, quartic_spectrum):
+    # beta = 1 keeps the Jacobian factor active; modes 1 and 2 are negative
+    obs = lambda c: (c**2).sum(axis=1)
+    out = uni.linearization_check(
+        quartic_eq, quartic_tmap, quartic_spectrum, 1.0, obs, n=2, modes=3, gh_nodes=6
+    )
+    want = oracles.linearization_right_tensor(
+        quartic_eq, quartic_tmap, quartic_spectrum, 1.0, obs, n=2, modes=3, gh_nodes=6
+    )
+    assert abs(out.right - want) < 1e-12 * abs(want)
+
+
 def test_linearization_truncation_control(quartic_eq, quartic_tmap, quartic_spectrum):
     # dropping every mode leaves only the reference law: two orders above budget
     obs = lambda c: (c**2).sum(axis=1)
