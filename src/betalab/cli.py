@@ -316,6 +316,14 @@ def cmd_sample(cfg: dict) -> int:
         f"sample: {sample.count} configs of n={sample.n} at beta={sample.beta} "
         f"({sample.kind}) -> {path}"
     )
+    d = sample.diagnostics
+    if "mean_tries" in d:
+        print(f"health: mean_tries {d['mean_tries']:.3f}")
+    else:
+        print(
+            f"health: acceptance {d['acceptance_rate']:.3f}, iat {d['iat']:.2f}, "
+            f"thin {d['thin']}, flagged {str(d['flagged']).lower()}"
+        )
     return 0
 
 

@@ -13,6 +13,14 @@ they can cross-validate each other:
 
 Both samplers condition on every eigenvalue lying inside the truncation
 window, so their laws agree exactly, not just asymptotically.
+
+The Metropolis kernel is site-major: the chains sit as the columns of one
+(n, chains) array, a site move takes one log of a ratio product per chain
+instead of n logs, and V is cached per site and chain. Each chain draws
+its randomness from its own counter-based stream, a chunk of sweeps per
+call. That chunking makes samples for a given seed differ from those of
+versions that drew once per sweep; the law, the proposals and the
+acceptance rules are unchanged.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .potentials import Potential
 
 _MAGIC = b"BLSAMP01"
 _MASK64 = (1 << 64) - 1
+_DRAW_CAP = 1 << 16  # draws of each kind per chunk of Metropolis sweeps, over all chains
 
 
 @dataclass
@@ -135,73 +144,130 @@ def _semicircle_quantiles(n: int) -> np.ndarray:
     return np.array([brentq(lambda t, qi=qi: f_sc(t) - qi, -2.0, 2.0, xtol=1e-12) for qi in q])
 
 
+def _log_abs_prod(ratios: np.ndarray) -> np.ndarray:
+    """log|prod_j ratios[j, c]| for every column c, as one log per column.
+
+    Where the product is 0, inf or nan (overflow, underflow, an exact
+    zero or an infinite ratio), that column falls back to the exact
+    log-sum.
+    """
+    out = np.log(np.abs(np.multiply.reduce(ratios, axis=0)))
+    finite = np.isfinite(out)
+    if not finite.all():
+        bad = ~finite
+        out[bad] = np.log(np.abs(ratios[:, bad])).sum(axis=0)
+    return out
+
+
 def _sweep_block(
     vfun,
     beta: float,
-    n: int,
-    lam: np.ndarray,
+    lt: np.ndarray,
+    widths: np.ndarray,
+    window,
+    z: np.ndarray,
+    logu: np.ndarray,
+    collect=None,
+) -> np.ndarray:
+    """Run Metropolis sweeps in place on site-major chains.
+
+    Returns the accepted counts of the site, shift and dilation moves; a
+    sweep proposes n site moves and one of each collective move per chain.
+
+    ``lt`` holds one chain per column, shape (n, chains), so updating site
+    i reads row ``lt[i]`` and every pair reduction runs down axis 0. The
+    draws ``z`` (standard normals) and ``logu`` (log-uniforms) have shape
+    (sweeps, n + 2, chains): rows 0..n-1 drive the site moves, row n the
+    shift and row n + 1 the dilation.
+
+    One sweep = every site once (random-walk proposals), then one
+    collective shift and one collective dilation. The pair interaction
+    enters a site move only through log|prod_j (prop - lam_j)/(cur - lam_j)|,
+    one log per chain (`_log_abs_prod`); shift moves leave it invariant,
+    and dilation moves change it by an exact closed-form amount plus the
+    Jacobian, so no pair sums are ever recomputed from scratch. V is
+    cached per site and chain and updated on accept, so a site move
+    evaluates V once (for all sites of a sweep in one call) and the
+    collective moves reuse the cached sums. A site move is accepted when
+    (logu - dV)/beta < log|prod|, which is logu < dV + beta * pair
+    rearranged; dV is the potential term -beta n (V(prop) - V(cur)) / 2.
+    """
+    lo, hi = window
+    n, chains = lt.shape
+    sweeps = z.shape[0]
+    coef = -0.5 * beta * n
+    pair_count = 0.5 * n * (n - 1)
+    acc = np.zeros(3)
+    vc = np.asarray(vfun(lt), dtype=float)
+    num = np.empty_like(lt)
+    den = np.empty_like(lt)
+    ok = np.empty(lt.shape, dtype=bool)
+    steps = widths[0] * z[:, :n]
+
+    def collective(new, s, row, extra):
+        vn = np.asarray(vfun(new), dtype=float)
+        inside = (new.min(axis=0) > lo) & (new.max(axis=0) < hi)
+        take = inside & (logu[s, row] < coef * (vn.sum(axis=0) - vc.sum(axis=0)) + extra)
+        np.copyto(lt, new, where=take)
+        np.copyto(vc, vn, where=take)
+        return np.count_nonzero(take)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s in range(sweeps):
+            # site i changes only at step i, so every proposal, its V and its
+            # acceptance threshold on the pair term are known at sweep start
+            props = lt + steps[s]
+            vp = np.asarray(vfun(props), dtype=float)
+            inside = (props > lo) & (props < hi)
+            thr = np.where(inside, (logu[s, :n] - coef * (vp - vc)) / beta, np.inf)
+            for i in range(n):
+                row = lt[i]
+                np.subtract(props[i], lt, out=num)
+                np.subtract(row, lt, out=den)
+                np.divide(num, den, out=num)
+                num[i] = 1.0
+                np.less(thr[i], _log_abs_prod(num), out=ok[i])
+                np.copyto(row, props[i], where=ok[i])
+            np.copyto(vc, vp, where=ok)
+            acc[0] += np.count_nonzero(ok)
+
+            acc[1] += collective(lt + widths[1] * z[s, n], s, n, 0.0)
+            t = widths[2] * z[s, n + 1]
+            acc[2] += collective(lt * np.exp(t), s, n + 1, beta * pair_count * t + n * t)
+
+            if collect is not None:
+                collect(lt)
+    return acc
+
+
+def _run_sweeps(
+    vfun,
+    beta: float,
+    lt: np.ndarray,
     gens,
     widths: np.ndarray,
     window,
     n_sweeps: int,
     collect=None,
-):
-    """Run Metropolis sweeps in place; returns per-move acceptance counts.
+) -> np.ndarray:
+    """Run ``n_sweeps`` sweeps of `_sweep_block`, drawing randomness in chunks of sweeps.
 
-    One sweep = every site once (random-walk proposals), then one
-    collective shift and one collective dilation. The pair interaction
-    enters site moves only through the ratio against the moving
-    coordinate, shift moves leave it invariant, and dilation moves change
-    it by an exact closed-form amount plus the Jacobian, so no pair sums
-    are ever recomputed from scratch.
+    Returns the accepted counts of the site, shift and dilation moves.
+
+    Chain c draws from its own stream ``gens[c]``: the normals of a whole
+    chunk in one call, then its uniforms in a second. The chunk holds at
+    most ``_DRAW_CAP`` draws of each kind over all chains, so a long block
+    at large n does not allocate tens of MB; it depends only on (n, chains).
     """
-    lo, hi = window
-    chains = lam.shape[0]
+    n, chains = lt.shape
+    chunk = max(1, _DRAW_CAP // ((n + 2) * chains))
     acc = np.zeros(3)
-    tot = np.zeros(3)
-    pair_count = 0.5 * n * (n - 1)
-    for _ in range(n_sweeps):
-        z = np.stack([g.standard_normal(n + 2) for g in gens])
-        logu = np.log(np.stack([g.random(n + 2) for g in gens]) + 1e-300)
-        for i in range(n):
-            cur = lam[:, i]
-            prop = cur + widths[0] * z[:, i]
-            inside = (prop > lo) & (prop < hi)
-            dv = -0.5 * beta * n * (np.asarray(vfun(prop)) - np.asarray(vfun(cur)))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = (prop[:, None] - lam) / (cur[:, None] - lam)
-                ratio[:, i] = 1.0
-                pair = beta * np.sum(np.log(np.abs(ratio)), axis=1)
-            ok = inside & (logu[:, i] < dv + pair)
-            lam[ok, i] = prop[ok]
-            acc[0] += ok.sum()
-        tot[0] += chains * n
-
-        shift = widths[1] * z[:, n]
-        new = lam + shift[:, None]
-        inside = (new.min(axis=1) > lo) & (new.max(axis=1) < hi)
-        dlp = -0.5 * beta * n * (np.asarray(vfun(new)).sum(axis=1) - np.asarray(vfun(lam)).sum(axis=1))
-        ok = inside & (logu[:, n] < dlp)
-        lam[ok] = new[ok]
-        acc[1] += ok.sum()
-        tot[1] += chains
-
-        t = widths[2] * z[:, n + 1]
-        new = lam * np.exp(t)[:, None]
-        inside = (new.min(axis=1) > lo) & (new.max(axis=1) < hi)
-        dlp = (
-            -0.5 * beta * n * (np.asarray(vfun(new)).sum(axis=1) - np.asarray(vfun(lam)).sum(axis=1))
-            + beta * pair_count * t
-            + n * t
-        )
-        ok = inside & (logu[:, n + 1] < dlp)
-        lam[ok] = new[ok]
-        acc[2] += ok.sum()
-        tot[2] += chains
-
-        if collect is not None:
-            collect(lam)
-    return acc, tot
+    for start in range(0, n_sweeps, chunk):
+        k = min(chunk, n_sweeps - start)
+        z = np.stack([g.standard_normal((k, n + 2)) for g in gens], axis=-1)
+        logu = np.log(np.stack([g.random((k, n + 2)) for g in gens], axis=-1) + 1e-300)
+        acc += _sweep_block(vfun, beta, lt, widths, window, z, logu, collect)
+    return acc
 
 
 def _iat(series: np.ndarray) -> float:
@@ -249,8 +315,9 @@ def sample_mcmc(
     Proposal widths for the three move types are auto-tuned toward
     acceptance ~0.4. The retention lag is 5x the integrated
     autocorrelation time of the second-moment statistic measured after
-    tuning; diagnostics carry the measured values so downstream
-    consumers can judge the effective sample size.
+    tuning; diagnostics carry the measured values (acceptance rates,
+    IAT, thin, burn-in and total ``sweeps`` per chain, a ``flagged``
+    verdict) so downstream consumers can judge the effective sample size.
     """
     if window is None:
         eps = potential.domain[1] - 2.0
@@ -263,28 +330,28 @@ def sample_mcmc(
     base = eq.quantile((np.arange(n) + 0.5) / n) if eq is not None else _semicircle_quantiles(n)
     base = np.clip(base, lo + 1e-6, hi - 1e-6)
     gens = [_stream(seed, c) for c in range(chains)]
-    lam = np.empty((chains, n))
+    lt = np.empty((n, chains))
     spacing = max(float(np.min(np.diff(base))), 1e-8) if n > 1 else 0.1
     for c, g in enumerate(gens):
-        lam[c] = np.clip(base + 0.25 * spacing * g.standard_normal(n), lo + 1e-9, hi - 1e-9)
+        lt[:, c] = np.clip(base + 0.25 * spacing * g.standard_normal(n), lo + 1e-9, hi - 1e-9)
 
     vfun = potential.v
     widths = np.array([0.5 * spacing, 2.0 / (n * np.sqrt(beta)), 2.0 / (n * np.sqrt(beta))])
     targets = np.array([0.40, 0.35, 0.35])
+    moves = chains * np.array([n, 1.0, 1.0])  # proposals per sweep: site, shift, dilation
 
     # tune proposal widths in short blocks
     blocks = max(1, tune_sweeps // 10)
     for _ in range(blocks):
-        acc, tot = _sweep_block(vfun, beta, n, lam, gens, widths, (lo, hi), 10)
-        rates = acc / np.maximum(tot, 1.0)
+        rates = _run_sweeps(vfun, beta, lt, gens, widths, (lo, hi), 10) / (10 * moves)
         widths *= np.exp(1.0 * (rates - targets))
         widths = np.clip(widths, 1e-6, 2.0)
 
     # measure mixing on the second-moment statistic
     series = []
-    _sweep_block(
-        vfun, beta, n, lam, gens, widths, (lo, hi), measure_sweeps,
-        collect=lambda cur: series.append((cur * cur).sum(axis=1)),
+    _run_sweeps(
+        vfun, beta, lt, gens, widths, (lo, hi), measure_sweeps,
+        collect=lambda cur: series.append((cur * cur).sum(axis=0)),
     )
     series = np.stack(series)
     iat = _iat(series)
@@ -298,25 +365,25 @@ def sample_mcmc(
 
     reps = int(np.ceil(count / chains))
     kept = np.empty((reps, chains, n))
-    acc_s = np.zeros(3)
-    tot_s = np.zeros(3)
+    acc = np.zeros(3)
     for r in range(reps):
-        acc, tot = _sweep_block(vfun, beta, n, lam, gens, widths, (lo, hi), thin)
-        acc_s += acc
-        tot_s += tot
-        kept[r] = np.sort(lam, axis=1)
+        acc += _run_sweeps(vfun, beta, lt, gens, widths, (lo, hi), thin)
+        kept[r] = np.sort(lt.T, axis=1)
+    rates = acc / (reps * thin * moves)
 
     configs = np.swapaxes(kept, 0, 1).reshape(chains * reps, n)[:count].copy()
-    site_rate = float(acc_s[0] / max(tot_s[0], 1.0))
+    site_rate = float(rates[0])
     flagged = not 0.15 <= site_rate <= 0.7 or iat > measure_sweeps / 4.0
+    burn_in = blocks * 10 + measure_sweeps
     diagnostics = {
         "acceptance_rate": site_rate,
-        "shift_acceptance": float(acc_s[1] / max(tot_s[1], 1.0)),
-        "dilation_acceptance": float(acc_s[2] / max(tot_s[2], 1.0)),
+        "shift_acceptance": float(rates[1]),
+        "dilation_acceptance": float(rates[2]),
         "proposal_width": float(widths[0]),
         "iat": float(iat),
         "thin": thin,
-        "burn_in_sweeps": int(blocks * 10 + measure_sweeps),
+        "burn_in_sweeps": int(burn_in),
+        "sweeps": int(burn_in + reps * thin),
         "chains": chains,
         "flagged": bool(flagged),
     }

@@ -50,16 +50,29 @@ class Potential:
     params: dict = field(default_factory=dict)
 
 
+def _horner(c):
+    """Evaluator of the ascending coefficients ``c``, bit-identical to ``npoly.polyval``.
+
+    It performs polyval's IEEE operations (``c[-1] + x*0``, then
+    ``c[k] + acc*x``) without its per-call coefficient copy and reshape.
+    The dtype is preserved: complex arguments are legitimate (analytic
+    continuation).
+    """
+    top, rest = c[-1], c[-2::-1]
+
+    def value(x):
+        x = np.asarray(x)
+        acc = top + x * 0
+        for ck in rest:
+            acc = ck + acc * x
+        return acc
+
+    return value
+
+
 def _poly_closures(coeffs):
-    # dtype is preserved: complex arguments are legitimate (analytic continuation)
     c = np.asarray(coeffs, dtype=float)
-    c1 = npoly.polyder(c)
-    c2 = npoly.polyder(c, 2)
-    return (
-        lambda x: npoly.polyval(np.asarray(x), c),
-        lambda x: npoly.polyval(np.asarray(x), c1),
-        lambda x: npoly.polyval(np.asarray(x), c2),
-    )
+    return _horner(c), _horner(npoly.polyder(c)), _horner(npoly.polyder(c, 2))
 
 
 def _check_derivatives(v, dv, d2v, domain):

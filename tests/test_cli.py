@@ -73,7 +73,7 @@ def test_spectrum_outputs(tmp_path, capsys):
 
 
 def test_sample_roundtrip(tmp_path, capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         [
             "sample", "--kind", "gaussian", "--n", "16", "--count", "8",
             "--seed", "5", "-o", str(tmp_path),
@@ -83,6 +83,23 @@ def test_sample_roundtrip(tmp_path, capsys):
     assert code == 0, err
     s = load_sample(tmp_path / "run.samples.bin")
     assert s.n == 16 and s.count == 8 and s.kind == "gaussian-tridiagonal"
+    assert f"health: mean_tries {s.diagnostics['mean_tries']:.3f}" in out.splitlines()
+
+    code, out, err = run_cli(
+        [
+            "sample", "--kind", "even-quartic", "--n", "6", "--count", "16",
+            "--seed", "5", "--prefix", "mc", "-o", str(tmp_path),
+        ],
+        capsys,
+    )
+    assert code == 0, err
+    d = load_sample(tmp_path / "mc.samples.bin").diagnostics
+    assert d["sweeps"] > d["burn_in_sweeps"]
+    health = (
+        f"health: acceptance {d['acceptance_rate']:.3f}, iat {d['iat']:.2f}, "
+        f"thin {d['thin']}, flagged {str(d['flagged']).lower()}"
+    )
+    assert health in out.splitlines()
 
 
 def test_sampler_kind_conflict(tmp_path, capsys):

@@ -114,13 +114,89 @@ def test_mcmc_deterministic_and_diagnosed(sample_cache):
         "iat",
         "thin",
         "burn_in_sweeps",
+        "sweeps",
         "chains",
         "flagged",
     ):
         assert key in d
     assert 0.15 < d["acceptance_rate"] < 0.75
     assert d["thin"] >= 2
+    reps = -(-a.count // d["chains"])
+    assert d["sweeps"] == d["burn_in_sweeps"] + reps * d["thin"]
     assert np.all(np.diff(a.configs, axis=1) >= 0)
+
+
+def _draws(rng, sweeps, n, chains):
+    return rng.standard_normal((sweeps, n + 2, chains)), np.log(rng.random((sweeps, n + 2, chains)))
+
+
+def _both_routes(lam, widths, z, logu, beta, window=(-2.1, 2.1)):
+    """Run the site-major kernel and the log-sum oracle on the same start and draws."""
+    vfun = make_potential("even-quartic", g=0.1).v
+    want = lam.copy()
+    acc_o = oracles.metropolis_sweeps_logsum(vfun, beta, want, widths, window, z, logu)
+    lt = np.ascontiguousarray(lam.T)
+    acc = ens._sweep_block(vfun, beta, lt, widths, window, z, logu)
+    return (acc, lt.T), (acc_o, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 24])
+@pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+def test_site_major_kernel_matches_logsum_oracle(n, beta):
+    rng = np.random.default_rng(1000 * n + int(beta))
+    chains, sweeps = 8, 25
+    lam = np.sort(rng.uniform(-1.8, 1.8, (chains, n)), axis=1)
+    widths = np.array([1.0 / n, 2.0 / (n * np.sqrt(beta)), 2.0 / (n * np.sqrt(beta))])
+    z, logu = _draws(rng, sweeps, n, chains)
+    (acc, got), (acc_o, want) = _both_routes(lam, widths, z, logu, beta)
+    assert np.array_equal(acc, acc_o)
+    # every move type is both accepted and rejected
+    assert np.all((acc > 0) & (acc < sweeps * chains * np.array([n, 1, 1])))
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_pair_product_fallback_matches_logsum():
+    m = 400
+    fine = np.random.default_rng(5).uniform(0.5, 2.0, m)
+    cols = {
+        "fine": fine,
+        "overflow": np.full(m, 10.0),
+        "overflow-signed": np.where(np.arange(m) % 3 == 0, -10.0, 10.0),
+        "underflow": np.full(m, 0.1),
+        "zero": np.concatenate([[0.0], fine[1:]]),
+        "inf": np.concatenate([[np.inf], fine[1:]]),
+        "zero-and-inf": np.concatenate([[0.0, -np.inf], fine[2:]]),
+    }
+    ratios = np.column_stack(list(cols.values()))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        prod = np.multiply.reduce(ratios, axis=0)
+        want = np.log(np.abs(ratios)).sum(axis=0)
+        got = ens._log_abs_prod(ratios)
+    assert np.isfinite(prod[0]) and prod[0] != 0.0
+    assert np.all(np.isinf(prod[1:3])) and prod[3] == 0.0 and prod[4] == 0.0
+    assert np.isinf(prod[5]) and np.isnan(prod[6])
+    np.testing.assert_allclose(got[:4], want[:4], rtol=1e-12, atol=0.0)
+    assert got[4] == want[4] == -np.inf and got[5] == want[5] == np.inf
+    for u in (-1e300, 0.0, 1e300):
+        assert np.array_equal(u < got, u < want)
+
+    # the same cases inside the kernel: chain 0 moves site 0 from 2.0 to 0.2
+    # while 399 sites sit near 0, so its ratio product underflows and the
+    # cluster's own moves overflow; chain 1 proposes exactly onto a neighbour
+    n = 400
+    lam = np.empty((2, n))
+    lam[0] = np.concatenate([[2.0], np.linspace(-1e-3, 1e-3, n - 1)])
+    lam[1] = np.linspace(-1.5, 1.5, n)
+    widths = np.array([1.0, 1e-3, 1e-3])
+    z, logu = _draws(np.random.default_rng(6), 1, n, 2)
+    z[0, n:] = 0.0  # collective moves propose the configuration itself
+    z[0, 0, 0] = -1.8
+    z[0, 5, 1] = (lam[1, 6] - lam[1, 5]) / widths[0]
+    assert lam[1, 5] + widths[0] * z[0, 5, 1] == lam[1, 6]
+    (acc, got), (acc_o, want) = _both_routes(lam, widths, z, logu, 2.0)
+    assert np.array_equal(acc, acc_o)
+    assert got[0, 0] == 2.0 and got[1, 5] == lam[1, 5]
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_mcmc_validation():

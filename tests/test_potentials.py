@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from betalab.errors import NumericalError, UsageError
 from betalab.potentials import AffineChange, make_potential, normalize_support, support_endpoints
@@ -32,6 +33,24 @@ def test_polynomial_kind_matches_closed_form():
     xs = np.linspace(-2.2, 2.2, 33)
     assert np.allclose(pot.v(xs), ref.v(xs), atol=1e-14)
     assert np.allclose(pot.dv(xs), ref.dv(xs), atol=1e-14)
+
+
+def test_poly_closures_bit_identical_to_polyval():
+    rng = np.random.default_rng(3)
+    real = rng.uniform(-2.2, 2.2, 64)
+    cplx = rng.uniform(-2.2, 2.2, (4, 16)) + 1j * rng.uniform(-0.5, 0.5, (4, 16))
+    for kind, params in (
+        ("gaussian", {}),
+        ("even-quartic", {"g": 0.1}),
+        ("polynomial", {"coeffs": [0.3, -1.2, 0.7, 0.05, 0.0, 1e-3]}),
+    ):
+        pot = make_potential(kind, **params)
+        c = np.asarray(pot.params["coeffs"], dtype=float)
+        for fn, cf in ((pot.v, c), (pot.dv, npoly.polyder(c)), (pot.d2v, npoly.polyder(c, 2))):
+            for x in (real, cplx, np.float64(0.7)):
+                got, want = fn(x), npoly.polyval(np.asarray(x), cf)
+                assert np.asarray(got).dtype == np.asarray(want).dtype
+                assert np.array_equal(got, want)
 
 
 def test_user_analytic_derivative_audit():
