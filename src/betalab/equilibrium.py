@@ -131,8 +131,10 @@ class EquilibriumData:
 
         Returns c with P(edge + inward * x) = sum c[m] x^m, where inward
         is +1 at the left edge and -1 at the right edge. Computed from a
-        Cauchy circle well inside the analyticity region, so coefficients
-        are accurate until they fall under the continuation noise floor.
+        Cauchy circle of radius rt well inside the analyticity region.
+        Coefficient m carries a rounding floor of n * eps * max|P| / rt^m
+        from the n-point transform; coefficients below it are set to zero
+        instead of returning amplified noise.
         """
         if side not in ("left", "right"):
             raise UsageError("invalid-spec", f"side must be 'left' or 'right', got {side!r}")
@@ -143,8 +145,9 @@ class EquilibriumData:
         theta = np.arange(n) * (2.0 * np.pi / n)
         vals = self._p_complex(center + rt * np.exp(1j * theta))
         m = np.arange(count)
-        coeffs = np.fft.fft(vals)[:count] / n / rt**m
-        return np.real(coeffs) * inward**m
+        coeffs = np.real(np.fft.fft(vals)[:count] / n / rt**m)
+        floor = n * np.finfo(float).eps * np.max(np.abs(vals)) / rt**m
+        return np.where(np.abs(coeffs) < floor, 0.0, coeffs) * inward**m
 
     # -- serialization ---------------------------------------------------
 

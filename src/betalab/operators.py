@@ -21,6 +21,8 @@ from scipy.fft import dct
 from .errors import NumericalError, UsageError
 
 SIGMA = (-2.0, 2.0)
+# entries of one Chebyshev-Vandermonde block in cheb_val (512 KiB of floats)
+_VANDER_BLOCK = 1 << 16
 
 
 # ----------------------------------------------------------------------
@@ -83,14 +85,43 @@ def cheb_val(coeffs: np.ndarray, x, interval=SIGMA):
     """Evaluate Chebyshev series in the halved-c0 convention.
 
     A 2-D ``coeffs`` holds one function per row; the result then stacks
-    the functions on a last axis, shape ``x.shape + (rows,)``.
+    the functions on a last axis, shape ``x.shape + (rows,)``. Points go
+    through in blocks: each block's Chebyshev-Vandermonde matrix, at most
+    ``_VANDER_BLOCK`` entries, times the coefficient matrix. The product
+    is taken one Vandermonde row at a time, so every point gets the same
+    BLAS call and its value does not depend on the other points evaluated
+    with it (one matrix product per block rounds a row differently
+    depending on its position in the block).
     """
     lo, hi = interval
-    u = (2.0 * np.asarray(x, dtype=float) - (lo + hi)) / (hi - lo)
+    x_arr = np.asarray(x, dtype=float)
+    u = ((2.0 * x_arr - (lo + hi)) / (hi - lo)).ravel()
     c = np.array(coeffs, dtype=float).T
     c[0] *= 0.5
-    out = np.polynomial.chebyshev.chebval(u, c)
-    return out if c.ndim == 1 else np.moveaxis(out, 0, -1)
+    deg = c.shape[0] - 1
+    step = max(1, _VANDER_BLOCK // (deg + 1))
+    out = np.empty((u.size,) + c.shape[1:])
+    for s in range(0, u.size, step):
+        vander = _cheb_vander(u[s : s + step], deg)
+        out[s : s + step] = np.matmul(vander[:, None, :], c)[:, 0]
+    return out.reshape(x_arr.shape + c.shape[1:])[()]
+
+
+def _cheb_vander(u: np.ndarray, deg: int) -> np.ndarray:
+    """T_0..T_deg at the points u as contiguous rows, shape (u.size, deg + 1).
+
+    The recurrence of ``numpy.polynomial.chebyshev.chebvander``, written
+    into rows directly: no transposing copy, and no per-call overhead that
+    would dominate the one-point evaluations of an ODE right-hand side.
+    """
+    v = np.empty((u.size, deg + 1))
+    v[:, 0] = 1.0
+    if deg:
+        v[:, 1] = u
+        u2 = 2.0 * u
+        for k in range(2, deg + 1):
+            v[:, k] = v[:, k - 1] * u2 - v[:, k - 2]
+    return v
 
 
 def cheb_der(coeffs: np.ndarray, interval=SIGMA) -> np.ndarray:
@@ -356,15 +387,18 @@ def log_ratio_kernel(tmap, x, y):
     midpoint derivative with a second-order curvature correction instead
     of the difference quotient, whose cancellation error grows like
     eps/|x - y|. The switchover at 1e-3 balances the two error sources
-    (series truncation ~|x - y|^4 against cancellation).
+    (series truncation ~|x - y|^4 against cancellation). The map is
+    evaluated on ``x`` and ``y`` as given, before broadcasting, so an
+    outer grid costs one evaluation per distinct node.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    zx, zy = np.broadcast_arrays(
+        np.asarray(tmap.value(x), dtype=float), np.asarray(tmap.value(y), dtype=float)
+    )
     x, y = np.broadcast_arrays(x, y)
     diff = x - y
     near = np.abs(diff) < 1e-3
-    zx = np.asarray(tmap.value(x), dtype=float)
-    zy = np.asarray(tmap.value(y), dtype=float)
     safe = np.where(near, 1.0, diff)
     out = np.empty_like(diff)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -119,17 +119,16 @@ def _config_gaps(sample: EnsembleSample, eq, center: float, halfwidth: float):
             f"window [{lo:.3f}, {hi:.3f}] leaves the reference interval; "
             "local statistics are defined in the interior only",
         )
-    out = []
-    n = sample.n
-    for row in sample.configs:
-        sel = row[(row >= lo) & (row <= hi)]
-        if len(sel) < 2:
-            out.append(np.empty(0))
-            continue
-        gaps = np.diff(sel)
-        mids = 0.5 * (sel[1:] + sel[:-1])
-        out.append(gaps * n * eq.density(mids))
-    return out
+    configs = sample.configs
+    rows, cols = np.nonzero((configs >= lo) & (configs <= hi))
+    sel = configs[rows, cols]
+    # consecutive in-window points of one configuration form a gap
+    pair = rows[1:] == rows[:-1]
+    gaps = (sel[1:] - sel[:-1])[pair]
+    mids = (0.5 * (sel[1:] + sel[:-1]))[pair]
+    unfolded = gaps * sample.n * eq.density(mids)
+    counts = np.bincount(rows[1:][pair], minlength=len(configs))
+    return np.split(unfolded, np.cumsum(counts)[:-1])
 
 
 def unfold_gaps(sample: EnsembleSample, eq, center: float, halfwidth: float) -> np.ndarray:
@@ -386,7 +385,11 @@ def linearization_check(
     else:
         eta = spectrum.eigenvalues[:modes]
         proj = spectrum.semicircle_proj[:modes]
-        q = spectrum.phi(configs, range(modes)).sum(axis=1) - n * proj
+        # configurations share their Gauss-Legendre coordinates: evaluate
+        # the modes once per distinct coordinate
+        nodes, where = np.unique(configs, return_inverse=True)
+        phi = spectrum.phi(nodes, range(modes))[where.reshape(configs.shape)]
+        q = phi.sum(axis=1) - n * proj
         coef = np.sqrt(beta * eta.astype(complex))
         gh_x, gh_w = np.polynomial.hermite_e.hermegauss(gh_nodes)
         # per mode sum_i w_i exp(q_k coef_k x_i); the rule is symmetric, so

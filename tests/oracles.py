@@ -185,6 +185,20 @@ def linearization_right_tensor(eq, tmap, spectrum, beta, observable, n, modes, g
     return float((wfull @ obs) / wfull.sum())
 
 
+def config_gaps_per_row(sample, eq, center, halfwidth):
+    """Unfolded in-window gaps, one configuration and one density call at a time."""
+    lo, hi = center - halfwidth, center + halfwidth
+    out = []
+    for row in sample.configs:
+        sel = row[(row >= lo) & (row <= hi)]
+        if len(sel) < 2:
+            out.append(np.empty(0))
+            continue
+        gaps = np.diff(sel)
+        mids = 0.5 * (sel[1:] + sel[:-1])
+        out.append(gaps * sample.n * eq.density(mids))
+    return out
+
 def metropolis_sweeps_logsum(vfun, beta, lam, widths, window, z, logu):
     """Chain-major Metropolis sweeps with the pair term as a per-site log-sum.
 

@@ -4,6 +4,7 @@ import pytest
 from betalab.equilibrium import EquilibriumData, recentering_coeffs, solve_equilibrium
 from betalab.errors import NumericalError, UsageError
 from betalab.potentials import make_potential
+from betalab.transport import edge_series
 
 import oracles
 
@@ -73,13 +74,17 @@ def test_unnormalized_support_rejected_with_hint():
 
 
 def test_edge_taylor_matches_density_factor(quartic_eq):
-    g = 0.1
-    left = quartic_eq.edge_taylor("left", count=6)
-    right = quartic_eq.edge_taylor("right", count=6)
-    # P(-2 + x) = g(x-2)^2 + 1 - g has inward coefficients (1+3g, -4g, g)
-    want = np.array([1.0 + 3 * g, -4 * g, g, 0.0, 0.0, 0.0])
-    assert np.allclose(left[:6], want, atol=1e-10)
-    assert np.allclose(right[:6], want, atol=1e-10)
+    for g, eq in ((0.1, quartic_eq), (0.8, solve_equilibrium(make_potential("even-quartic", g=0.8)))):
+        left = eq.edge_taylor("left", count=36)
+        right = eq.edge_taylor("right", count=36)
+        # P(-2 + x) = g(x-2)^2 + 1 - g has inward coefficients (1+3g, -4g, g)
+        want = np.array([1.0 + 3 * g, -4 * g, g])
+        assert np.allclose(left[:3], want, atol=1e-10)
+        assert np.allclose(right[:3], want, atol=1e-10)
+        # the rest lies under the Cauchy-circle noise floor and is returned as zero
+        assert np.all(left[3:] == 0.0) and np.all(right[3:] == 0.0)
+        for side in ("left", "right"):
+            assert edge_series(eq, side).radius_estimate >= 2.0
 
 
 def test_serialization_roundtrip(quartic_eq):

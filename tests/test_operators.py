@@ -46,6 +46,42 @@ def test_cheb_roundtrip_and_derivative():
     assert np.max(np.abs(ops.cheb_val(dc, xs, ops.SIGMA) - want)) < 1e-10
 
 
+def test_cheb_val_matches_chebval_across_blocks():
+    rng = np.random.default_rng(11)
+    interval = (-2.2, 2.2)
+    for deg in (0, 2, 40, 255):
+        rows = rng.standard_normal((5, deg + 1)) / np.arange(1.0, deg + 2.0) ** 2
+        block = ops._VANDER_BLOCK // (deg + 1)
+        for count in (1, block - 1, block, block + 1, 3 * block + 7):
+            x = rng.uniform(*interval, count)
+            u = x / 2.2
+            both = ops.cheb_val(rows, x, interval)
+            assert both.shape == (count, 5)
+            for j, c in enumerate(rows):
+                std = c.copy()
+                std[0] *= 0.5
+                want = np.polynomial.chebyshev.chebval(u, std)
+                one = ops.cheb_val(c, x, interval)
+                assert one.shape == (count,)
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(one - want)) <= 1e-13 * scale
+                assert np.max(np.abs(both[:, j] - want)) <= 1e-13 * scale
+            # a point's value does not depend on the points evaluated with it
+            i = int(rng.integers(count))
+            assert ops.cheb_val(rows[0], x[i], interval) == ops.cheb_val(rows[0], x, interval)[i]
+            assert np.array_equal(ops.cheb_val(rows, x[i : i + 1], interval)[0], both[i])
+    c = rng.standard_normal(9)
+    assert np.ndim(ops.cheb_val(c, 0.5)) == 0
+    assert ops.cheb_val(rng.standard_normal((3, 9)), 0.5).shape == (3,)
+    grid2 = rng.uniform(-2.0, 2.0, (4, 6))
+    assert ops.cheb_val(c, grid2).shape == (4, 6)
+    assert ops.cheb_val(np.stack([c, 2.0 * c]), grid2).shape == (4, 6, 2)
+    twice = ops.cheb_val(np.stack([c, 2.0 * c]), grid2)[..., 1]
+    assert np.allclose(twice, 2.0 * ops.cheb_val(c, grid2), rtol=1e-13, atol=1e-13)
+    u = rng.uniform(-1.0, 1.0, 50)
+    assert np.array_equal(ops._cheb_vander(u, 30), np.polynomial.chebyshev.chebvander(u, 30))
+
+
 # ----------------------------------------------------------------------
 # covariance operator
 
@@ -152,6 +188,33 @@ def test_modal_double_sum_agreement(quartic_tmap, quartic_spectrum):
         direct = float(ops.log_ratio_kernel(quartic_tmap, pts[:, None], pts[None, :]).sum())
         sums = np.array([quartic_spectrum.phi(pts, k).sum() for k in range(m)])
         assert abs(direct - float(eta @ (sums * sums))) < 1e-9
+
+
+class CountingMap:
+    """A transport map that counts the points passed to ``value``."""
+
+    def __init__(self, tmap):
+        self.base = tmap
+        self.eq = tmap.eq
+        self.points = 0
+
+    def value(self, lam):
+        self.points += np.size(lam)
+        return self.base.value(lam)
+
+    def derivative(self, lam):
+        return self.base.derivative(lam)
+
+
+def test_kernel_evaluates_map_once_per_node(quartic_tmap):
+    grid = ops.cheb_grid(256, quartic_tmap.eq.interval)
+    counted = CountingMap(quartic_tmap)
+    ops.kernel_matrix(counted, grid)
+    assert counted.points <= 2 * 256
+    x = grid.nodes
+    outer = ops.log_ratio_kernel(quartic_tmap, x[:, None], x[None, :])
+    full = ops.log_ratio_kernel(quartic_tmap, *np.broadcast_arrays(x[:, None], x[None, :]))
+    assert np.array_equal(outer, full)
 
 
 def test_mode_orthonormality(quartic_spectrum):

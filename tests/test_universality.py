@@ -59,6 +59,18 @@ def test_unfold_rejects_bad_window(gauss_eq, sample_cache):
         uni.unfold_gaps(s, gauss_eq, 0.0, -0.1)
 
 
+def test_config_gaps_match_per_row_oracle(quartic_eq, sample_cache):
+    s = sample_cache("gaussian", n=150, beta=2.0, count=1500, seed=22)
+    # a narrow window leaves many configurations with fewer than two points;
+    # the wide one unfolds about 1.5e5 gaps through one density call
+    for center, halfwidth in ((0.3, 0.01), (0.0, 0.15), (-0.2, 1.7)):
+        got = uni._config_gaps(s, quartic_eq, center, halfwidth)
+        want = oracles.config_gaps_per_row(s, quartic_eq, center, halfwidth)
+        assert len(got) == len(want) == s.count
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert any(b.size == 0 for b in want) == (halfwidth < 0.1)
+
+
 def test_phi_estimate_basic(gauss_eq, sample_cache):
     s = sample_cache("gaussian", n=150, beta=2.0, count=1500, seed=22)
     est = uni.phi_estimate(s, gauss_eq, 0.0, lambda u: np.exp(-0.5 * u * u))
