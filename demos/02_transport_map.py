@@ -2,8 +2,9 @@
 
 The map is the strictly increasing change of variables with
 rho(zeta(x)) * zeta'(x) = rho_sc(x); its quality is judged by that
-pushforward residual and by the overlap between the interior ODE
-solution and the square-root-variable edge series.
+pushforward residual and by the overlap between the interior map
+(equilibrium quantiles of semicircle levels, F_eq^-1(F_sc(x))) and the
+square-root-variable edge series.
 """
 
 import numpy as np

@@ -33,6 +33,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
+from . import operators as ops
 from .errors import NumericalError, UsageError
 from .potentials import Potential
 
@@ -136,12 +137,8 @@ def sample_gaussian(
 
 
 def _semicircle_quantiles(n: int) -> np.ndarray:
-    def f_sc(t):
-        phi = np.arccos(np.clip(t / 2.0, -1.0, 1.0))
-        return (np.pi - phi) / np.pi + np.sin(2.0 * phi) / (2.0 * np.pi)
-
     q = (np.arange(n) + 0.5) / n
-    return np.array([brentq(lambda t, qi=qi: f_sc(t) - qi, -2.0, 2.0, xtol=1e-12) for qi in q])
+    return np.array([brentq(lambda t, qi=qi: ops.semicircle_cdf(t) - qi, -2.0, 2.0, xtol=1e-12) for qi in q])
 
 
 def _log_abs_prod(ratios: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import operators as ops
 from .errors import NumericalError, UsageError
@@ -86,27 +85,22 @@ class EquilibriumData:
     def cdf(self, x):
         """Distribution function, exact mode sum in the arccos angle."""
         x_arr = np.clip(np.asarray(x, dtype=float), -2.0, 2.0)
-        phi = np.arccos(x_arr / 2.0)
-        beta = self.cdf_modes
-        out = beta[0] * (np.pi - phi)
-        for m in range(1, beta.size):
-            if beta[m] != 0.0:
-                out = out - (beta[m] / m) * np.sin(m * phi)
+        out, _ = _cdf_angle(self.cdf_modes, np.arccos(x_arr / 2.0))
         return out if np.ndim(x) else float(out)
 
     def quantile(self, q):
-        q_arr = np.atleast_1d(np.asarray(q, dtype=float))
+        """Inverse distribution function, all levels in one Newton solve.
+
+        Levels 0 and 1 map to the support edges exactly; the others are
+        solved in the arccos angle by :func:`_invert_cdf`.
+        """
+        q_arr = np.asarray(q, dtype=float)
         if np.any((q_arr < 0.0) | (q_arr > 1.0)):
             raise UsageError("invalid-spec", "quantile levels must lie in [0, 1]")
-        out = np.empty_like(q_arr)
-        for i, qi in enumerate(q_arr):
-            if qi <= 0.0:
-                out[i] = -2.0
-            elif qi >= 1.0:
-                out[i] = 2.0
-            else:
-                out[i] = brentq(lambda t: self.cdf(t) - qi, -2.0, 2.0, xtol=1e-14)
-        return out if np.ndim(q) else float(out[0])
+        inner = (q_arr > 0.0) & (q_arr < 1.0)
+        out = np.where(q_arr >= 1.0, 2.0, -2.0)
+        out[inner] = 2.0 * np.cos(_invert_cdf(self.cdf_modes, q_arr[inner]))
+        return out if np.ndim(q) else float(out)
 
     # -- analytic continuation ------------------------------------------
 
@@ -200,6 +194,67 @@ class EquilibriumData:
             contour_radius=float(d["contour_radius"]),
             contour_nodes=int(d.get("contour_nodes", 512)),
         )
+
+
+def _cdf_angle(beta: np.ndarray, phi):
+    """CDF mode sum in the angle phi = arccos(x/2), and its phi-derivative.
+
+    G(phi) = beta0 (pi - phi) - sum_m (beta_m / m) sin(m phi) and
+    G'(phi) = -(beta0 + sum_m beta_m cos(m phi)), every mode at once.
+    G' is -2 sin(phi)^2 P(2 cos phi) / pi, negative inside (0, pi) for a
+    generic density polynomial P. The sums run along the last axis, not
+    through BLAS, so a point's value does not depend on the other points
+    in its call.
+    """
+    m = np.arange(1, beta.size)
+    mphi = np.multiply.outer(phi, m)
+    g = beta[0] * (np.pi - phi) - (np.sin(mphi) * (beta[1:] / m)).sum(axis=-1)
+    dg = -(beta[0] + (np.cos(mphi) * beta[1:]).sum(axis=-1))
+    return g, dg
+
+
+def _invert_cdf(beta: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Angles phi in [0, pi] with G(phi) = q, by safeguarded Newton.
+
+    Every level is iterated at once. The start approximates the
+    semicircle angle psi of q and is exact in the edge limit, where
+    1 - q ~ (2 psi)^3 / (12 pi), so the ratio of start to root stays
+    bounded at both edges. A Newton
+    step that leaves the level's current bracket, which starts as
+    [0, pi], is replaced by bisection. A level is done once its
+    residual is within a few ulp of the mode sum's rounding error; the
+    step that got it there is still taken. Raises "no-convergence" if
+    any level is not done after 40 steps.
+    """
+    q = np.asarray(q, dtype=float)
+    # semicircle angle: 1 - q = (theta - sin theta) / (2 pi) with theta = 2 psi,
+    # cube-root asymptote mirrored about theta = pi
+    kepler = 2.0 * np.pi * (1.0 - q)
+    theta = np.minimum(np.cbrt(6.0 * np.minimum(kepler, 2.0 * np.pi - kepler)), np.pi)
+    phi = 0.5 * np.where(kepler <= np.pi, theta, 2.0 * np.pi - theta)
+    lo = np.zeros_like(phi)
+    hi = np.full_like(phi, np.pi)
+    scale = beta[0] * np.pi + np.sum(np.abs(beta[1:]) / np.arange(1, beta.size))
+    tol = 4.0 * np.finfo(float).eps
+    todo = np.arange(phi.size)
+    for _ in range(40):
+        p = phi[todo]
+        g, dg = _cdf_angle(beta, p)
+        r = g - q[todo]
+        lo[todo] = np.where(r > 0.0, p, lo[todo])
+        hi[todo] = np.where(r > 0.0, hi[todo], p)
+        done = np.abs(r) <= tol * (scale + np.pi * np.abs(dg))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = p - r / dg
+        inside = (step >= lo[todo]) & (step <= hi[todo])
+        phi[todo] = np.where(inside, step, np.where(done, p, 0.5 * (lo[todo] + hi[todo])))
+        todo = todo[~done]
+        if todo.size == 0:
+            return phi
+    raise NumericalError(
+        "no-convergence",
+        f"CDF inversion did not converge in 40 Newton steps at {todo.size} levels",
+    )
 
 
 def _cdf_modes_from_sigma(p_on_sigma_coeffs: np.ndarray) -> np.ndarray:

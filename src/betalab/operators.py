@@ -195,6 +195,12 @@ def semicircle_density(x):
     return np.sqrt(np.clip(4.0 - x * x, 0.0, None)) / (2.0 * np.pi)
 
 
+def semicircle_cdf(x):
+    """Distribution function of the semicircle law, closed form in the arccos angle."""
+    phi = np.arccos(np.clip(np.asarray(x, dtype=float) / 2.0, -1.0, 1.0))
+    return (np.pi - phi) / np.pi + np.sin(2.0 * phi) / (2.0 * np.pi)
+
+
 def semicircle_log_potential(x):
     """Closed form of the log-kernel acting on the semicircle density."""
     x = np.asarray(x, dtype=float)

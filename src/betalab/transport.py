@@ -2,27 +2,39 @@
 
 The map is characterized by a density-matching equation: its derivative
 equals the ratio of the reference semicircle density to the target density
-at the image point, and it fixes both support endpoints. Away from the
-edges that equation is a benign ODE, anchored at the median so the image
-measure matches exactly. At the edges both densities vanish like a square
-root and the ODE is singular, so the map is continued there by the
-edge-regular power series (whose coefficients satisfy an explicit
-triangular recursion). The two representations are cross-checked on
-overlap windows; their agreement doubles as the endpoint-fixing
-certificate.
+at the image point, and it fixes both support endpoints. Integrated once,
+that equation says the map carries semicircle quantiles to equilibrium
+quantiles, zeta = F_eq^-1 o F_sc. Away from the edges the map is computed
+that way, with no differential equation: the equilibrium distribution
+function is an exact cosine-mode sum, inverted at every Chebyshev node by
+one batched Newton solve, and the node count doubles until the fit is
+resolved. At the edges both densities vanish like a square root, so the
+map is continued there by the edge-regular power series (whose
+coefficients satisfy an explicit triangular recursion). The two
+representations are cross-checked on overlap windows; their agreement
+doubles as the endpoint-fixing certificate. Both certificates are
+enforced here, at the ``betalab verify`` tolerances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import solve_ivp
 
 from . import operators as ops
 from .equilibrium import EquilibriumData
 from .errors import NumericalError, UsageError
+
+# Interior resolution: node counts double from the first to the last until
+# chopping at _CHOP_REL drops at least _MIN_DROPPED trailing coefficients.
+_FIT_NODES = (64, 4096)
+_CHOP_REL = 1e-14
+_MIN_DROPPED = 8
+# certificate tolerances, the same as in `betalab verify`
+RESIDUAL_TOL = 1e-7
+OVERLAP_TOL = 1e-8
 
 
 # ----------------------------------------------------------------------
@@ -147,9 +159,10 @@ def edge_series(eq: EquilibriumData, side: str, count: int = 32) -> EdgeSeries:
 class TransportMap:
     """Piecewise representation of the semicircle-to-equilibrium map.
 
-    Interior: Chebyshev interpolant of the ODE solution on the slightly
-    shrunk interval. Edge zones (within ``delta_e`` of an endpoint, and
-    beyond the endpoints up to the working window): edge-regular series.
+    Interior: Chebyshev interpolant of F_eq^-1 o F_sc on the slightly
+    shrunk interval; ``anchor`` is the map's value at 0. Edge zones
+    (within ``delta_e`` of an endpoint, and beyond the endpoints up to
+    the working window): edge-regular series.
     ``residual_max`` measures the density-matching equation with an
     independently differentiated map, so it is a genuine consistency
     check rather than a restatement of the construction; ``overlap_max``
@@ -244,56 +257,51 @@ class TransportMap:
         )
 
 
+def _interior_fit(eq: EquilibriumData, interval: tuple) -> np.ndarray:
+    """Chebyshev coefficients of F_eq^-1 o F_sc on ``interval``, resolved.
+
+    The first node count whose fit loses at least ``_MIN_DROPPED``
+    trailing coefficients to chopping wins; the fit is then known to
+    reach the rounding plateau. Raises "ode-failure" (the code the
+    interior has always used) if even the largest grid does not.
+    """
+    n, n_max = _FIT_NODES
+    while n <= n_max:
+        t = ops.cheb_grid(n, interval).nodes
+        coeffs = ops.coeffs_from_values(eq.quantile(ops.semicircle_cdf(t)))
+        kept = ops.chop_coeffs(coeffs, _CHOP_REL)
+        if coeffs.size - kept.size >= _MIN_DROPPED:
+            return kept
+        n *= 2
+    raise NumericalError(
+        "ode-failure",
+        f"interior map is not resolved by {n_max} Chebyshev nodes; "
+        "the potential is too close to losing genericity",
+    )
+
+
 def solve_transport(
     eq: EquilibriumData,
     delta_e: float = 0.1,
     edge_count: int = 32,
-    rtol: float = 1e-12,
-    atol: float = 1e-13,
-    fit_nodes: int = 200,
 ) -> TransportMap:
-    """Build the transport map for certified equilibrium data.
+    """Build the certified transport map for certified equilibrium data.
 
-    Anchored at the median (so the pushforward matches the target
-    distribution exactly, not just up to a constant), integrated outward
-    with a high-order explicit scheme, re-expanded as a Chebyshev
-    interpolant, and continued past the shrunk interval by the edge
-    series. Raises "ode-failure" if integration or monotonicity breaks
-    down and "series-divergence" if the edge expansions cannot cover
-    their zones at the working precision.
+    The interior is F_eq^-1 o F_sc on the interval shrunk by ``delta_e``,
+    taken at Chebyshev nodes (so the pushforward matches the target
+    distribution exactly, not just up to a constant) and refined until
+    resolved; the edge series continue it past the shrunk interval.
+    Raises "series-divergence" if the edge expansions cannot cover their
+    zones at the working precision, and "ode-failure" if the interior is
+    not resolved, the map is not strictly increasing, the density-matching
+    residual reaches ``RESIDUAL_TOL`` or the two representations disagree
+    by ``OVERLAP_TOL`` or more on the overlap.
     """
     if not 0.0 < delta_e <= 0.5:
         raise UsageError("invalid-spec", f"delta_e must lie in (0, 0.5], got {delta_e}")
     cut = 2.0 - delta_e
-    anchor = eq.quantile(0.5)
-
-    def rhs(t, z):
-        zc = np.clip(z, -2.0 + 1e-13, 2.0 - 1e-13)
-        d = eq.density(zc)
-        return ops.semicircle_density(t) / d
-
-    sols = {}
-    for sign in (1.0, -1.0):
-        sol = solve_ivp(
-            rhs,
-            (0.0, sign * cut),
-            np.array([anchor]),
-            method="DOP853",
-            dense_output=True,
-            rtol=rtol,
-            atol=atol,
-        )
-        if not sol.success:
-            raise NumericalError("ode-failure", f"interior integration failed: {sol.message}")
-        sols[sign] = sol
-
     interior_interval = (-cut, cut)
-    t_fit = ops.cheb_grid(fit_nodes, interior_interval).nodes
-    z_fit = np.empty_like(t_fit)
-    neg = t_fit < 0
-    z_fit[neg] = sols[-1.0].sol(t_fit[neg])[0]
-    z_fit[~neg] = sols[1.0].sol(t_fit[~neg])[0]
-    interior_cheb = ops.chop_coeffs(ops.coeffs_from_values(z_fit), 1e-13)
+    interior_cheb = _interior_fit(eq, interior_interval)
 
     left = edge_series(eq, "left", edge_count)
     right = edge_series(eq, "right", edge_count)
@@ -315,7 +323,7 @@ def solve_transport(
         interior_cheb=interior_cheb,
         left=left,
         right=right,
-        anchor=float(anchor),
+        anchor=float(ops.cheb_val(interior_cheb, 0.0, interior_interval)),
         residual_max=0.0,
         overlap_max=0.0,
     )
@@ -330,10 +338,10 @@ def solve_transport(
         float(np.max(np.abs(series_r - interior_r))),
         float(np.max(np.abs(series_l - interior_l))),
     )
-    if overlap > 1e-6:
+    if not overlap < OVERLAP_TOL:
         raise NumericalError(
             "ode-failure",
-            f"interior solution and edge series disagree on the overlap ({overlap:.3g}); "
+            f"interior map and edge series disagree on the overlap ({overlap:.3g}); "
             "the map is not consistent at the requested precision",
         )
     tmap.overlap_max = overlap
@@ -352,6 +360,11 @@ def solve_transport(
     if np.any(dz_indep <= 0):
         raise NumericalError("ode-failure", "transport map is not strictly increasing")
     z_probe = tmap.value(lam_probe)
-    resid = np.abs(eq.density(z_probe) * dz_indep - ops.semicircle_density(lam_probe))
-    tmap.residual_max = float(np.max(resid))
+    resid = float(np.max(np.abs(eq.density(z_probe) * dz_indep - ops.semicircle_density(lam_probe))))
+    if not resid < RESIDUAL_TOL:
+        raise NumericalError(
+            "ode-failure",
+            f"transport map misses the density-matching equation by {resid:.3g}",
+        )
+    tmap.residual_max = resid
     return tmap

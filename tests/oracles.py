@@ -60,6 +60,45 @@ def transport_point_oracle(g: float, x: float) -> float:
     )
 
 
+def transport_interior_ode(eq, t, cut: float = 1.9, rtol: float = 1e-12, atol: float = 1e-13):
+    """Interior transport map at points ``t`` (|t| <= cut) by integrating its ODE.
+
+    zeta' = rho_sc(t) / rho_eq(zeta), anchored at the equilibrium median
+    and integrated outward to both sides with DOP853. The right-hand side
+    reads the density through its Chebyshev factor; only the median uses
+    the CDF modes, summed one mode at a time and bracketed.
+    """
+    t = np.asarray(t, dtype=float)
+    anchor = quantile_brentq(eq, 0.5)
+
+    def rhs(s, z):
+        zc = np.clip(z, -2.0 + 1e-13, 2.0 - 1e-13)
+        return np.sqrt(4.0 - s * s) / (2.0 * np.pi) / eq.density(zc)
+
+    out = np.empty_like(t)
+    for sign, part in ((1.0, t >= 0.0), (-1.0, t < 0.0)):
+        sol = integrate.solve_ivp(
+            rhs, (0.0, sign * cut), [anchor], method="DOP853", dense_output=True, rtol=rtol, atol=atol
+        )
+        assert sol.success, sol.message
+        out[part] = sol.sol(t[part])[0]
+    return out
+
+
+def cdf_per_mode(beta, x: float) -> float:
+    """CDF mode sum in the arccos angle, one mode at a time."""
+    phi = np.arccos(np.clip(x, -2.0, 2.0) / 2.0)
+    out = beta[0] * (np.pi - phi)
+    for m in range(1, len(beta)):
+        out -= beta[m] / m * np.sin(m * phi)
+    return float(out)
+
+
+def quantile_brentq(eq, q: float) -> float:
+    """Equilibrium quantile of one level by bracketing the per-mode CDF sum."""
+    return optimize.brentq(lambda x: cdf_per_mode(eq.cdf_modes, x) - q, -2.0, 2.0, xtol=1e-15)
+
+
 def edge_slope_oracle(g: float) -> float:
     """First correction coefficient of the transport map's left-edge series.
 

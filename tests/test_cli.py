@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from betalab import cli
+from betalab import operators as ops
 from betalab.ensembles import load_sample
+from betalab.equilibrium import EquilibriumData
+from betalab.transport import TransportMap
 
 
 def run_cli(argv, capsys):
@@ -56,6 +59,26 @@ def test_transport_outputs(tmp_path, capsys):
     assert payload["overlap_max"] < 1e-8
     lines = (tmp_path / "run.residual.csv").read_text().strip().splitlines()
     assert lines[0].split(",") == ["x", "zeta", "zeta_prime", "residual"]
+
+
+def test_csv_rows_match_pointwise_calls(tmp_path, capsys):
+    args = ["--kind", "even-quartic", "--g", "0.3", "-o", str(tmp_path)]
+    assert run_cli(["equilibrium", *args], capsys)[0] == 0
+    assert run_cli(["transport", *args], capsys)[0] == 0
+    eq = EquilibriumData.from_dict(json.loads((tmp_path / "run.equilibrium.json").read_text()))
+    tmap = TransportMap.from_dict(json.loads((tmp_path / "run.transport.json").read_text()), eq)
+
+    rows = (tmp_path / "run.density.csv").read_text().strip().splitlines()[1:]
+    want = [f"{x:.6f},{eq.density(x):.12e},{eq.cdf(x):.12e}" for x in map(float, np.linspace(-2.0, 2.0, 401))]
+    assert rows == want
+
+    rows = (tmp_path / "run.residual.csv").read_text().strip().splitlines()[1:]
+    want = []
+    for x in map(float, ops.gauss_inv_sqrt(257)[0]):
+        z, zp = tmap.value(x), tmap.derivative(x)
+        res = zp * eq.density(z) - float(ops.semicircle_density(x))
+        want.append(f"{x:.12e},{z:.12e},{zp:.12e},{res:.3e}")
+    assert rows == want
 
 
 def test_spectrum_outputs(tmp_path, capsys):

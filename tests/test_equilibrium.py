@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,31 @@ def test_cdf_and_quantile_roundtrip(quartic_eq):
         q = quartic_eq.cdf(t)
         assert abs(oracles.quartic_cdf_oracle(0.1, t) - q) < 1e-10
         assert abs(quartic_eq.quantile(q) - t) < 1e-9
+
+
+@pytest.mark.parametrize("g", [0.1, 0.8])
+def test_quantile_matches_brentq_oracle(g, quartic_eq):
+    eq = quartic_eq if g == 0.1 else solve_equilibrium(make_potential("even-quartic", g=g))
+    qs = np.concatenate(([1e-6], np.linspace(0.005, 0.995, 199), [1.0 - 1e-6]))
+    got = eq.quantile(qs)
+    want = np.array([oracles.quantile_brentq(eq, q) for q in qs])
+    assert np.max(np.abs(got - want)) < 1e-13
+    # one level gives the same bits alone as in a batch
+    assert all(eq.quantile(q) == z for q, z in zip(qs, got))
+    assert eq.quantile(0.0) == -2.0 and eq.quantile(1.0) == 2.0
+
+
+def test_quantile_without_a_root_raises_coded_error(quartic_eq):
+    short = dataclasses.replace(quartic_eq, cdf_modes=0.9 * quartic_eq.cdf_modes)  # mass 0.9
+    with pytest.raises(NumericalError) as err:
+        short.quantile([0.5, 0.95])
+    assert err.value.code == "no-convergence"
+
+
+def test_cdf_matches_per_mode_sum(quartic_eq):
+    xs = np.linspace(-2.0, 2.0, 101)
+    want = np.array([oracles.cdf_per_mode(quartic_eq.cdf_modes, x) for x in xs])
+    assert np.max(np.abs(quartic_eq.cdf(xs) - want)) < 1e-15
 
 
 def test_effective_potential_residual_and_exterior(quartic_eq, gauss_eq):

@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from betalab import operators as ops
-from betalab.errors import UsageError
-from betalab.transport import TransportMap, edge_series, solve_transport
+from betalab import transport
+from betalab.equilibrium import solve_equilibrium
+from betalab.errors import BetalabError, NumericalError, UsageError
+from betalab.potentials import make_potential
+from betalab.transport import OVERLAP_TOL, RESIDUAL_TOL, TransportMap, edge_series, solve_transport
 
 import oracles
 
@@ -83,3 +88,67 @@ def test_out_of_window_rejected(quartic_tmap):
 def test_bad_overlap_width_rejected(quartic_eq):
     with pytest.raises(UsageError):
         solve_transport(quartic_eq, delta_e=0.9)
+
+
+def _quartic_eq(g):
+    return solve_equilibrium(make_potential("even-quartic", g=g))
+
+
+@pytest.mark.parametrize("g", [-0.1, 0.1, 0.3, 0.5])
+def test_interior_matches_ode_oracle(g):
+    eq = _quartic_eq(g)
+    tmap = solve_transport(eq)
+    t = np.linspace(-1.9, 1.9, 77)
+    assert np.max(np.abs(tmap.value(t) - oracles.transport_interior_ode(eq, t))) < 1e-10
+
+
+# measured certified range of the quartic family: every g from -0.1 to 0.9
+REFUSED = {-0.2: "series-divergence"}
+
+
+@pytest.mark.parametrize("g", [-0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+def test_quartic_family_certifies_or_refuses(g):
+    eq = _quartic_eq(g)
+    try:
+        tmap = solve_transport(eq)
+    except BetalabError as err:
+        assert err.code == REFUSED.get(g), err
+        return
+    assert g not in REFUSED
+    assert tmap.residual_max < RESIDUAL_TOL == 1e-7
+    assert tmap.overlap_max < OVERLAP_TOL == 1e-8
+    # the kept series has reached its rounding plateau ...
+    c = np.abs(tmap.interior_cheb)
+    assert np.max(c[max(2, c.size - 4) :], initial=0.0) < 1e-12 * np.max(c)
+    # ... and interpolates the quantile composition between its nodes
+    t = np.random.default_rng(7).uniform(-1.9, 1.9, 200)
+    want = eq.quantile(ops.semicircle_cdf(t))
+    assert np.max(np.abs(ops.cheb_val(tmap.interior_cheb, t, tmap.interior_interval) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("g", [0.1, 0.3, 0.5, 0.8])
+def test_interior_resolution_ignores_rounding(g):
+    eq = _quartic_eq(g)
+    kept = solve_transport(eq).interior_cheb.size
+    signs = np.where(np.random.default_rng(3).random(eq.cdf_modes.size) < 0.5, -1.0, 1.0)
+    for pattern in (signs, -signs, np.ones_like(signs), -np.ones_like(signs)):
+        shaken = dataclasses.replace(eq, cdf_modes=eq.cdf_modes * (1.0 + 4e-16 * pattern))
+        assert solve_transport(shaken).interior_cheb.size == kept
+
+
+def test_anchor_is_map_value_at_zero(quartic_tmap):
+    assert quartic_tmap.anchor == quartic_tmap.value(0.0)
+    assert quartic_tmap.to_dict()["anchor"] == quartic_tmap.anchor
+
+
+def test_unresolved_or_uncertified_map_is_refused(monkeypatch):
+    eq = _quartic_eq(0.8)  # needs 1024 nodes
+    monkeypatch.setattr(transport, "_FIT_NODES", (64, 512))
+    with pytest.raises(NumericalError, match="not resolved") as err:
+        solve_transport(eq)
+    assert err.value.code == "ode-failure"
+    # accept the 64-node fit anyway: the certificates must catch it
+    monkeypatch.setattr(transport, "_MIN_DROPPED", 0)
+    with pytest.raises(NumericalError, match="overlap|density-matching") as err:
+        solve_transport(eq)
+    assert err.value.code == "ode-failure"
