@@ -50,7 +50,7 @@ from .potentials import (
     normalize_support,
     support_endpoints,
 )
-from .transport import EdgeSeries, TransportMap, edge_series, solve_transport
+from .transport import TransportMap, solve_transport
 from .universality import (
     CLTReport,
     HamiltonianIdentity,
@@ -73,7 +73,6 @@ __all__ = [
     "BetalabError",
     "CLTReport",
     "ChebGrid",
-    "EdgeSeries",
     "EnsembleSample",
     "EquilibriumData",
     "HamiltonianIdentity",
@@ -92,7 +91,6 @@ __all__ = [
     "cov_form",
     "deformation_residual",
     "direct_expectation",
-    "edge_series",
     "eigendecompose",
     "hamiltonian_identity_residual",
     "kernel_matrix",

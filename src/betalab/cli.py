@@ -35,7 +35,6 @@ from .transport import OVERLAP_TOL, RESIDUAL_TOL, solve_transport
 _DEFAULTS = {
     "potential": {"kind": "even-quartic", "g": "0.1", "coeffs": "", "eps": "0.2"},
     "equilibrium": {"contour-nodes": "512", "grid-nodes": "256"},
-    "transport": {"delta-e": "0.1", "edge-order": "32"},
     "operators": {"kernel-nodes": "256"},
     "ensemble": {
         "beta": "2.0",
@@ -57,8 +56,6 @@ _CONVERT = {
     ("potential", "eps"): float,
     ("equilibrium", "contour-nodes"): int,
     ("equilibrium", "grid-nodes"): int,
-    ("transport", "delta-e"): float,
-    ("transport", "edge-order"): int,
     ("operators", "kernel-nodes"): int,
     ("ensemble", "beta"): float,
     ("ensemble", "n"): int,
@@ -196,14 +193,6 @@ def _equilibrium(cfg: dict):
     )
 
 
-def _transport(cfg: dict, eq):
-    return solve_transport(
-        eq,
-        delta_e=cfg["transport"]["delta-e"],
-        edge_count=cfg["transport"]["edge-order"],
-    )
-
-
 def _spectrum(cfg: dict, tmap):
     grid = ops.cheb_grid(cfg["operators"]["kernel-nodes"], tmap.eq.interval)
     return ops.eigendecompose(ops.kernel_matrix(tmap, grid), grid)
@@ -263,7 +252,7 @@ def cmd_equilibrium(cfg: dict) -> int:
 
 def cmd_transport(cfg: dict) -> int:
     eq = _equilibrium(cfg)
-    tmap = _transport(cfg, eq)
+    tmap = solve_transport(eq)
     payload = {"header": _header(cfg)}
     payload.update(tmap.to_dict())
     _write_json(_out_path(cfg, ".transport.json"), payload)
@@ -279,7 +268,7 @@ def cmd_transport(cfg: dict) -> int:
 
 def cmd_spectrum(cfg: dict) -> int:
     eq = _equilibrium(cfg)
-    tmap = _transport(cfg, eq)
+    tmap = solve_transport(eq)
     spec = _spectrum(cfg, tmap)
     cm = ops.contraction_matrices(spec)
     _write_csv(
@@ -434,7 +423,7 @@ def cmd_verify(cfg: dict) -> int:
     eq = _equilibrium(cfg)
     check("equilibrium-residual", eq.v_residual, 1e-7)
     check("equilibrium-mass", abs(eq.mass - 1.0), 1e-8)
-    tmap = _transport(cfg, eq)
+    tmap = solve_transport(eq)
     check("transport-residual", tmap.residual_max, RESIDUAL_TOL)
     check("transport-overlap", tmap.overlap_max, OVERLAP_TOL)
 

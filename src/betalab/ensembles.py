@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import brentq
 
 from . import operators as ops
+from .equilibrium import SEMICIRCLE_MODES, _invert_cdf
 from .errors import NumericalError, UsageError
 from .potentials import Potential
 
@@ -137,8 +137,7 @@ def sample_gaussian(
 
 
 def _semicircle_quantiles(n: int) -> np.ndarray:
-    q = (np.arange(n) + 0.5) / n
-    return np.array([brentq(lambda t, qi=qi: ops.semicircle_cdf(t) - qi, -2.0, 2.0, xtol=1e-12) for qi in q])
+    return 2.0 * np.cos(_invert_cdf(SEMICIRCLE_MODES, (np.arange(n) + 0.5) / n))
 
 
 def _log_abs_prod(ratios: np.ndarray) -> np.ndarray:

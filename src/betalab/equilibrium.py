@@ -15,7 +15,7 @@ result through :class:`EquilibriumData`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,8 +52,6 @@ class EquilibriumData:
     robin_constant: float
     v_residual: float
     mass: float
-    contour_radius: float
-    contour_nodes: int = field(default=512, repr=False)
 
     # -- pointwise data ------------------------------------------------
 
@@ -102,47 +100,6 @@ class EquilibriumData:
         out[inner] = 2.0 * np.cos(_invert_cdf(self.cdf_modes, q_arr[inner]))
         return out if np.ndim(q) else float(out)
 
-    # -- analytic continuation ------------------------------------------
-
-    def _p_complex(self, z):
-        """Density polynomial at complex points inside the contour."""
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        if np.any(np.abs(z_arr) >= self.contour_radius - 1e-9):
-            raise UsageError("out-of-domain", "point outside the evaluation contour")
-        n = self.contour_nodes
-        theta = (np.arange(n) + 0.5) * (2.0 * np.pi / n)
-        w = self.contour_radius * np.exp(1j * theta)
-        dvw = np.asarray(self.potential.dv(w), dtype=complex)
-        dvz = np.asarray(self.potential.dv(z_arr), dtype=complex)
-        xw = _sqrt_branch(w)
-        num = dvz[:, None] - dvw[None, :]
-        den = (z_arr[:, None] - w[None, :]) * xw[None, :]
-        vals = (num / den) @ (1j * w) * (2.0 * np.pi / n) / (2.0j * np.pi)
-        return vals if np.ndim(z) else vals[0]
-
-    def edge_taylor(self, side: str, count: int = 36) -> np.ndarray:
-        """Inward Taylor coefficients of the density polynomial at an edge.
-
-        Returns c with P(edge + inward * x) = sum c[m] x^m, where inward
-        is +1 at the left edge and -1 at the right edge. Computed from a
-        Cauchy circle of radius rt well inside the analyticity region.
-        Coefficient m carries a rounding floor of n * eps * max|P| / rt^m
-        from the n-point transform; coefficients below it are set to zero
-        instead of returning amplified noise.
-        """
-        if side not in ("left", "right"):
-            raise UsageError("invalid-spec", f"side must be 'left' or 'right', got {side!r}")
-        center = -2.0 if side == "left" else 2.0
-        inward = 1.0 if side == "left" else -1.0
-        rt = min(1.0, self.potential.analyticity_radius) / 4.0
-        n = max(256, count)
-        theta = np.arange(n) * (2.0 * np.pi / n)
-        vals = self._p_complex(center + rt * np.exp(1j * theta))
-        m = np.arange(count)
-        coeffs = np.real(np.fft.fft(vals)[:count] / n / rt**m)
-        floor = n * np.finfo(float).eps * np.max(np.abs(vals)) / rt**m
-        return np.where(np.abs(coeffs) < floor, 0.0, coeffs) * inward**m
-
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -161,8 +118,6 @@ class EquilibriumData:
             "robin_constant": self.robin_constant,
             "v_residual": self.v_residual,
             "mass": self.mass,
-            "contour_radius": self.contour_radius,
-            "contour_nodes": self.contour_nodes,
         }
 
     @classmethod
@@ -191,9 +146,11 @@ class EquilibriumData:
             robin_constant=float(d["robin_constant"]),
             v_residual=float(d["v_residual"]),
             mass=float(d["mass"]),
-            contour_radius=float(d["contour_radius"]),
-            contour_nodes=int(d.get("contour_nodes", 512)),
         )
+
+
+# cdf_modes of the semicircle law, the equilibrium of the gaussian potential
+SEMICIRCLE_MODES = np.array([1.0 / np.pi, 0.0, -1.0 / np.pi])
 
 
 def _cdf_angle(beta: np.ndarray, phi):
@@ -214,17 +171,13 @@ def _cdf_angle(beta: np.ndarray, phi):
 
 
 def _invert_cdf(beta: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Angles phi in [0, pi] with G(phi) = q, by safeguarded Newton.
+    """Angles phi in [0, pi] with G(phi) = q, by :func:`_newton_decreasing`.
 
-    Every level is iterated at once. The start approximates the
-    semicircle angle psi of q and is exact in the edge limit, where
-    1 - q ~ (2 psi)^3 / (12 pi), so the ratio of start to root stays
-    bounded at both edges. A Newton
-    step that leaves the level's current bracket, which starts as
-    [0, pi], is replaced by bisection. A level is done once its
-    residual is within a few ulp of the mode sum's rounding error; the
-    step that got it there is still taken. Raises "no-convergence" if
-    any level is not done after 40 steps.
+    The start approximates the semicircle angle psi of q and is exact in
+    the edge limit, where 1 - q ~ (2 psi)^3 / (12 pi), so the ratio of
+    start to root stays bounded at both edges. The bracket starts as
+    [0, pi], and a level is done once its residual is within a few ulp
+    of the mode sum's rounding error.
     """
     q = np.asarray(q, dtype=float)
     # semicircle angle: 1 - q = (theta - sin theta) / (2 pi) with theta = 2 psi,
@@ -232,28 +185,44 @@ def _invert_cdf(beta: np.ndarray, q: np.ndarray) -> np.ndarray:
     kepler = 2.0 * np.pi * (1.0 - q)
     theta = np.minimum(np.cbrt(6.0 * np.minimum(kepler, 2.0 * np.pi - kepler)), np.pi)
     phi = 0.5 * np.where(kepler <= np.pi, theta, 2.0 * np.pi - theta)
-    lo = np.zeros_like(phi)
-    hi = np.full_like(phi, np.pi)
     scale = beta[0] * np.pi + np.sum(np.abs(beta[1:]) / np.arange(1, beta.size))
     tol = 4.0 * np.finfo(float).eps
-    todo = np.arange(phi.size)
-    for _ in range(40):
-        p = phi[todo]
+
+    def residual(p, todo):
         g, dg = _cdf_angle(beta, p)
-        r = g - q[todo]
+        return g - q[todo], dg, tol * (scale + np.pi * np.abs(dg))
+
+    return _newton_decreasing(residual, phi, np.zeros_like(phi), np.full_like(phi, np.pi), "CDF inversion")
+
+
+def _newton_decreasing(residual, x, lo, hi, what: str) -> np.ndarray:
+    """Roots of decreasing functions, one per level, by safeguarded Newton.
+
+    ``residual(x, todo)`` returns, for the levels ``todo`` at the points
+    ``x``, the residuals, their derivatives and the floors below which a
+    residual counts as zero. Every level is iterated at once. A Newton
+    step that leaves the level's current bracket [lo, hi] is replaced by
+    bisection. A level is done once its residual is within its floor;
+    the step that got it there is still taken. Raises "no-convergence"
+    if any level is not done after 40 steps.
+    """
+    todo = np.arange(x.size)
+    for _ in range(40):
+        p = x[todo]
+        r, dr, floor = residual(p, todo)
         lo[todo] = np.where(r > 0.0, p, lo[todo])
         hi[todo] = np.where(r > 0.0, hi[todo], p)
-        done = np.abs(r) <= tol * (scale + np.pi * np.abs(dg))
+        done = np.abs(r) <= floor
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = p - r / dg
+            step = p - r / dr
         inside = (step >= lo[todo]) & (step <= hi[todo])
-        phi[todo] = np.where(inside, step, np.where(done, p, 0.5 * (lo[todo] + hi[todo])))
+        x[todo] = np.where(inside, step, np.where(done, p, 0.5 * (lo[todo] + hi[todo])))
         todo = todo[~done]
         if todo.size == 0:
-            return phi
+            return x
     raise NumericalError(
         "no-convergence",
-        f"CDF inversion did not converge in 40 Newton steps at {todo.size} levels",
+        f"{what} did not converge in 40 Newton steps at {todo.size} levels",
     )
 
 
@@ -384,8 +353,6 @@ def solve_equilibrium(
         robin_constant=0.0,
         v_residual=0.0,
         mass=mass,
-        contour_radius=radius,
-        contour_nodes=contour_nodes,
     )
 
     # variational certificate: flat on the support ...

@@ -1,0 +1,33 @@
+"""Smoke test: the fast demo scripts run to completion against this checkout."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "01_equilibrium_density.py",
+        "02_transport_map.py",
+        "03_kernel_spectrum.py",
+        "06_structural_identities.py",
+    ],
+)
+def test_demo_runs(script, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / script)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from betalab import ensembles as ens
 from betalab.errors import NumericalError, UsageError
@@ -209,6 +209,13 @@ def test_mcmc_validation():
 
 # ----------------------------------------------------------------------
 # deterministic tiny-n expectations
+
+
+def test_semicircle_quantiles_match_brentq_oracle():
+    for n in (1, 2, 7, 200):
+        q = (np.arange(n) + 0.5) / n
+        want = [optimize.brentq(lambda t, qi=qi: oracles.semicircle_cdf(t) - qi, -2.0, 2.0, xtol=1e-15) for qi in q]
+        assert np.max(np.abs(ens._semicircle_quantiles(n) - want)) < 1e-13
 
 
 def test_direct_expectation_matches_double_quadrature():

@@ -6,7 +6,6 @@ import pytest
 from betalab.equilibrium import EquilibriumData, recentering_coeffs, solve_equilibrium
 from betalab.errors import NumericalError, UsageError
 from betalab.potentials import make_potential
-from betalab.transport import edge_series
 
 import oracles
 
@@ -100,20 +99,6 @@ def test_unnormalized_support_rejected_with_hint():
     assert "support_endpoints" in err.value.message
 
 
-def test_edge_taylor_matches_density_factor(quartic_eq):
-    for g, eq in ((0.1, quartic_eq), (0.8, solve_equilibrium(make_potential("even-quartic", g=0.8)))):
-        left = eq.edge_taylor("left", count=36)
-        right = eq.edge_taylor("right", count=36)
-        # P(-2 + x) = g(x-2)^2 + 1 - g has inward coefficients (1+3g, -4g, g)
-        want = np.array([1.0 + 3 * g, -4 * g, g])
-        assert np.allclose(left[:3], want, atol=1e-10)
-        assert np.allclose(right[:3], want, atol=1e-10)
-        # the rest lies under the Cauchy-circle noise floor and is returned as zero
-        assert np.all(left[3:] == 0.0) and np.all(right[3:] == 0.0)
-        for side in ("left", "right"):
-            assert edge_series(eq, side).radius_estimate >= 2.0
-
-
 def test_serialization_roundtrip(quartic_eq):
     data = quartic_eq.to_dict()
     back = EquilibriumData.from_dict(data)
@@ -121,6 +106,10 @@ def test_serialization_roundtrip(quartic_eq):
     assert np.allclose(back.p_value(xs), quartic_eq.p_value(xs), atol=1e-14)
     assert np.allclose(back.cdf(xs), quartic_eq.cdf(xs), atol=1e-14)
     assert back.robin_constant == quartic_eq.robin_constant
+    # files written before the contour fields were dropped still load
+    assert "contour_radius" not in data and "contour_nodes" not in data
+    older = EquilibriumData.from_dict({**data, "contour_radius": 2.5, "contour_nodes": 512})
+    assert np.array_equal(older.p_cheb, back.p_cheb) and np.array_equal(older.cdf_modes, back.cdf_modes)
 
 
 def test_serialization_user_potential_needs_closures(gauss_eq):

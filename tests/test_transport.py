@@ -8,7 +8,7 @@ from betalab import transport
 from betalab.equilibrium import solve_equilibrium
 from betalab.errors import BetalabError, NumericalError, UsageError
 from betalab.potentials import make_potential
-from betalab.transport import OVERLAP_TOL, RESIDUAL_TOL, TransportMap, edge_series, solve_transport
+from betalab.transport import OVERLAP_TOL, RESIDUAL_TOL, TransportMap, solve_transport
 
 import oracles
 
@@ -45,15 +45,34 @@ def test_pushforward_residual(quartic_tmap, quartic_eq):
     assert quartic_tmap.residual_max < 1e-7
 
 
-def test_edge_series_first_coefficient(quartic_eq):
-    left = edge_series(quartic_eq, "left")
-    right = edge_series(quartic_eq, "right")
+def test_edge_series_first_coefficient(quartic_tmap):
+    # zeta = edge + inward * c x (1 + s1 x + ...) in the inward distance x, so
+    # zeta' = c and zeta'' = inward * 2 c s1 at the edge (inward = +1 at -2)
     c = (1.0 + 3 * 0.1) ** (-2.0 / 3.0)
-    assert abs(left.scale - c) < 1e-12
-    assert abs(right.scale - c) < 1e-12
-    want = oracles.edge_slope_oracle(0.1)
-    assert abs(left.coeffs[1] - want) < 1e-10
-    assert abs(right.coeffs[1] - want) < 1e-10
+    s1 = oracles.edge_slope_oracle(0.1)
+    window = quartic_tmap.eq.interval
+    second = ops.cheb_der(ops.cheb_der(quartic_tmap.interior_cheb, window), window)
+    for edge in (-2.0, 2.0):
+        assert abs(quartic_tmap.derivative(edge) - c) < 1e-12
+        zpp = ops.cheb_val(second, edge, window)
+        assert abs(zpp - np.sign(edge) * -2.0 * c * s1) < 1e-10
+
+
+@pytest.mark.parametrize("g", [-0.1, 0.1, 0.8])
+def test_continued_equation_beyond_edges(g):
+    # zeta' P(zeta) sqrt(zeta^2 - 4) = sqrt(lam^2 - 4) past the support, where P
+    # is read from its own Chebyshev series, not from the CDF modes; the series
+    # derivative loses digits toward the window ends as the series grows with g
+    eq = _quartic_eq(g)
+    tmap = solve_transport(eq)
+    edge = np.linspace(2.0, 2.0 + eq.eps, 400)[1:]
+    for lam in (edge, -edge):
+        z = tmap.value(lam)
+        keep = np.abs(z) <= eq.interval[1]
+        assert keep.sum() > 100
+        lam, z = lam[keep], z[keep]
+        lhs = tmap.derivative(lam) * eq.p_value(z) * np.sqrt(z * z - 4.0)
+        assert np.max(np.abs(lhs - np.sqrt(lam * lam - 4.0))) < 1e-8
 
 
 def test_edge_overlap_agreement(quartic_tmap):
@@ -85,9 +104,17 @@ def test_out_of_window_rejected(quartic_tmap):
         quartic_tmap.value(2.3)
 
 
-def test_bad_overlap_width_rejected(quartic_eq):
-    with pytest.raises(UsageError):
-        solve_transport(quartic_eq, delta_e=0.9)
+def test_foreign_transport_data_refused(quartic_tmap, quartic_eq):
+    data = quartic_tmap.to_dict()
+    # the former layout: an interior series on a shrunk interval plus edge series
+    old = {k: v for k, v in data.items() if k != "interval"}
+    old.update(delta_e=0.1, interior_interval=[-1.9, 1.9], edges={})
+    with pytest.raises(UsageError, match="former") as err:
+        TransportMap.from_dict(old, quartic_eq)
+    assert err.value.code == "invalid-spec"
+    with pytest.raises(UsageError, match="window") as err:
+        TransportMap.from_dict({**data, "interval": [-2.3, 2.3]}, quartic_eq)
+    assert err.value.code == "invalid-spec"
 
 
 def _quartic_eq(g):
@@ -103,10 +130,10 @@ def test_interior_matches_ode_oracle(g):
 
 
 # measured certified range of the quartic family: every g from -0.1 to 0.9
-REFUSED = {-0.2: "series-divergence"}
+REFUSED = {-0.2: "series-divergence", 0.95: "ode-failure"}
 
 
-@pytest.mark.parametrize("g", [-0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+@pytest.mark.parametrize("g", [-0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95])
 def test_quartic_family_certifies_or_refuses(g):
     eq = _quartic_eq(g)
     try:
@@ -123,7 +150,7 @@ def test_quartic_family_certifies_or_refuses(g):
     # ... and interpolates the quantile composition between its nodes
     t = np.random.default_rng(7).uniform(-1.9, 1.9, 200)
     want = eq.quantile(ops.semicircle_cdf(t))
-    assert np.max(np.abs(ops.cheb_val(tmap.interior_cheb, t, tmap.interior_interval) - want)) < 1e-12
+    assert np.max(np.abs(ops.cheb_val(tmap.interior_cheb, t, tmap.eq.interval) - want)) < 1e-12
 
 
 @pytest.mark.parametrize("g", [0.1, 0.3, 0.5, 0.8])
