@@ -238,6 +238,19 @@ def config_gaps_per_row(sample, eq, center, halfwidth):
         out.append(gaps * sample.n * eq.density(mids))
     return out
 
+
+def pair_log_ratio_loop(lam, zeta):
+    """Sum over pairs i < j of log|dzeta| - log|dlam|, one configuration at a time."""
+    count, n = lam.shape
+    iu = np.triu_indices(n, 1)
+    pair = np.empty(count)
+    for c in range(count):
+        dx = np.abs(lam[c][:, None] - lam[c][None, :])[iu]
+        dz = np.abs(zeta[c][:, None] - zeta[c][None, :])[iu]
+        pair[c] = float(np.sum(np.log(dz) - np.log(dx)))
+    return pair
+
+
 def metropolis_sweeps_logsum(vfun, beta, lam, widths, window, z, logu):
     """Chain-major Metropolis sweeps with the pair term as a per-site log-sum.
 

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from betalab import ensembles as ens
 from betalab import universality as uni
@@ -38,6 +45,90 @@ def test_clt_exact_variance_anchor(gauss_eq, sample_cache):
     assert abs(rep.pred_var - 1.0) < 1e-10
     assert abs(rep.pred_mean) < 1e-12
     assert rep.passed(z_max=3.5)
+
+
+def _skewed_sample(n, seed):
+    return np.random.default_rng(seed).exponential(size=n)
+
+
+def _normal_sample(n, seed):
+    return np.random.default_rng(seed).standard_normal(n)
+
+
+def _mirrored_sample(n, seed):
+    # symmetric about its mean up to rounding; an odd n adds the centre point
+    half = np.random.default_rng(seed).standard_normal(n // 2)
+    return np.concatenate([half, -half, np.zeros(n % 2)])
+
+
+@pytest.mark.parametrize("n", [20, 21, 50, 1000])
+@pytest.mark.parametrize("draw", [_normal_sample, _skewed_sample, _mirrored_sample])
+def test_normality_p_matches_normaltest(n, draw):
+    x = draw(n, seed=n)
+    want = stats.normaltest(x).pvalue
+    assert abs(uni._normality_p(x) - want) <= 1e-12 * want
+
+
+def test_normality_p_zero_skewness():
+    # the skewness z-score of an exactly symmetric sample is 0, so K^2 is the
+    # kurtosis term alone; scipy's skewtest replaces y = 0 by 1 instead
+    for x in (np.arange(-10.0, 11.0), np.repeat([-1.5, 0.0, 1.5], [13, 4, 13])):
+        assert stats.skew(x) == 0.0
+        want = np.exp(-0.5 * stats.kurtosistest(x).statistic ** 2)
+        assert abs(uni._normality_p(x) - want) <= 1e-12 * want
+
+
+def test_normality_p_constant_sample_is_nan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (np.zeros(30), np.full(30, 0.1), np.full(50, 3.7)):
+            assert np.isnan(uni._normality_p(x))
+
+
+def test_clt_normality_needs_twenty_values(gauss_eq):
+    s = ens.sample_gaussian(10, 2.0, 19, seed=3)
+    assert np.isnan(uni.clt_report(s, np.cos, gauss_eq).normality_p)
+    s = ens.sample_gaussian(10, 2.0, 20, seed=3)
+    assert 0.0 < uni.clt_report(s, np.cos, gauss_eq).normality_p <= 1.0
+
+
+@pytest.mark.parametrize("sizes", [(1, 3), (7, 300), (250, 40), (1000, 1000)])
+def test_ks_distance_matches_ks_2samp(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    na, nb = sizes
+    # continuous draws, then heavily tied ones on a small integer lattice
+    pairs = [
+        (rng.standard_normal(na), 1.1 * rng.standard_normal(nb) + 0.05),
+        (rng.integers(0, 12, na).astype(float), rng.integers(2, 15, nb).astype(float)),
+    ]
+    for a, b in pairs:
+        # the "asymp" statistic is the plain ECDF difference; the default
+        # "exact" mode re-rounds it to a multiple of 1/lcm(na, nb)
+        assert uni._ks_distance(a, b) == stats.ks_2samp(a, b, method="asymp").statistic
+
+
+def test_reports_leave_scipy_stats_unloaded():
+    root = Path(__file__).resolve().parent.parent
+    script = """
+import sys
+import numpy as np
+import betalab.cli
+from betalab import ensembles as ens, universality as uni
+from betalab.equilibrium import solve_equilibrium
+from betalab.potentials import make_potential
+
+eq = solve_equilibrium(make_potential("gaussian"))
+a = ens.sample_gaussian(30, 2.0, 40, seed=1)
+b = ens.sample_gaussian(30, 2.0, 40, seed=2)
+uni.clt_report(a, np.cos, eq)
+uni.universality_distance(a, eq, 0.0, b, eq, 0.0, 0.4, floor_repeats=5)
+print(" ".join(m for m in ("scipy.stats", "scipy.optimize", "scipy.integrate") if m in sys.modules))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 # ----------------------------------------------------------------------
@@ -123,6 +214,15 @@ def test_energy_identity_constancy(quartic_eq, quartic_tmap, quartic_spectrum):
     )
     assert out.residual < 1e-6
     assert abs(out.constant - out.predicted_constant) < 1e-6
+
+
+def test_pair_log_ratio_matches_per_config_loop(quartic_tmap):
+    for count, n in ((50, 8), (7, 60)):
+        lam = np.sort(_probe_configs(count, n, seed=n), axis=1)
+        zeta = quartic_tmap.value(lam)
+        got = uni._pair_log_ratio(lam, zeta)
+        want = oracles.pair_log_ratio_loop(lam, zeta)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_energy_identity_other_beta(quartic_eq, quartic_tmap, quartic_spectrum):
