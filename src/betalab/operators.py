@@ -84,20 +84,31 @@ def coeffs_from_values(vals: np.ndarray) -> np.ndarray:
 def cheb_val(coeffs: np.ndarray, x, interval=SIGMA):
     """Evaluate Chebyshev series in the halved-c0 convention.
 
+    A 1-D ``coeffs`` (one function) goes through Clenshaw's recurrence,
+    elementwise on all points at once: a few temporaries the size of
+    ``x`` and about 3 numpy calls per coefficient.
+
     A 2-D ``coeffs`` holds one function per row; the result then stacks
     the functions on a last axis, shape ``x.shape + (rows,)``. Points go
     through in blocks: each block's Chebyshev-Vandermonde matrix, at most
-    ``_VANDER_BLOCK`` entries, times the coefficient matrix. The product
-    is taken one Vandermonde row at a time, so every point gets the same
-    BLAS call and its value does not depend on the other points evaluated
-    with it (one matrix product per block rounds a row differently
-    depending on its position in the block).
+    ``_VANDER_BLOCK`` entries, times the coefficient matrix, so BLAS
+    serves all rows at once. The product is taken one Vandermonde row at a
+    time, so every point gets the same BLAS call (one matrix product per
+    block rounds a row differently depending on its position in the
+    block).
+
+    On both routes a point's value does not depend on the other points
+    evaluated with it, so one call on concatenated point sets returns the
+    same bits as separate calls.
     """
     lo, hi = interval
     x_arr = np.asarray(x, dtype=float)
-    u = ((2.0 * x_arr - (lo + hi)) / (hi - lo)).ravel()
+    u = (2.0 * x_arr - (lo + hi)) / (hi - lo)
     c = np.array(coeffs, dtype=float).T
     c[0] *= 0.5
+    if c.ndim == 1:
+        return np.polynomial.chebyshev.chebval(u, c)[()]
+    u = u.ravel()
     deg = c.shape[0] - 1
     step = max(1, _VANDER_BLOCK // (deg + 1))
     out = np.empty((u.size,) + c.shape[1:])
@@ -111,8 +122,7 @@ def _cheb_vander(u: np.ndarray, deg: int) -> np.ndarray:
     """T_0..T_deg at the points u as contiguous rows, shape (u.size, deg + 1).
 
     The recurrence of ``numpy.polynomial.chebyshev.chebvander``, written
-    into rows directly: no transposing copy, and no per-call overhead that
-    would dominate the one-point evaluations of an ODE right-hand side.
+    into rows directly, so no transposing copy.
     """
     v = np.empty((u.size, deg + 1))
     v[:, 0] = 1.0
@@ -394,14 +404,18 @@ def log_ratio_kernel(tmap, x, y):
     of the difference quotient, whose cancellation error grows like
     eps/|x - y|. The switchover at 1e-3 balances the two error sources
     (series truncation ~|x - y|^4 against cancellation). The map is
-    evaluated on ``x`` and ``y`` as given, before broadcasting, so an
-    outer grid costs one evaluation per distinct node.
+    evaluated on ``x`` and ``y`` as given, before broadcasting, in one
+    call, so an outer grid costs one evaluation per distinct node.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    zx, zy = np.broadcast_arrays(
-        np.asarray(tmap.value(x), dtype=float), np.asarray(tmap.value(y), dtype=float)
-    )
+    z = np.asarray(tmap.value(np.concatenate((x.ravel(), y.ravel()))), dtype=float)
+    return _log_ratio(tmap, x, y, z[: x.size].reshape(x.shape), z[x.size :].reshape(y.shape))
+
+
+def _log_ratio(tmap, x, y, zx, zy):
+    """:func:`log_ratio_kernel` given the images ``zx``, ``zy`` of x and y."""
+    zx, zy = np.broadcast_arrays(zx, zy)
     x, y = np.broadcast_arrays(x, y)
     diff = x - y
     near = np.abs(diff) < 1e-3
@@ -411,16 +425,13 @@ def log_ratio_kernel(tmap, x, y):
         out[...] = np.log(np.abs((zx - zy) / safe))
     if np.any(near):
         mid = 0.5 * (x + y)[near]
-        zp = np.asarray(tmap.derivative(mid), dtype=float)
         t = 1e-3
         # curvature probe shifted inward so mid +- t stays in the window
-        hw = 2.0 + getattr(tmap.eq, "eps", 0.2) - 2.0 * t
+        hw = tmap.eq.interval[1] - 2.0 * t
         ctr = np.clip(mid, -hw, hw)
-        zpp2 = (
-            np.asarray(tmap.derivative(ctr + t), dtype=float)
-            - 2.0 * np.asarray(tmap.derivative(ctr), dtype=float)
-            + np.asarray(tmap.derivative(ctr - t), dtype=float)
-        ) / (t * t)
+        zd = np.asarray(tmap.derivative(np.concatenate((mid, ctr + t, ctr, ctr - t))), dtype=float)
+        zp, zr, zc, zl = np.split(zd, 4)
+        zpp2 = (zr - 2.0 * zc + zl) / (t * t)
         out[near] = np.log(zp) + (diff[near] ** 2) * zpp2 / (24.0 * zp)
     return out
 
@@ -636,10 +647,11 @@ def deformation_residual(eq, tmap, probes: int = 192, quad_nodes: int = 256) -> 
     """
     lam, _ = gauss_inv_sqrt(probes, SIGMA)
     mu, w = gauss_semicircle(quad_nodes, SIGMA)
-    kern = log_ratio_kernel(tmap, lam[:, None], mu[None, :])
+    z = np.asarray(tmap.value(np.concatenate((lam, mu))), dtype=float)
+    z_lam, z_mu = z[: lam.size], z[lam.size :]
+    kern = _log_ratio(tmap, lam[:, None], mu[None, :], z_lam[:, None], z_mu[None, :])
     inner = (kern @ w) / (2.0 * np.pi)
-    z = np.asarray(tmap.value(lam), dtype=float)
-    v = np.asarray(eq.potential.v(z), dtype=float)
+    v = np.asarray(eq.potential.v(z_lam), dtype=float)
     g = 2.0 * inner - v + lam * lam / 2.0
     const = float(np.median(g))
     return DeformationResidual(residual=float(np.max(np.abs(g - const))), constant=const)

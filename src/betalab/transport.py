@@ -241,7 +241,10 @@ def solve_transport(
     # both ends of the window
     lo, hi = eq.interval
     between = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(n + 1) / n)
-    overlap = float(np.max(np.abs(tmap.value(between) - _pointwise(eq, between))))
+    lam, _ = ops.gauss_inv_sqrt(512, ops.SIGMA)
+    probes = np.concatenate((between, lam))
+    z = tmap.value(probes)
+    overlap = float(np.max(np.abs(z[: between.size] - _pointwise(eq, between))))
     if not overlap < OVERLAP_TOL:
         raise NumericalError(
             "ode-failure",
@@ -250,12 +253,11 @@ def solve_transport(
         )
     tmap.overlap_max = overlap
 
-    lam, _ = ops.gauss_inv_sqrt(512, ops.SIGMA)
-    dz = tmap.derivative(np.concatenate((between, lam)))
+    dz = tmap.derivative(probes)
     if np.any(dz <= 0):
         raise NumericalError("ode-failure", "transport map is not strictly increasing")
-    dz = dz[between.size :]
-    resid = float(np.max(np.abs(eq.density(tmap.value(lam)) * dz - ops.semicircle_density(lam))))
+    z, dz = z[between.size :], dz[between.size :]
+    resid = float(np.max(np.abs(eq.density(z) * dz - ops.semicircle_density(lam))))
     if not resid < RESIDUAL_TOL:
         raise NumericalError(
             "ode-failure",

@@ -251,6 +251,33 @@ def pair_log_ratio_loop(lam, zeta):
     return pair
 
 
+def log_ratio_kernel_separate_calls(tmap, x, y):
+    """The transported log-ratio kernel with one map call per point set.
+
+    ``tmap.value`` is called on x and on y, and ``tmap.derivative`` on
+    the close-pair midpoints and on each of the three curvature probes
+    separately; the arithmetic is otherwise that of
+    ``operators.log_ratio_kernel``.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    zx, zy = np.broadcast_arrays(np.asarray(tmap.value(x)), np.asarray(tmap.value(y)))
+    x, y = np.broadcast_arrays(x, y)
+    diff = x - y
+    near = np.abs(diff) < 1e-3
+    out = np.empty_like(diff)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[...] = np.log(np.abs((zx - zy) / np.where(near, 1.0, diff)))
+    mid = 0.5 * (x + y)[near]
+    t = 1e-3
+    hw = 2.0 + tmap.eq.eps - 2.0 * t
+    ctr = np.clip(mid, -hw, hw)
+    zp = tmap.derivative(mid)
+    zpp2 = (tmap.derivative(ctr + t) - 2.0 * tmap.derivative(ctr) + tmap.derivative(ctr - t)) / (t * t)
+    out[near] = np.log(zp) + (diff[near] ** 2) * zpp2 / (24.0 * zp)
+    return out
+
+
 def metropolis_sweeps_logsum(vfun, beta, lam, widths, window, z, logu):
     """Chain-major Metropolis sweeps with the pair term as a per-site log-sum.
 

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
         "01_equilibrium_density.py",
         "02_transport_map.py",
         "03_kernel_spectrum.py",
+        "05_bulk_universality.py",
         "06_structural_identities.py",
     ],
 )

@@ -49,7 +49,8 @@ def test_cheb_roundtrip_and_derivative():
 def test_cheb_val_matches_chebval_across_blocks():
     rng = np.random.default_rng(11)
     interval = (-2.2, 2.2)
-    for deg in (0, 2, 40, 255):
+    # degrees up to the 2076 coefficients of the g=0.9 transport map
+    for deg in (0, 2, 40, 255, 736, 2076):
         rows = rng.standard_normal((5, deg + 1)) / np.arange(1.0, deg + 2.0) ** 2
         block = ops._VANDER_BLOCK // (deg + 1)
         for count in (1, block - 1, block, block + 1, 3 * block + 7):
@@ -57,6 +58,8 @@ def test_cheb_val_matches_chebval_across_blocks():
             u = x / 2.2
             both = ops.cheb_val(rows, x, interval)
             assert both.shape == (count, 5)
+            # T_k(u) = cos(k arccos u), summed directly
+            cosines = np.cos(np.multiply.outer(np.arccos(u), np.arange(deg + 1)))
             for j, c in enumerate(rows):
                 std = c.copy()
                 std[0] *= 0.5
@@ -66,6 +69,10 @@ def test_cheb_val_matches_chebval_across_blocks():
                 scale = np.max(np.abs(want))
                 assert np.max(np.abs(one - want)) <= 1e-13 * scale
                 assert np.max(np.abs(both[:, j] - want)) <= 1e-13 * scale
+                # the 1-D route against the stacked route and the direct sum
+                stacked = ops.cheb_val(c[None, :], x, interval)[:, 0]
+                assert np.max(np.abs(one - stacked)) <= 1e-13 * scale
+                assert np.max(np.abs(one - cosines @ std)) <= 1e-13 * scale
             # a point's value does not depend on the points evaluated with it
             i = int(rng.integers(count))
             assert ops.cheb_val(rows[0], x[i], interval) == ops.cheb_val(rows[0], x, interval)[i]
@@ -191,18 +198,23 @@ def test_modal_double_sum_agreement(quartic_tmap, quartic_spectrum):
 
 
 class CountingMap:
-    """A transport map that counts the points passed to ``value``."""
+    """A transport map that counts the points passed to ``value`` and the
+    calls of ``value`` and ``derivative``."""
 
     def __init__(self, tmap):
         self.base = tmap
         self.eq = tmap.eq
         self.points = 0
+        self.value_calls = 0
+        self.derivative_calls = 0
 
     def value(self, lam):
         self.points += np.size(lam)
+        self.value_calls += 1
         return self.base.value(lam)
 
     def derivative(self, lam):
+        self.derivative_calls += 1
         return self.base.derivative(lam)
 
 
@@ -215,6 +227,28 @@ def test_kernel_evaluates_map_once_per_node(quartic_tmap):
     outer = ops.log_ratio_kernel(quartic_tmap, x[:, None], x[None, :])
     full = ops.log_ratio_kernel(quartic_tmap, *np.broadcast_arrays(x[:, None], x[None, :]))
     assert np.array_equal(outer, full)
+
+
+def test_kernel_merges_map_calls(quartic_eq, quartic_tmap):
+    grid = ops.cheb_grid(256, quartic_tmap.eq.interval)
+    x = grid.nodes
+    counted = CountingMap(quartic_tmap)
+    kmat = ops.kernel_matrix(counted, grid)
+    # the diagonal is a close pair, so both the value and the derivative run
+    assert (counted.value_calls, counted.derivative_calls) == (1, 1)
+    separate = oracles.log_ratio_kernel_separate_calls(quartic_tmap, x[:, None], x[None, :])
+    assert np.array_equal(kmat, 0.5 * (separate + separate.T))
+    # off-grid points with close pairs away from the diagonal and near both window ends
+    hi = quartic_tmap.eq.interval[1]
+    pts = np.array([-hi, -hi + 4e-4, -1.3, -1.3 + 5e-4, 0.2, 1.9, hi - 3e-4, hi])
+    xs, ys = pts[:, None], pts[None, ::-1]
+    counted = CountingMap(quartic_tmap)
+    got = ops.log_ratio_kernel(counted, xs, ys)
+    assert (counted.value_calls, counted.derivative_calls) == (1, 1)
+    assert np.array_equal(got, oracles.log_ratio_kernel_separate_calls(quartic_tmap, xs, ys))
+    counted = CountingMap(quartic_tmap)
+    ops.deformation_residual(quartic_eq, counted)
+    assert counted.value_calls == 1
 
 
 def test_mode_orthonormality(quartic_spectrum):
