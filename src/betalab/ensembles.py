@@ -9,7 +9,9 @@ they can cross-validate each other:
   collective shift and dilation moves, which are what make global linear
   statistics mix at large n),
 * an ordered-region Gauss-Legendre quadrature for tiny n, which is
-  deterministic and serves as the ground truth at n <= 4.
+  deterministic and serves as the ground truth at n <= 4. It streams the
+  grid in chunks that fix the n - 2 largest coordinates, so a chunk holds
+  at most nodes**2 rows whatever n is.
 
 Both samplers condition on every eigenvalue lying inside the truncation
 window, so their laws agree exactly, not just asymptotically.
@@ -407,54 +409,33 @@ def _gl_cache(nodes: int):
 def _ordered_chunks(n: int, box, nodes: int):
     """Chunks of a Gauss-Legendre grid over the increasing-coordinates region.
 
-    Yields (configs, logw) with configs[:, 0] <= ... <= configs[:, n-1]
-    strictly (interior nodes only) and logw the log quadrature weight,
-    including the level-by-level interval scalings.
+    Returns an iterator of (configs, logw) with configs[:, 0] <= ... <=
+    configs[:, n-1] strictly (interior nodes only) and logw the log
+    quadrature weight, including the level-by-level interval scalings.
+    Each chunk fixes the n - 2 largest coordinates, so it holds at most
+    nodes**2 rows. Raises "dimension-too-large" outside 1 <= n <= 4 at
+    once, before any grid is built.
     """
-    lo, hi = box
+    if not 1 <= n <= 4:
+        raise UsageError("dimension-too-large", f"deterministic quadrature supports 1 <= n <= 4, got {n}")
     u, w = _gl_cache(nodes)
-    logw = np.log(w)
+    return _grid_chunks(n, box[0], box[1], u, np.log(w), (), 0.0)
 
-    if n == 1:
-        x1 = lo + (hi - lo) * u
-        yield x1[:, None], logw + np.log(hi - lo)
+
+def _grid_chunks(k: int, lo: float, top: float, u, logw, outer: tuple, outer_logw: float):
+    """Chunks placing k increasing coordinates in (lo, top) below the fixed `outer` ones."""
+    x = lo + (top - lo) * u
+    lx = outer_logw + (logw + np.log(top - lo))
+    if k > 2:
+        for xi, li in zip(x, lx):
+            yield from _grid_chunks(k - 1, lo, xi, u, logw, (xi, *outer), li)
         return
-    if n == 2:
-        x2 = lo + (hi - lo) * u
-        l2 = logw + np.log(hi - lo)
-        x1 = lo + (x2[:, None] - lo) * u[None, :]
-        l1 = np.log(x2 - lo)[:, None] + logw[None, :]
-        configs = np.stack([x1.ravel(), np.broadcast_to(x2[:, None], x1.shape).ravel()], axis=1)
-        yield configs, (l2[:, None] + l1).ravel()
-        return
-    if n == 3:
-        x3 = lo + (hi - lo) * u
-        l3 = logw + np.log(hi - lo)
-        x2 = lo + (x3[:, None] - lo) * u[None, :]
-        l2 = np.log(x3 - lo)[:, None] + logw[None, :]
-        x1 = lo + (x2[:, :, None] - lo) * u[None, None, :]
-        l1 = np.log(x2 - lo)[:, :, None] + logw[None, None, :]
-        shp = x1.shape
-        configs = np.stack(
-            [
-                x1.ravel(),
-                np.broadcast_to(x2[:, :, None], shp).ravel(),
-                np.broadcast_to(x3[:, None, None], shp).ravel(),
-            ],
-            axis=1,
-        )
-        yield configs, (l3[:, None, None] + l2[:, :, None] + l1).ravel()
-        return
-    if n == 4:
-        x4 = lo + (hi - lo) * u
-        l4 = logw + np.log(hi - lo)
-        for i in range(nodes):
-            for sub_configs, sub_logw in _ordered_chunks(3, (lo, float(x4[i])), nodes):
-                m = sub_configs.shape[0]
-                configs = np.column_stack([sub_configs, np.full(m, x4[i])])
-                yield configs, sub_logw + l4[i]
-        return
-    raise UsageError("dimension-too-large", f"deterministic quadrature supports n <= 4, got {n}")
+    if k == 1:
+        cols = [x]
+    else:
+        cols = [(lo + (x[:, None] - lo) * u).ravel(), np.repeat(x, len(u))]
+        lx = (lx[:, None] + (np.log(x - lo)[:, None] + logw)).ravel()
+    yield np.column_stack([*cols, *(np.full(len(lx), c) for c in outer)]), lx
 
 
 def _log_density_ordered(vfun, beta: float, n: int, configs: np.ndarray) -> np.ndarray:

@@ -401,16 +401,12 @@ def linearization_check(
     Agreement validates the entire decomposition chain end to end at
     small n, with no sampling noise involved.
     """
-    if n > 4:
-        raise UsageError("dimension-too-large", f"deterministic check supports n <= 4, got {n}")
     if box is None:
         eps = eq.eps
         box = (-(2.0 + 0.5 * eps), 2.0 + 0.5 * eps)
     modes = int(min(modes, len(spectrum.eigenvalues)))
 
-    parts = [(c, lw) for c, lw in _ordered_chunks(int(n), box, gl_nodes)]
-    configs = np.concatenate([p[0] for p in parts])
-    logw = np.concatenate([p[1] for p in parts])
+    configs, logw = map(np.concatenate, zip(*_ordered_chunks(int(n), box, gl_nodes)))
     obs = np.asarray(observable(configs), dtype=float)
 
     zeta = tmap.value(configs)

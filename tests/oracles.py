@@ -186,6 +186,36 @@ def support_moment_oracle(dv, a: float, b: float):
     return v1, v2 / (2.0 * np.pi) - 1.0
 
 
+def ordered_grid_dense(n, box, nodes):
+    """Every row of the ordered-region Gauss-Legendre grid in one dense block.
+
+    Level by level from the largest coordinate down: each point x of the
+    level above (hi for the first) gets the nodes lo + (x - lo) * u below
+    it, and log(x - lo) + log w joins its log weight. Returns
+    (configs, logw) with the largest coordinate's node index outermost.
+    Memory grows like nodes**n.
+    """
+    lo, hi = box
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    u, logw = 0.5 * (t + 1.0), np.log(0.5 * w)
+    top, lw, cols = np.array(float(hi)), np.array(0.0), []
+    for _ in range(n):
+        lw = lw[..., None] + (np.log(top - lo)[..., None] + logw)
+        top = lo + (top[..., None] - lo) * u
+        cols = [c[..., None] for c in cols] + [top]
+    configs = np.stack([np.broadcast_to(c, top.shape).ravel() for c in reversed(cols)], axis=1)
+    return configs, lw.ravel()
+
+
+def ordered_grid_expectation(vfun, n, beta, observables, box, nodes):
+    """Expectations of symmetric observables on `ordered_grid_dense`, one max shift."""
+    configs, logw = ordered_grid_dense(n, box, nodes)
+    log_pairs = sum(np.log(configs[:, j] - configs[:, i]) for j in range(n) for i in range(j))
+    ld = logw - 0.5 * beta * n * vfun(configs).sum(axis=1) + beta * log_pairs
+    wgt = np.exp(ld - ld.max())
+    return np.array([wgt @ ob(configs) for ob in observables]) / wgt.sum()
+
+
 def linearization_right_tensor(eq, tmap, spectrum, beta, observable, n, modes, gh_nodes, gl_nodes=96):
     """Right route of the linearization check on the full tensor-product rule.
 
@@ -197,9 +227,7 @@ def linearization_right_tensor(eq, tmap, spectrum, beta, observable, n, modes, g
     from betalab.ensembles import _log_density_ordered, _ordered_chunks
 
     box = (-(2.0 + 0.5 * eq.eps), 2.0 + 0.5 * eq.eps)
-    parts = list(_ordered_chunks(n, box, gl_nodes))
-    configs = np.concatenate([p[0] for p in parts])
-    logw = np.concatenate([p[1] for p in parts])
+    configs, logw = map(np.concatenate, zip(*_ordered_chunks(n, box, gl_nodes)))
     obs = np.asarray(observable(configs), dtype=float)
     log_ref = _log_density_ordered(lambda x: 0.5 * x * x, beta, n, configs) + logw
     wr = np.exp(log_ref - log_ref.max())

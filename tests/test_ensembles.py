@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import optimize, stats
@@ -243,11 +248,69 @@ def test_direct_expectation_symmetry():
     assert abs(got[0]) < 1e-12
 
 
-def test_direct_expectation_dimension_guard():
+def test_direct_expectation_dimension_guard(monkeypatch):
     pot = make_potential("gaussian")
+
+    def no_grid(nodes):
+        raise AssertionError("quadrature grid built before the dimension check")
+
+    monkeypatch.setattr(ens, "_gl_cache", no_grid)
     with pytest.raises(UsageError) as err:
         ens.direct_expectation(pot, 5, 2.0, [lambda c: c.sum(axis=1)])
     assert err.value.code == "dimension-too-large"
+    # the chunk iterator refuses on the call itself, not on first iteration
+    for n in (0, 5):
+        with pytest.raises(UsageError) as err:
+            ens._ordered_chunks(n, (-2.0, 2.0), 96)
+        assert err.value.code == "dimension-too-large"
+
+
+@pytest.mark.parametrize("n, nodes", [(1, 96), (2, 96), (3, 96), (4, 8)])
+def test_ordered_chunks_match_dense_grid(n, nodes):
+    box = (-2.1, 2.1)
+    chunks = list(ens._ordered_chunks(n, box, nodes))
+    assert max(len(c) for c, _ in chunks) <= nodes**2
+    configs, logw = map(np.concatenate, zip(*chunks))
+    want_configs, want_logw = oracles.ordered_grid_dense(n, box, nodes)
+    got, want = np.lexsort(configs.T), np.lexsort(want_configs.T)
+    assert np.array_equal(configs[got], want_configs[want])
+    assert np.max(np.abs(logw[got] - want_logw[want])) < 1e-14
+
+
+@pytest.mark.parametrize("kind, params", [("gaussian", {}), ("even-quartic", {"g": 0.1})])
+@pytest.mark.parametrize("n, nodes", [(2, 96), (3, 96), (4, 24)])
+def test_direct_expectation_matches_dense_grid(kind, params, n, nodes):
+    pot = make_potential(kind, **params)
+    obs = [lambda c: (c * c).sum(axis=1), lambda c: c[:, -1]]  # square, largest
+    half = 2.0 + 0.5 * (pot.domain[1] - 2.0)  # the default box
+    got = ens.direct_expectation(pot, n, 2.0, obs, nodes=nodes)
+    want = oracles.ordered_grid_expectation(pot.v, n, 2.0, obs, (-half, half), nodes)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_direct_expectation_memory_is_bounded():
+    # n=3 at 96 nodes is 96 chunks of 9,216 rows; as one 884,736-row block
+    # with its density temporaries it costs about 100 MB
+    root = Path(__file__).resolve().parent.parent
+    script = """
+import resource
+from betalab.ensembles import direct_expectation
+from betalab.potentials import make_potential
+
+pot = make_potential("even-quartic", g=0.1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+direct_expectation(pot, 3, 2.0, [lambda c: (c * c).sum(axis=1), lambda c: c[:, -1]])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    # ru_maxrss survives exec, so a child of this (large) test process would
+    # start at its peak; a small interpreter in between starts the measurement
+    hop = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
+    proc = subprocess.run([sys.executable, "-c", hop, script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 < 25
 
 
 def test_linear_statistic_shape():
