@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.ma  # np.median imports it on its first call; load it with the package instead
 
 from . import operators as ops
 from .errors import NumericalError, UsageError

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .ensembles import EnsembleSample, _log_density_ordered, _ordered_chunks, linear_statistic
+from .ensembles import EnsembleSample, _log_density_ordered, _ordered_chunks, _stream, linear_statistic
 from .errors import NumericalError, UsageError
 
 
@@ -237,7 +237,7 @@ def split_noise_floor(
     per = [g for g in per if len(g)]
     if len(per) < 4:
         raise NumericalError("empty-window", "too few occupied configurations to split")
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = _stream(seed, 0)
     dists = []
     for _ in range(repeats):
         perm = rng.permutation(len(per))

@@ -7,7 +7,7 @@ simple on purpose.
 """
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import integrate, linalg, optimize, special
 
 
 def density_value_oracle(dv, z, nodes: int = 4000) -> float:
@@ -353,6 +353,66 @@ def metropolis_sweeps_logsum(vfun, beta, lam, widths, window, z, logu):
         lam[ok] = new[ok]
         acc[2] += ok.sum()
     return acc
+
+
+def gaussian_tridiagonal_lapack(stream, n, beta, count, window):
+    """The reference sampler one configuration at a time, eigenvalues by LAPACK.
+
+    ``stream(idx)`` returns configuration idx's generator. Each attempt
+    draws the diagonal normals, then the off-diagonal chi-squares, and
+    keeps the spectrum when it lies inside ``window`` (at most 1000
+    attempts, the sampler's default). Returns the configurations and the
+    number of attempts each took.
+    """
+    max_tries = 1000
+    lo, hi = window
+    dfs = beta * np.arange(n - 1, 0, -1)
+    configs = np.empty((count, n))
+    tries = np.zeros(count, dtype=int)
+    for idx in range(count):
+        rng = stream(idx)
+        for attempt in range(1, max_tries + 1):
+            diag = rng.standard_normal(n) * np.sqrt(2.0 / (n * beta))
+            off = np.sqrt(rng.chisquare(dfs) / (n * beta))
+            lam = linalg.eigvalsh_tridiagonal(diag, off)
+            if lam[0] > lo and lam[-1] < hi:
+                configs[idx], tries[idx] = lam, attempt
+                break
+        else:
+            raise RuntimeError(f"configuration {idx} was rejected {max_tries} times")
+    return configs, tries
+
+
+def tridiagonal_eigvals_sturm(d, e):
+    """Eigenvalues of one symmetric tridiagonal matrix by Sturm bisection in long double.
+
+    All n eigenvalues are bisected at once from Gershgorin bounds: the
+    count of negative pivots of T - x I is the number of eigenvalues
+    below x. 100 halvings take any interval these tests use below
+    long-double resolution. Returned in long double, ascending.
+    """
+    d = np.asarray(d, dtype=np.longdouble)
+    e = np.asarray(e, dtype=np.longdouble)
+    e2 = e * e
+    n = d.size
+    rad = np.zeros(n, dtype=np.longdouble)
+    rad[:-1] += np.abs(e)
+    rad[1:] += np.abs(e)
+    lo = np.full(n, (d - rad).min() - 1)
+    hi = np.full(n, (d + rad).max() + 1)
+    k = np.arange(n)
+    tiny = np.finfo(np.longdouble).tiny
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        q = d[0] - mid
+        below = (q < 0).astype(int)
+        for i in range(1, n):
+            q = (d[i] - mid) - e2[i - 1] / np.where(q == 0, tiny, q)
+            below += q < 0
+        right = below > k  # eigenvalue k lies below mid
+        hi = np.where(right, mid, hi)
+        lo = np.where(right, lo, mid)
+    return 0.5 * (lo + hi)
 
 
 class PerturbedMap:

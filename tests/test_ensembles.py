@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import optimize, stats
+from scipy import linalg, optimize, stats
 
 from betalab import ensembles as ens
 from betalab.errors import NumericalError, UsageError
@@ -79,6 +79,74 @@ def test_reference_sampler_validation():
     with pytest.raises(NumericalError) as err:
         ens.sample_gaussian(6, 2.0, 2, window=(1.9, 2.0), max_tries=40)
     assert err.value.code == "all-rejected"
+
+
+def test_reference_sampler_matches_lapack_oracle():
+    # Same streams, so the same draws: every configuration must be accepted
+    # on the same attempt (equal mean tries, and a different attempt would
+    # move the spectrum by O(1)) with eigenvalues within 64 ulps of max|lambda|.
+    cases = ((8, 2.0, 50, (-2.05, 2.05), 5), (12, 1.0, 40, (-2.0, 2.0), 42), (60, 4.0, 30, (-1.9, 1.9), 3))
+    for n, beta, count, window, seed in cases:
+        s = ens.sample_gaussian(n, beta, count, seed=seed, window=window)
+        want, tries = oracles.gaussian_tridiagonal_lapack(lambda i: ens._stream(seed, i), n, beta, count, window)
+        assert tries.max() > 1  # the window rejects some draws
+        assert s.diagnostics["mean_tries"] == tries.mean()
+        ulp = np.spacing(np.abs(want).max(axis=1, keepdims=True))
+        assert np.all(np.abs(s.configs - want) <= 64 * ulp)
+
+
+def _gbe_rows(n, beta, m, seed):
+    rng = np.random.default_rng(seed)
+    diag = rng.standard_normal((m, n)) * np.sqrt(2.0 / (n * beta))
+    off = np.sqrt(rng.chisquare(beta * np.arange(n - 1, 0, -1), size=(m, n - 1)) / (n * beta))
+    return diag, off
+
+
+def _check_against_oracles(solve, diag, off, ulps):
+    lam = solve(diag, off)
+    for row in range(len(diag)):
+        sturm = oracles.tridiagonal_eigvals_sturm(diag[row], off[row])
+        ulp = np.spacing(float(np.abs(sturm).max()))
+        assert np.all(np.abs(lam[row] - sturm) <= ulps * ulp)
+        lapack = linalg.eigvalsh_tridiagonal(diag[row], off[row])
+        assert np.all(np.abs(lam[row] - lapack) <= ulps * ulp)
+    return lam
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+def test_tridiagonal_eigvals_match_lapack_and_sturm(beta):
+    for n, m in ((2, 20), (7, 10), (100, 4)):
+        diag, off = _gbe_rows(n, beta, m, seed=int(10 * beta) + n)
+        for solve in (ens._dense_eigvalsh, ens._qr_eigvalsh):
+            _check_against_oracles(solve, diag, off, ulps=64)
+
+
+def test_qr_eigvals_structured_matrices():
+    qr = ens._qr_eigvalsh
+    # exact zeros off the diagonal: a diagonal matrix comes back exactly
+    d = np.array([[3.0, -1.0, 2.0, 0.5, 2.0]])
+    assert np.array_equal(qr(d, np.zeros((1, 4))), np.sort(d, axis=1))
+    # uncoupled blocks, and zero pivots that break the sweep down
+    _check_against_oracles(qr, np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]), np.array([[1.0, 0.0, 1.0, 0.5, 0.0]]), 8)
+    _check_against_oracles(qr, np.array([[-1.0, 0.0, 0.0]]), np.array([[1.0, 1.0]]), 8)
+    path = qr(np.zeros((1, 40)), np.ones((1, 39)))  # eigenvalues 2 cos(k pi / 41)
+    assert np.allclose(path[0], np.sort(2.0 * np.cos(np.arange(1, 41) * np.pi / 41)), rtol=0, atol=1e-14)
+    # Wilkinson W21+: its top eigenvalues come in pairs closer than 1e-12
+    w21 = np.abs(np.arange(-10.0, 11.0))[None]
+    lam = _check_against_oracles(qr, w21, np.ones((1, 20)), 8)
+    assert lam[0, -1] - lam[0, -2] < 1e-12
+
+
+def test_tridiagonal_eigvals_independent_of_batch():
+    for solve, n in ((ens._dense_eigvalsh, 3), (ens._qr_eigvalsh, 40)):
+        diag, off = _gbe_rows(n, 2.0, 12, seed=n)
+        if n == 40:
+            diag[5], off[5] = 0.0, 1.0  # a row whose QR sweep breaks down
+        batch = solve(diag, off)
+        alone = np.concatenate([solve(diag[i : i + 1], off[i : i + 1]) for i in range(12)])
+        assert np.array_equal(batch, alone)
+        perm = np.random.default_rng(n).permutation(12)
+        assert np.array_equal(solve(diag[perm], off[perm]), batch[perm])
 
 
 # ----------------------------------------------------------------------

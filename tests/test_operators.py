@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import fft
 
 from betalab import operators as ops
 from betalab.errors import UsageError
@@ -34,6 +35,19 @@ def test_cheb_coeffs_match_quadrature_oracle():
         for j, f in enumerate(fns):
             for k in range(9):
                 assert abs(both[k, j] - oracles.cheb_coeff_oracle(f, k)) < 1e-12
+
+
+def test_coeffs_from_values_bitwise_equal_to_scipy_dct():
+    # the transport chop keeps coefficients within 1% of its threshold, so
+    # the numpy DCT must round exactly as pocketfft's scipy.fft.dct does
+    rng = np.random.default_rng(0)
+    for n in [*range(1, 301), 512, 513, 1024, 2048, 4096]:
+        for shape in ((n,), (n, 3)):
+            vals = rng.standard_normal(shape)
+            want = fft.dct(vals[::-1], type=2, axis=0) / n
+            assert np.array_equal(ops.coeffs_from_values(vals), want), shape
+    eye = np.eye(256)
+    assert np.array_equal(ops.coeffs_from_values(eye), fft.dct(eye[::-1], type=2, axis=0) / 256)
 
 
 def test_cheb_roundtrip_and_derivative():

@@ -108,27 +108,41 @@ def test_ks_distance_matches_ks_2samp(sizes):
 
 
 def test_reports_leave_scipy_stats_unloaded():
+    # A pipeline run after `import betalab.cli` loads no scipy module and
+    # imports no numpy submodule for the first time: a lazy import inside a
+    # call would be paid inside that call's wall time.
     root = Path(__file__).resolve().parent.parent
     script = """
 import sys
-import numpy as np
 import betalab.cli
-from betalab import ensembles as ens, universality as uni
+loaded = set(sys.modules)
+import numpy as np
+from betalab import ensembles as ens, operators as ops, universality as uni
 from betalab.equilibrium import solve_equilibrium
 from betalab.potentials import make_potential
+from betalab.transport import solve_transport
 
-eq = solve_equilibrium(make_potential("gaussian"))
-a = ens.sample_gaussian(30, 2.0, 40, seed=1)
-b = ens.sample_gaussian(30, 2.0, 40, seed=2)
-uni.clt_report(a, np.cos, eq)
-uni.universality_distance(a, eq, 0.0, b, eq, 0.0, 0.4, floor_repeats=5)
-print(" ".join(m for m in ("scipy.stats", "scipy.optimize", "scipy.integrate") if m in sys.modules))
+pot = make_potential("even-quartic", g=0.1)
+eq = solve_equilibrium(pot)
+grid = ops.cheb_grid(64)
+ops.eigendecompose(ops.kernel_matrix(solve_transport(eq), grid), grid)
+gauss_eq = solve_equilibrium(make_potential("gaussian"))
+ens.sample_gaussian(8, 2.0, 20, seed=3, window=(-2.05, 2.05))
+a = ens.sample_gaussian(100, 2.0, 40, seed=1)
+b = ens.sample_gaussian(100, 2.0, 40, seed=2)
+ens.sample_mcmc(pot, 6, 2.0, 8, seed=4, eq=eq, chains=4, tune_sweeps=20, measure_sweeps=40)
+uni.clt_report(a, np.cos, gauss_eq)
+uni.universality_distance(a, gauss_eq, 0.0, b, gauss_eq, 0.0, 0.4, floor_repeats=5)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+print(" ".join(sorted(m for m in sys.modules if m.startswith("numpy.") and m not in loaded)))
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    scipy_mods, late_numpy = proc.stdout.split("\n")[:2]
+    assert scipy_mods == ""
+    assert late_numpy == ""
 
 
 # ----------------------------------------------------------------------
@@ -174,6 +188,13 @@ def test_split_noise_floor_sane(gauss_eq, sample_cache):
     s = sample_cache("gaussian", n=150, beta=2.0, count=1500, seed=22)
     floor = uni.split_noise_floor(s, gauss_eq, 0.0, 0.15)
     assert 0.0 < floor < 0.2
+
+
+def test_split_noise_floor_accepts_negative_seed(gauss_eq, sample_cache):
+    # the samplers take any integer seed; so does the floor's split stream
+    s = sample_cache("gaussian", n=40, beta=2.0, count=60, seed=1)
+    floor = uni.split_noise_floor(s, gauss_eq, 0.0, 0.3, repeats=5, seed=-1)
+    assert 0.0 < floor < 1.0
 
 
 def test_same_law_distance_within_floor(gauss_eq, sample_cache):
