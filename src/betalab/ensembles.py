@@ -4,10 +4,10 @@ Three routes to the same family of laws, kept deliberately independent so
 they can cross-validate each other:
 
 * a tridiagonal-matrix sampler for the reference quadratic potential
-  (exact in law at every n and beta, cheap at large n). Its eigenvalues
-  come from numpy alone: a root-free QR iteration vectorized over a block
-  of matrices, or below order 40 a stacked dense solve. Each matrix's
-  eigenvalues are the same bits whatever block it is solved in,
+  (exact in law at every n and beta, cheap at large n). Up to order 32
+  its eigenvalues come from numpy's stacked dense solve; above that from
+  LAPACK's O(n**2) tridiagonal solver in scipy.linalg, which is imported
+  at the first call that needs it, so that start-up loads no scipy,
 * a Metropolis sampler for arbitrary potentials (single-site moves plus
   collective shift and dilation moves, which are what make global linear
   statistics mix at large n),
@@ -45,15 +45,14 @@ from .potentials import Potential
 _MAGIC = b"BLSAMP01"
 _MASK64 = (1 << 64) - 1
 _DRAW_CAP = 1 << 16  # draws of each kind per chunk of Metropolis sweeps, over all chains
-# tridiagonal eigenproblems solved together: below about a thousand, numpy
-# call overhead sets the cost of a vectorized QR step
-_EIG_BLOCK = 1024
-# below this order the stacked dense LAPACK solve is faster than the
-# vectorized QR at every batch size up to _EIG_BLOCK (1000 matrices: 34 ms
-# against 57 ms at n = 32, 100 ms against 74 ms at n = 48)
-_QR_MIN_ORDER = 40
-_DENSE_CAP = 1 << 21  # entries of one stack of full matrices in _dense_eigvalsh (16 MiB)
-_EPS2 = np.finfo(float).eps ** 2
+# diagonal entries drawn per block of reference configurations; the dense
+# route's full matrices then hold at most 2**15 * 32 entries (8 MiB)
+_BLOCK_ENTRIES = 1 << 15
+# Up to this order the stacked dense solve beats the per-matrix LAPACK
+# tridiagonal solve at every count (1000 matrices: 4 ms against 38 ms at
+# n = 8, 41 ms against 68 ms at n = 32) and needs no scipy; from order 33
+# it is 1.3x slower at n = 39 and its n**3 cost keeps growing.
+_DENSE_MAX_ORDER = 32
 
 
 @dataclass
@@ -113,19 +112,23 @@ def sample_gaussian(
     the window are redrawn, which implements exact conditioning. Each
     configuration index has its own counter-based stream, so results are
     reproducible and extendable in ``count``. Configurations are drawn in
-    blocks of ``_EIG_BLOCK``, one eigenvalue call per attempt of a block,
-    and only rejected configurations are redrawn. The eigenvalues agree
-    with LAPACK's (``scipy.linalg.eigvalsh_tridiagonal``) to a few tens of
-    ulps of the largest one.
+    blocks, one eigenvalue call per attempt of a block, and only rejected
+    configurations are redrawn. Up to order ``_DENSE_MAX_ORDER`` the
+    eigenvalues come from numpy's stacked dense solve; above it from
+    LAPACK's tridiagonal solver, which loads scipy.linalg at the first such
+    call. Either route solves each matrix on its own, so a configuration
+    is the same bits whatever else is drawn with it.
     """
     lo, hi = _validate_common(n, beta, count, window)
     configs = np.empty((count, n))
     tries_total = 0
     dfs = beta * np.arange(n - 1, 0, -1)
-    for start in range(0, count, _EIG_BLOCK):
-        rngs = [_stream(seed, idx) for idx in range(start, min(count, start + _EIG_BLOCK))]
+    solve = _dense_eigvalsh if n <= _DENSE_MAX_ORDER else _lapack_eigvalsh
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, count, rows):
+        rngs = [_stream(seed, idx) for idx in range(start, min(count, start + rows))]
         pending = np.arange(len(rngs))
-        for attempt in range(max_tries):
+        for _ in range(max_tries):
             diag = np.empty((pending.size, n))
             off = np.empty((pending.size, n - 1))
             for row, j in enumerate(pending):
@@ -133,11 +136,6 @@ def sample_gaussian(
                 off[row] = rngs[j].chisquare(dfs)
             diag *= np.sqrt(2.0 / (n * beta))
             off = np.sqrt(off / (n * beta))
-            # The dense solve wins below order 40, and in redraw rounds, which
-            # hold few matrices: there the QR's fixed cost per sweep step
-            # dominates (about 0.6 s a round at n = 200). The route depends
-            # on n and the attempt only, so no batch changes a configuration.
-            solve = _qr_eigvalsh if attempt == 0 and n >= _QR_MIN_ORDER else _dense_eigvalsh
             lam = solve(diag, off)
             tries_total += pending.size
             ok = (lam[:, 0] > lo) & (lam[:, -1] < hi)
@@ -168,152 +166,30 @@ def _dense_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
     ``diag`` has shape (m, n) and ``off`` (m, n - 1), one matrix per row;
     returns (m, n), each row ascending. The stacked LAPACK solve treats
-    each matrix on its own. Its cost grows
-    like n**3 per matrix, against n**2 plus a fixed numpy-call overhead
-    per QR step for `_qr_eigvalsh`. Stacks hold at most ``_DENSE_CAP``
-    entries.
+    each matrix on its own, so a row's eigenvalues do not depend on the
+    other rows. Its cost grows like n**3 per matrix, so `sample_gaussian`
+    uses it only up to order ``_DENSE_MAX_ORDER``.
     """
     m, n = diag.shape
-    out = np.empty((m, n))
-    step = max(1, _DENSE_CAP // (n * n))
     i = np.arange(n)
-    for a in range(0, m, step):
-        full = np.zeros((min(step, m - a), n, n))
-        full[:, i, i] = diag[a : a + step]
-        full[:, i[1:], i[:-1]] = off[a : a + step]
-        full[:, i[:-1], i[1:]] = off[a : a + step]
-        out[a : a + step] = np.linalg.eigvalsh(full)
-    return out
+    full = np.zeros((m, n, n))
+    full[:, i, i] = diag
+    full[:, i[1:], i[:-1]] = off
+    full[:, i[:-1], i[1:]] = off
+    return np.linalg.eigvalsh(full)
 
 
-def _qr_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """`_dense_eigvalsh`'s eigenvalues by a root-free QR iteration vectorized over the matrices.
+def _lapack_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """`_dense_eigvalsh`'s eigenvalues by LAPACK's tridiagonal solver, one matrix at a time.
 
-    This is the Pal-Walker-Kahan root-free QR iteration of LAPACK
-    ``dsterf`` (Parlett, *The Symmetric Eigenvalue Problem*), run on all
-    m matrices at once: one numpy call per step of a sweep serves every
-    matrix. Each matrix keeps its own active end, deflates there when
-    ``e**2 <= eps**2 |d_{k-1} d_k|`` (a 2x2 block in closed form), and
-    shifts by the eigenvalue of its bottom 2x2 block nearest its last
-    diagonal entry. Unlike ``dsterf`` it does not split at small
-    off-diagonal entries above the end (the sweep runs over them) and does
-    not rescale the matrix, so entries must be far from overflow.
-
-    Every operation is elementwise across matrices, so a matrix's
-    eigenvalues do not depend on the others solved with it. A matrix
-    whose sweep breaks down (a zero pivot, which ``dsterf`` patches up)
-    or that is not converged after 30 n sweeps goes to `_dense_eigvalsh`.
+    ``scipy.linalg.eigvalsh_tridiagonal`` (``dstevd``) costs O(n**2) time
+    and O(n) memory per matrix. scipy.linalg takes about 0.25 s to import,
+    so it is imported here, at the first sample that needs it, rather than
+    with the package.
     """
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    m, n = diag.shape
-    out = np.empty((m, n))
-    d = diag.T.copy()  # one matrix per column: a sweep step reads a row
-    e2 = np.square(off.T)
-    ids = np.arange(m)  # the matrix in each column of d and e2
-    end = np.full(m, n - 1)
-    work = np.empty((4, n, m))
-    broke = np.zeros(m, dtype=bool)
-    sweeps = 0
-    while True:
-        col = np.arange(ids.size)
-        while True:
-            k = np.maximum(end - 1, 0)
-            one = (end > 0) & (e2[k, col] <= _EPS2 * np.abs(d[k, col] * d[k + 1, col]))
-            k = np.maximum(end - 2, 0)
-            small = e2[k, col] <= _EPS2 * np.abs(d[k, col] * d[k + 1, col])
-            two = (end > 0) & ~one & ((end == 1) | small)
-            if not (one.any() or two.any()):
-                break
-            if two.any():
-                c, k = col[two], end[two]
-                d[k - 1, c], d[k, c] = _pair_eigvals(d[k - 1, c], e2[k - 1, c], d[k, c])
-            end = end - one - 2 * two
-        done = end <= 0
-        if sweeps == 30 * n:
-            broke[ids[~done]] = True
-            done[:] = True
-        if done.any():
-            out[ids[done]] = d[:, done].T
-            keep = ~done
-            ids, end, d, e2 = ids[keep], end[keep], d[:, keep], e2[:, keep]
-            if not ids.size:
-                break
-        ok = _qr_sweep(d, e2, end, work[:, :, : ids.size])
-        sweeps += 1
-        if not ok.all():
-            broke[ids[~ok]] = True
-            end = np.where(ok, end, 0)
-    if broke.any():
-        out[broke] = _dense_eigvalsh(diag[broke], off[broke])
-    out.sort(axis=1)
-    return out
+    from scipy.linalg import eigvalsh_tridiagonal
 
-
-def _qr_sweep(d, e2, end, work) -> np.ndarray:
-    """One shifted root-free QR sweep on rows 0..end[c] of every column c, in place.
-
-    ``d`` holds the diagonals and ``e2`` the squared off-diagonals, one
-    matrix per column; rows past a column's end hold its finished
-    eigenvalues and stay as they are. ``work`` is scratch of shape
-    (4, n, columns). Returns False for the columns whose sweep broke down.
-
-    The step recurrence is that of ``dsterf``'s QR branch (r = p + e_i,
-    c = p / r, s = e_i / r, gamma' = c (d_{i+1} - sigma) - s gamma,
-    p' = gamma'^2 / c); its results d_i = gamma_i + (d_{i+1} - gamma_{i+1})
-    and e_{i-1} = s_{i-1} r_i are formed after the loop from the stored
-    rows, with the same roundings as ``dsterf``. Every column runs to the
-    largest end; the rows a column computes past its own end are discarded.
-    """
-    w = end.size
-    col = np.arange(w)
-    hi, low = int(end.max()), int(end.min())
-    r_, s_, g_, p_ = work[:, : hi + 1]
-    p0 = d[end, col]
-    rte = np.sqrt(e2[end - 1, col])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sig = (d[end - 1, col] - p0) / (2.0 * rte)
-        sigma = p0 - rte / (sig + np.copysign(np.hypot(sig, 1.0), sig))
-        shifted = d[1 : hi + 1] - sigma
-        np.subtract(d[0], sigma, out=g_[0])
-        p, g = g_[0] * g_[0], g_[0]
-        c = np.empty(w)
-        t = np.empty(w)
-        for e, a, r, s, g_next, p_next in zip(e2, shifted, r_, s_, g_[1:], p_):
-            np.add(p, e, out=r)
-            np.divide(p, r, out=c)
-            np.divide(e, r, out=s)
-            np.multiply(c, a, out=g_next)
-            np.multiply(s, g, out=t)
-            np.subtract(g_next, t, out=g_next)
-            np.multiply(g_next, g_next, out=p_next)
-            np.divide(p_next, c, out=p_next)
-            g, p = g_next, p_next
-        # rows below every end are all updated; above the lowest end, only a
-        # column's rows before its own end
-        step = d[1 : hi + 1] - g_[1 : hi + 1]
-        np.add(g_[:low], step[:low], out=d[:low])
-        np.multiply(s_[: low - 1], r_[1:low], out=e2[: low - 1])
-        if low < hi:
-            rows = np.arange(low, hi)[:, None] < end
-            np.add(g_[low:hi], step[low:], out=d[low:hi], where=rows)
-            np.multiply(s_[low - 1 : hi - 1], r_[low:hi], out=e2[low - 1 : hi - 1], where=rows)
-        e2[end - 1, col] = s_[end - 1, col] * p_[end - 1, col]
-        d[end, col] = sigma + g_[end, col]
-    return np.isfinite(p_[end - 1, col])
-
-
-def _pair_eigvals(a, e2, c):
-    """Eigenvalues of [[a, b], [b, c]] with b**2 = e2, as LAPACK ``dlae2``."""
-    sm = a + c
-    rt = np.hypot(a - c, 2.0 * np.sqrt(e2))
-    a_big = np.abs(a) > np.abs(c)
-    big, little = np.where(a_big, a, c), np.where(a_big, c, a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rt1 = 0.5 * (sm + np.copysign(rt, sm))
-        rt2 = (big / rt1) * little - e2 / rt1
-    zero = sm == 0
-    return np.where(zero, 0.5 * rt, rt1), np.where(zero, -0.5 * rt, rt2)
+    return np.array([eigvalsh_tridiagonal(d, e) for d, e in zip(diag, off)])
 
 
 # ----------------------------------------------------------------------

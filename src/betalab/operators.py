@@ -97,6 +97,13 @@ def _dct2(x: np.ndarray) -> np.ndarray:
     a real inverse FFT of the result read as FFTPACK half-complex data
     (numpy's FFT is the same pocketfft), and a post-twiddle with
     pocketfft's twiddle values.
+
+    The bit-identity rests on numpy's internal FFT kernel (its pocketfft
+    factorization and twiddle rounding, compiled without FMA contraction).
+    It is verified only for the numpy/scipy pair the tests run against,
+    on x86-64, by ``test_coeffs_from_values_bitwise_equal_to_scipy_dct``;
+    a numpy release that changes its FFT kernel could move coefficients
+    at the ulp level, and that test is the place it would show.
     """
     n = x.shape[0]
     if n == 1:

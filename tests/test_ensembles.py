@@ -84,13 +84,17 @@ def test_reference_sampler_validation():
 def test_reference_sampler_matches_lapack_oracle():
     # Same streams, so the same draws: every configuration must be accepted
     # on the same attempt (equal mean tries, and a different attempt would
-    # move the spectrum by O(1)) with eigenvalues within 64 ulps of max|lambda|.
-    cases = ((8, 2.0, 50, (-2.05, 2.05), 5), (12, 1.0, 40, (-2.0, 2.0), 42), (60, 4.0, 30, (-1.9, 1.9), 3))
+    # move the spectrum by O(1)). The dense route (n <= 32) lands within 64
+    # ulps of max|lambda|; above it the sampler is the LAPACK loop itself.
+    cases = ((8, 2.0, 50, (-2.05, 2.05), 5), (12, 1.0, 40, (-2.0, 2.0), 42), (32, 2.0, 30, (-2.0, 2.0), 8))
+    cases += ((33, 4.0, 30, (-1.95, 1.95), 3), (60, 4.0, 30, (-1.9, 1.9), 3))
     for n, beta, count, window, seed in cases:
         s = ens.sample_gaussian(n, beta, count, seed=seed, window=window)
         want, tries = oracles.gaussian_tridiagonal_lapack(lambda i: ens._stream(seed, i), n, beta, count, window)
         assert tries.max() > 1  # the window rejects some draws
         assert s.diagnostics["mean_tries"] == tries.mean()
+        if n > ens._DENSE_MAX_ORDER:
+            assert np.array_equal(s.configs, want)
         ulp = np.spacing(np.abs(want).max(axis=1, keepdims=True))
         assert np.all(np.abs(s.configs - want) <= 64 * ulp)
 
@@ -115,38 +119,45 @@ def _check_against_oracles(solve, diag, off, ulps):
 
 @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
 def test_tridiagonal_eigvals_match_lapack_and_sturm(beta):
-    for n, m in ((2, 20), (7, 10), (100, 4)):
+    for n, m in ((2, 20), (7, 10), (32, 6), (100, 4)):
         diag, off = _gbe_rows(n, beta, m, seed=int(10 * beta) + n)
-        for solve in (ens._dense_eigvalsh, ens._qr_eigvalsh):
+        for solve in (ens._dense_eigvalsh, ens._lapack_eigvalsh):
             _check_against_oracles(solve, diag, off, ulps=64)
 
 
-def test_qr_eigvals_structured_matrices():
-    qr = ens._qr_eigvalsh
+def test_dense_eigvals_structured_matrices():
+    dense = ens._dense_eigvalsh
     # exact zeros off the diagonal: a diagonal matrix comes back exactly
     d = np.array([[3.0, -1.0, 2.0, 0.5, 2.0]])
-    assert np.array_equal(qr(d, np.zeros((1, 4))), np.sort(d, axis=1))
-    # uncoupled blocks, and zero pivots that break the sweep down
-    _check_against_oracles(qr, np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]), np.array([[1.0, 0.0, 1.0, 0.5, 0.0]]), 8)
-    _check_against_oracles(qr, np.array([[-1.0, 0.0, 0.0]]), np.array([[1.0, 1.0]]), 8)
-    path = qr(np.zeros((1, 40)), np.ones((1, 39)))  # eigenvalues 2 cos(k pi / 41)
-    assert np.allclose(path[0], np.sort(2.0 * np.cos(np.arange(1, 41) * np.pi / 41)), rtol=0, atol=1e-14)
+    assert np.array_equal(dense(d, np.zeros((1, 4))), np.sort(d, axis=1))
+    # uncoupled blocks, and zero pivots in the LDL^T factors of T - d_0 I
+    _check_against_oracles(dense, np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]), np.array([[1.0, 0.0, 1.0, 0.5, 0.0]]), 8)
+    _check_against_oracles(dense, np.array([[-1.0, 0.0, 0.0]]), np.array([[1.0, 1.0]]), 8)
+    path = dense(np.zeros((1, 32)), np.ones((1, 31)))  # eigenvalues 2 cos(k pi / 33)
+    assert np.allclose(path[0], np.sort(2.0 * np.cos(np.arange(1, 33) * np.pi / 33)), rtol=0, atol=1e-14)
     # Wilkinson W21+: its top eigenvalues come in pairs closer than 1e-12
     w21 = np.abs(np.arange(-10.0, 11.0))[None]
-    lam = _check_against_oracles(qr, w21, np.ones((1, 20)), 8)
+    lam = _check_against_oracles(dense, w21, np.ones((1, 20)), 8)
     assert lam[0, -1] - lam[0, -2] < 1e-12
 
 
 def test_tridiagonal_eigvals_independent_of_batch():
-    for solve, n in ((ens._dense_eigvalsh, 3), (ens._qr_eigvalsh, 40)):
+    for solve, n in ((ens._dense_eigvalsh, 3), (ens._dense_eigvalsh, 32), (ens._lapack_eigvalsh, 40)):
         diag, off = _gbe_rows(n, 2.0, 12, seed=n)
-        if n == 40:
-            diag[5], off[5] = 0.0, 1.0  # a row whose QR sweep breaks down
         batch = solve(diag, off)
         alone = np.concatenate([solve(diag[i : i + 1], off[i : i + 1]) for i in range(12)])
         assert np.array_equal(batch, alone)
         perm = np.random.default_rng(n).permutation(12)
         assert np.array_equal(solve(diag[perm], off[perm]), batch[perm])
+
+
+def test_reference_sampler_prefix_stable_across_blocks():
+    # a count spanning several draw blocks, above and below the dense order
+    for n in (30, 40):
+        rows = ens._BLOCK_ENTRIES // n
+        big = ens.sample_gaussian(n, 2.0, 2 * rows + 3, seed=6)
+        small = ens.sample_gaussian(n, 2.0, rows + 1, seed=6)
+        assert np.array_equal(big.configs[: rows + 1], small.configs)
 
 
 # ----------------------------------------------------------------------
