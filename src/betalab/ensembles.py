@@ -496,12 +496,27 @@ def _grid_chunks(k: int, lo: float, top: float, u, logw, outer: tuple, outer_log
     yield np.column_stack([*cols, *(np.full(len(lx), c) for c in outer)]), lx
 
 
+def _pair_log_sum(z: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
+    """Per row, the sum over pairs i < j of log|z_j - z_i|, or of
+    log|(z_j - z_i) / (x_j - x_i)| when ``x`` is given.
+
+    A loop over i takes one log over all j > i, for every row at once.
+    It runs on column-major copies, so each step's sum runs down axis 0
+    across rows; a sum along a short last axis costs a loop per row.
+    """
+    zt = np.ascontiguousarray(z.T)
+    xt = None if x is None else np.ascontiguousarray(x.T)
+    out = np.zeros(z.shape[0])
+    for i in range(z.shape[1] - 1):
+        d = zt[i + 1 :] - zt[i]
+        if xt is not None:
+            d /= xt[i + 1 :] - xt[i]
+        out += np.log(np.abs(d)).sum(axis=0)
+    return out
+
+
 def _log_density_ordered(vfun, beta: float, n: int, configs: np.ndarray) -> np.ndarray:
-    ld = -0.5 * beta * n * np.asarray(vfun(configs)).sum(axis=1)
-    for j in range(1, n):
-        for i in range(j):
-            ld = ld + beta * np.log(configs[:, j] - configs[:, i])
-    return ld
+    return -0.5 * beta * n * np.asarray(vfun(configs)).sum(axis=1) + beta * _pair_log_sum(configs)
 
 
 def direct_expectation(

@@ -24,6 +24,14 @@ from .errors import NumericalError, UsageError
 SIGMA = (-2.0, 2.0)
 # entries of one Chebyshev-Vandermonde block in cheb_val (512 KiB of floats)
 _VANDER_BLOCK = 1 << 16
+# entries of one block of principal-value difference quotients (256 KiB of floats)
+_PV_BLOCK = 1 << 15
+# A mode's series is chopped after its last coefficient above _MODE_CHOP_REL
+# of its largest one, if that drops at least _MODE_MIN_DROPPED coefficients
+# (the rounding plateau is reached); otherwise it keeps every coefficient.
+# This is the transport fit's resolution rule.
+_MODE_CHOP_REL = 1e-14
+_MODE_MIN_DROPPED = 8
 # pocketfft's pi literal, as a C long double
 _PI_LONG = np.longdouble("3.141592653589793238462643383279502884197")
 
@@ -283,12 +291,6 @@ def gauss_semicircle(n: int, interval=SIGMA):
     return mid + half * u, (half * half) * w[::-1]
 
 
-def semicircle_project(h, n: int = 256) -> float:
-    """Inner product of h with the semicircle density on SIGMA."""
-    x, w = gauss_semicircle(n, SIGMA)
-    return float(w @ np.asarray(h(x), dtype=float)) / (2.0 * np.pi)
-
-
 def semicircle_density(x):
     x = np.asarray(x, dtype=float)
     return np.sqrt(np.clip(4.0 - x * x, 0.0, None)) / (2.0 * np.pi)
@@ -298,12 +300,6 @@ def semicircle_cdf(x):
     """Distribution function of the semicircle law, closed form in the arccos angle."""
     phi = np.arccos(np.clip(np.asarray(x, dtype=float) / 2.0, -1.0, 1.0))
     return (np.pi - phi) / np.pi + np.sin(2.0 * phi) / (2.0 * np.pi)
-
-
-def semicircle_log_potential(x):
-    """Closed form of the log-kernel acting on the semicircle density."""
-    x = np.asarray(x, dtype=float)
-    return x * x / 4.0 - 0.5
 
 
 # ----------------------------------------------------------------------
@@ -322,25 +318,32 @@ def _pv_transform_numer(h_prime, lam: np.ndarray, quad_nodes: int = 512) -> np.n
     the semicircle factor, with the singularity subtracted analytically.
 
     Returns the numerator s(lam) such that the transform equals
-    s(lam) / (pi^2 sqrt(4 - lam^2)).
+    s(lam) / (pi^2 sqrt(4 - lam^2)). The points go through in row blocks
+    whose difference quotients hold at most ``_PV_BLOCK`` entries, so
+    memory is bounded for any number of points; a point within 1e-9 of a
+    node takes the central-difference limit of its quotient.
     """
     mu, w = gauss_semicircle(quad_nodes, SIGMA)
     hp_mu = np.asarray(h_prime(mu), dtype=float)
     hp_l = np.asarray(h_prime(lam), dtype=float)
-    diff = lam[:, None] - mu[None, :]
-    small = np.abs(diff) < 1e-9
-    if np.any(small):
-        t = 1e-5
-        h2 = (np.asarray(h_prime(lam + t)) - np.asarray(h_prime(lam - t))) / (2.0 * t)
-        quot = np.where(
-            small,
-            -h2[:, None] * np.ones_like(diff),
-            (hp_mu[None, :] - hp_l[:, None]) / np.where(small, 1.0, diff),
-        )
-    else:
-        quot = (hp_mu[None, :] - hp_l[:, None]) / diff
+    out = np.empty(lam.size)
+    step = max(1, _PV_BLOCK // quad_nodes)
+    for s in range(0, lam.size, step):
+        lb, hb = lam[s : s + step], hp_l[s : s + step]
+        diff = lb[:, None] - mu
+        quot = hp_mu - hb[:, None]
+        small = np.abs(diff) < 1e-9
+        if np.any(small):
+            t = 1e-5
+            h2 = (np.asarray(h_prime(lb + t)) - np.asarray(h_prime(lb - t))) / (2.0 * t)
+            diff[small] = 1.0
+            quot /= diff
+            quot[small] = np.broadcast_to(-h2[:, None], small.shape)[small]
+        else:
+            quot /= diff
+        out[s : s + step] = quot @ w
     # PV of the semicircle factor alone: integral sqrt(4-mu^2)/(lam-mu) = pi*lam
-    return quot @ w + hp_l * np.pi * lam
+    return out + hp_l * np.pi * lam
 
 
 def apply_cov_op(h, lam, h_prime=None, quad_nodes: int = 512):
@@ -541,7 +544,9 @@ class KernelSpectrum:
     eigenvalue tail below the requested tolerance. Mode functions are
     available on the whole grid interval through :meth:`phi`, which
     evaluates the Chebyshev extension of the grid eigenvectors; they are
-    orthonormal for the grid weights.
+    orthonormal for the grid weights. ``phi_lengths`` holds each mode's
+    resolved series length, and :meth:`phi` evaluates only the
+    coefficient columns that the requested modes need.
     """
 
     grid: ChebGrid
@@ -552,6 +557,7 @@ class KernelSpectrum:
     phi_nodes: np.ndarray = field(repr=False)
     phi_coeffs: np.ndarray = field(repr=False)
     semicircle_proj: np.ndarray = field(repr=False)
+    phi_lengths: np.ndarray = field(repr=False)
 
     @property
     def stored(self) -> int:
@@ -566,7 +572,8 @@ class KernelSpectrum:
         x_arr = np.asarray(x, dtype=float)
         if np.any((x_arr < lo - 1e-12) | (x_arr > hi + 1e-12)):
             raise UsageError("out-of-domain", "mode evaluated outside the grid interval")
-        return cheb_val(self.phi_coeffs[idx], x_arr, self.grid.interval)
+        cols = int(self.phi_lengths[idx].max(initial=1))
+        return cheb_val(self.phi_coeffs[:, :cols][idx], x_arr, self.grid.interval)
 
 
 def eigendecompose(
@@ -629,6 +636,10 @@ def eigendecompose(
     stored = min(max(m, 12), n)
     phi_nodes = psi[:, :stored] / s[:, None]
     coeffs = coeffs_from_values(phi_nodes).T
+    mag = np.abs(coeffs)
+    above = mag > _MODE_CHOP_REL * mag.max(axis=1, keepdims=True)
+    lengths = n - np.argmax(above[:, ::-1], axis=1)
+    lengths[n - lengths < _MODE_MIN_DROPPED] = n
     xs, ws = gauss_semicircle(256, SIGMA)
     proj = ws @ cheb_val(coeffs, xs, grid.interval) / (2.0 * np.pi)
 
@@ -642,6 +653,7 @@ def eigendecompose(
         phi_nodes=phi_nodes,
         phi_coeffs=coeffs,
         semicircle_proj=proj,
+        phi_lengths=lengths,
     )
 
 

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .ensembles import EnsembleSample, _log_density_ordered, _ordered_chunks, _stream, linear_statistic
+from .ensembles import (
+    EnsembleSample,
+    _log_density_ordered,
+    _ordered_chunks,
+    _pair_log_sum,
+    _stream,
+    linear_statistic,
+)
 from .errors import NumericalError, UsageError
 
 
@@ -307,12 +314,6 @@ def universality_distance(
 # structural identities
 
 
-def _pair_log_ratio(lam: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """Per configuration, sum over pairs i < j of log|zeta_i - zeta_j| - log|lam_i - lam_j|."""
-    i, j = np.triu_indices(lam.shape[1], 1)
-    return np.sum(np.log(np.abs(zeta[:, i] - zeta[:, j])) - np.log(np.abs(lam[:, i] - lam[:, j])), axis=1)
-
-
 @dataclass
 class HamiltonianIdentity:
     residual: float
@@ -348,7 +349,7 @@ def hamiltonian_identity_residual(
     zeta = tmap.value(lam)
     logzp = np.log(tmap.derivative(lam)).sum(axis=1)
     one_body = n * (eq.potential.v(zeta) - 0.5 * lam * lam).sum(axis=1)
-    direct = 0.5 * beta * (one_body - 2.0 * _pair_log_ratio(lam, zeta)) - logzp
+    direct = 0.5 * beta * (one_body - 2.0 * _pair_log_sum(zeta, lam)) - logzp
 
     eta = spectrum.eigenvalues[:modes]
     proj = spectrum.semicircle_proj[:modes]
@@ -365,6 +366,28 @@ def hamiltonian_identity_residual(
     return HamiltonianIdentity(
         residual=residual, constant=const, predicted_constant=predicted, modes=modes
     )
+
+
+def _gauss_hermite_factors(q: np.ndarray, c2: np.ndarray, gh_nodes: int) -> np.ndarray:
+    """E exp(q[:, k] sqrt(c2[k]) X), X standard normal, by the gh_nodes-point rule.
+
+    The rule is symmetric, so each pair of nodes +-x adds 2 w cosh(a q x)
+    with a = sqrt(c2) when c2 > 0, and 2 w cos(a q x) with a = sqrt(-c2)
+    when c2 < 0 (the root is imaginary); an odd rule's zero node adds its
+    weight alone. Real arithmetic throughout. Shape of ``q``: (configs,
+    modes).
+    """
+    x, w = np.polynomial.hermite_e.hermegauss(gh_nodes)
+    w = w / w.sum()
+    pos = x > 0
+    xp, wp = x[pos], 2.0 * w[pos]
+    w0 = float(w[x == 0].sum())
+    a = np.sqrt(np.abs(c2))
+    out = np.empty(q.shape)
+    for k in range(q.shape[1]):
+        f = np.cosh if c2[k] > 0 else np.cos
+        out[:, k] = f(np.multiply.outer(q[:, k], a[k] * xp)) @ wp + w0
+    return out
 
 
 @dataclass
@@ -395,9 +418,9 @@ def linearization_check(
     Left route: quadrature against the exact transported law of the
     deformed ensemble. Right route: quadrature against the reference
     ensemble reweighted through the diagonalized quadratic form, with
-    each mode decoupled by a Gauss-Hermite auxiliary integral (rotated
-    into the complex plane for negative modes). The tensor-product rule
-    over the modes factorizes, so the weight is a product of 1-D sums.
+    each mode decoupled by a Gauss-Hermite auxiliary integral, summed in
+    real arithmetic (:func:`_gauss_hermite_factors`). The tensor-product
+    rule over the modes factorizes, so the weight is a product of 1-D sums.
     Agreement validates the entire decomposition chain end to end at
     small n, with no sampling noise involved.
     """
@@ -408,14 +431,14 @@ def linearization_check(
 
     configs, logw = map(np.concatenate, zip(*_ordered_chunks(int(n), box, gl_nodes)))
     obs = np.asarray(observable(configs), dtype=float)
+    # configurations share their Gauss-Legendre coordinates: evaluate the
+    # map and the modes once per distinct coordinate
+    nodes, where = np.unique(configs, return_inverse=True)
+    where = where.reshape(configs.shape)
+    zeta = tmap.value(nodes)[where]
+    logzp = np.log(tmap.derivative(nodes))[where].sum(axis=1)
 
-    zeta = tmap.value(configs)
-    logzp = np.log(tmap.derivative(configs)).sum(axis=1)
-    log_exact = -0.5 * beta * n * np.asarray(eq.potential.v(zeta)).sum(axis=1) + logzp
-    for j in range(1, n):
-        for i in range(j):
-            log_exact = log_exact + beta * np.log(zeta[:, j] - zeta[:, i])
-    log_exact = log_exact + logw
+    log_exact = _log_density_ordered(eq.potential.v, beta, int(n), zeta) + logzp + logw
     we = np.exp(log_exact - log_exact.max())
     left = float((we @ obs) / we.sum())
 
@@ -427,17 +450,8 @@ def linearization_check(
     else:
         eta = spectrum.eigenvalues[:modes]
         proj = spectrum.semicircle_proj[:modes]
-        # configurations share their Gauss-Legendre coordinates: evaluate
-        # the modes once per distinct coordinate
-        nodes, where = np.unique(configs, return_inverse=True)
-        phi = spectrum.phi(nodes, range(modes))[where.reshape(configs.shape)]
-        q = phi.sum(axis=1) - n * proj
-        coef = np.sqrt(beta * eta.astype(complex))
-        gh_x, gh_w = np.polynomial.hermite_e.hermegauss(gh_nodes)
-        # per mode sum_i w_i exp(q_k coef_k x_i); the rule is symmetric, so
-        # each factor is real up to rounding
-        factors = np.exp(q[:, :, None] * (coef[:, None] * gh_x)) @ (gh_w / gh_w.sum())
-        w_mode = np.prod(factors.real, axis=1)
+        q = spectrum.phi(nodes, range(modes))[where].sum(axis=1) - n * proj
+        w_mode = np.prod(_gauss_hermite_factors(q, beta * eta, gh_nodes), axis=1)
     # jacobian_weight=False drops the (beta/2 - 1) log-derivative factor,
     # a deliberate corruption used as a negative control (inactive at beta=2)
     jac = np.exp(-(0.5 * beta - 1.0) * logzp) if jacobian_weight else 1.0

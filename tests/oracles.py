@@ -252,6 +252,46 @@ def linearization_right_tensor(eq, tmap, spectrum, beta, observable, n, modes, g
     return float((wfull @ obs) / wfull.sum())
 
 
+def gauss_hermite_factors_complex(q, c2, gh_nodes):
+    """Gauss-Hermite means of exp(q sqrt(c2) x) over the full rule in complex arithmetic.
+
+    The square root of a negative c2 is imaginary; the rule is symmetric,
+    so the imaginary part of each mean is rounding and is dropped.
+    """
+    coef = np.sqrt(np.asarray(c2).astype(complex))
+    gh_x, gh_w = np.polynomial.hermite_e.hermegauss(gh_nodes)
+    return (np.exp(q[:, :, None] * (coef[:, None] * gh_x)) @ (gh_w / gh_w.sum())).real
+
+
+def pv_transform_numer_single_block(h_prime, lam, quad_nodes=512):
+    """The principal-value numerator with every point in one dense block.
+
+    The numerator s(lam) of the covariance transform s / (pi^2 sqrt(4 -
+    lam^2)): the semicircle-weighted sum of (h'(mu_j) - h'(lam)) / (lam -
+    mu_j) on the quad_nodes-point second-kind rule, plus h'(lam) pi lam.
+    A point within 1e-9 of a node takes the central difference -h''(lam).
+    Memory grows like len(lam) * quad_nodes.
+    """
+    j = np.arange(1, quad_nodes + 1)
+    mu = 2.0 * np.cos(j * np.pi / (quad_nodes + 1))[::-1]
+    w = 4.0 * ((np.pi / (quad_nodes + 1)) * np.sin(j * np.pi / (quad_nodes + 1)) ** 2)[::-1]
+    hp_mu = np.asarray(h_prime(mu), dtype=float)
+    hp_l = np.asarray(h_prime(lam), dtype=float)
+    diff = lam[:, None] - mu[None, :]
+    small = np.abs(diff) < 1e-9
+    if np.any(small):
+        t = 1e-5
+        h2 = (np.asarray(h_prime(lam + t)) - np.asarray(h_prime(lam - t))) / (2.0 * t)
+        quot = np.where(
+            small,
+            -h2[:, None] * np.ones_like(diff),
+            (hp_mu[None, :] - hp_l[:, None]) / np.where(small, 1.0, diff),
+        )
+    else:
+        quot = (hp_mu[None, :] - hp_l[:, None]) / diff
+    return quot @ w + hp_l * np.pi * lam
+
+
 def config_gaps_per_row(sample, eq, center, halfwidth):
     """Unfolded in-window gaps, one configuration and one density call at a time."""
     lo, hi = center - halfwidth, center + halfwidth

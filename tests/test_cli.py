@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,3 +256,19 @@ def test_verify_gaussian_passes(tmp_path, capsys):
     assert all(ln.startswith("PASS") for ln in lines)
     payload = json.loads((tmp_path / "run.verify.json").read_text())
     assert payload["passed"] is True
+
+
+def test_module_entry_point_runs_verify(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "betalab.cli", "verify", "--kind", "gaussian", "-o", str(tmp_path), "--prefix", "mod"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "verify: all checks passed" in proc.stdout
+    assert json.loads((tmp_path / "mod.verify.json").read_text())["passed"] is True

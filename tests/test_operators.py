@@ -140,6 +140,36 @@ def test_cov_form_matches_mode_sum_oracle():
     assert abs(form.pv - want) < 1e-8
 
 
+# rows of one principal-value block on the default 512-node rule
+PV_ROWS = ops._PV_BLOCK // 512
+
+
+@pytest.mark.parametrize("count", [1, PV_ROWS - 1, PV_ROWS, PV_ROWS + 1, 3 * PV_ROWS + 7])
+def test_pv_transform_row_blocks_match_single_block(count):
+    lam = np.random.default_rng(count).uniform(-1.99, 1.99, count)
+    hp = np.polynomial.Polynomial([0.3, -1.0, 0.5, 2.0, -0.7]).deriv()
+    got = ops._pv_transform_numer(hp, lam)
+    want = oracles.pv_transform_numer_single_block(hp, lam)
+    assert got.shape == (count,)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_pv_transform_points_on_the_nodes():
+    # every point sits exactly on a node of the 512-node semicircle rule,
+    # so each row takes the central-difference branch; the points fill
+    # several blocks and part of one more
+    mu, _ = ops.gauss_semicircle(512)
+    lam = np.concatenate([mu, mu[::-1], mu[::7]])
+    assert lam.size > 2 * PV_ROWS and lam.size % PV_ROWS
+    hp = lambda x: -np.sin(x)
+    got = ops._pv_transform_numer(hp, lam)
+    want = oracles.pv_transform_numer_single_block(hp, lam)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # on-node points agree with the transform at points 1e-6 away
+    near = ops._pv_transform_numer(hp, mu[100:110] + 1e-6)
+    assert np.max(np.abs(got[100:110] - near)) < 1e-4
+
+
 # ----------------------------------------------------------------------
 # log kernel
 
@@ -277,6 +307,44 @@ def test_mode_orthonormality(quartic_spectrum):
     assert np.max(np.abs(quartic_spectrum.phi(pts, range(m)) - want)) < 1e-13
     with pytest.raises(UsageError):
         quartic_spectrum.phi(pts, [0, quartic_spectrum.stored])
+
+
+def test_leading_modes_evaluate_their_resolved_length(quartic_spectrum):
+    spec = quartic_spectrum
+    n = spec.grid.n
+    lengths = spec.phi_lengths[:3]
+    assert np.all(lengths < n)  # g=0.1: the three leading modes are chopped
+    lo, hi = spec.grid.interval
+    x = np.concatenate([spec.grid.nodes, np.linspace(lo, hi, 1001)])
+    full = ops.cheb_val(spec.phi_coeffs[:3], x, spec.grid.interval)
+    scale = np.max(np.abs(full))
+    got = spec.phi(x, range(3))
+    # every |T_j| <= 1, so the evaluations differ by at most the dropped
+    # coefficients' sum; each is below 1e-14 of its mode's largest, and
+    # together they stay at rounding level. Where |T_j| = 1 (the window
+    # ends) the dropped terms add up to about 2.5e-14 * max|phi|; inside
+    # the semicircle support they stay within 1e-14 * max|phi|.
+    tails = np.array([np.abs(spec.phi_coeffs[k, lengths[k] :]).sum() for k in range(3)])
+    assert np.all(tails < 1e-13 * scale)
+    assert np.all(np.max(np.abs(got - full), axis=0) <= tails + 1e-15 * scale)
+    inside = np.abs(x) <= 2.0
+    assert np.max(np.abs(got - full)[inside]) <= 1e-14 * scale
+    for k in range(3):
+        assert np.array_equal(spec.phi(x, k), ops.cheb_val(spec.phi_coeffs[k, : lengths[k]], x, spec.grid.interval))
+
+
+def test_unresolved_spectrum_keeps_full_length():
+    # at g=0.8 the 256-node kernel is not resolved (its coefficient tail
+    # is about 5e-7), so no mode reaches the rounding plateau
+    from betalab.equilibrium import solve_equilibrium
+    from betalab.potentials import make_potential
+    from betalab.transport import solve_transport
+
+    tmap = solve_transport(solve_equilibrium(make_potential("even-quartic", g=0.8)))
+    grid = ops.cheb_grid(256, tmap.eq.interval)
+    spec = ops.eigendecompose(ops.kernel_matrix(tmap, grid), grid)
+    assert spec.phi_lengths.shape == (spec.stored,)
+    assert np.all(spec.phi_lengths == 256)
 
 
 @pytest.mark.parametrize("g,nplus,nminus", [

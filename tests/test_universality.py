@@ -250,7 +250,7 @@ def test_pair_log_ratio_matches_per_config_loop(quartic_tmap):
     for count, n in ((50, 8), (7, 60)):
         lam = np.sort(_probe_configs(count, n, seed=n), axis=1)
         zeta = quartic_tmap.value(lam)
-        got = uni._pair_log_ratio(lam, zeta)
+        got = ens._pair_log_sum(zeta, lam)
         want = oracles.pair_log_ratio_loop(lam, zeta)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -312,6 +312,17 @@ def test_linearization_factorized_weight_matches_tensor_grid(quartic_eq, quartic
         quartic_eq, quartic_tmap, quartic_spectrum, 1.0, obs, n=2, modes=3, gh_nodes=6
     )
     assert abs(out.right - want) < 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("gh_nodes", [6, 7])
+def test_gauss_hermite_factors_match_complex_form(gh_nodes):
+    # an odd rule has a node at zero; c2 covers both signs and zero
+    rng = np.random.default_rng(gh_nodes)
+    q = rng.uniform(-3.0, 3.0, (500, 4))
+    c2 = np.array([0.4, -0.35, -0.23, 0.0])
+    got = uni._gauss_hermite_factors(q, c2, gh_nodes)
+    want = oracles.gauss_hermite_factors_complex(q, c2, gh_nodes)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
 
 
 def test_linearization_truncation_control(quartic_eq, quartic_tmap, quartic_spectrum):
