@@ -32,66 +32,41 @@ from .errors import BetalabError, NumericalError, UsageError
 from .potentials import make_potential
 from .transport import OVERLAP_TOL, RESIDUAL_TOL, solve_transport
 
+# The config schema: every section and key with its default, whose type
+# converts the INI text.
 _DEFAULTS = {
-    "potential": {"kind": "even-quartic", "g": "0.1", "coeffs": "", "eps": "0.2"},
-    "equilibrium": {"contour-nodes": "512", "grid-nodes": "256"},
-    "operators": {"kernel-nodes": "256"},
+    "potential": {"kind": "even-quartic", "g": 0.1, "coeffs": "", "eps": 0.2},
+    "equilibrium": {"contour-nodes": 512, "grid-nodes": 256},
+    "operators": {"kernel-nodes": 256},
     "ensemble": {
-        "beta": "2.0",
-        "n": "200",
-        "count": "1000",
-        "seed": "0",
+        "beta": 2.0,
+        "n": 200,
+        "count": 1000,
+        "seed": 0,
         "sampler": "auto",
-        "chains": "64",
+        "chains": 64,
     },
     "clt": {"h": "lambda,lambda2,cos"},
-    "bulk": {"center": "0.0", "halfwidth": "0.1"},
+    "bulk": {"center": 0.0, "halfwidth": 0.1},
     "output": {"dir": ".", "prefix": "run"},
-}
-
-_CONVERT = {
-    ("potential", "kind"): str,
-    ("potential", "g"): float,
-    ("potential", "coeffs"): str,
-    ("potential", "eps"): float,
-    ("equilibrium", "contour-nodes"): int,
-    ("equilibrium", "grid-nodes"): int,
-    ("operators", "kernel-nodes"): int,
-    ("ensemble", "beta"): float,
-    ("ensemble", "n"): int,
-    ("ensemble", "count"): int,
-    ("ensemble", "seed"): int,
-    ("ensemble", "sampler"): str,
-    ("ensemble", "chains"): int,
-    ("clt", "h"): str,
-    ("bulk", "center"): float,
-    ("bulk", "halfwidth"): float,
-    ("output", "dir"): str,
-    ("output", "prefix"): str,
 }
 
 
 def _load_config(path: str | None) -> dict:
-    raw = {sec: dict(keys) for sec, keys in _DEFAULTS.items()}
-    if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise UsageError("invalid-spec", f"config file not found: {path}")
-        for sec in parser.sections():
-            if sec not in raw:
-                raise UsageError("invalid-spec", f"unknown config section [{sec}]")
-            for key, val in parser.items(sec):
-                if key not in raw[sec]:
-                    raise UsageError("invalid-spec", f"unknown config key [{sec}] {key}")
-                raw[sec][key] = val
-    cfg = {}
-    for sec, keys in raw.items():
-        cfg[sec] = {}
-        for key, val in keys.items():
-            conv = _CONVERT[(sec, key)]
+    cfg = {sec: dict(keys) for sec, keys in _DEFAULTS.items()}
+    if path is None:
+        return cfg
+    parser = configparser.ConfigParser()
+    if not parser.read(path):
+        raise UsageError("invalid-spec", f"config file not found: {path}")
+    for sec in parser.sections():
+        if sec not in cfg:
+            raise UsageError("invalid-spec", f"unknown config section [{sec}]")
+        for key, val in parser.items(sec):
+            if key not in cfg[sec]:
+                raise UsageError("invalid-spec", f"unknown config key [{sec}] {key}")
             try:
-                cfg[sec][key] = conv(val)
+                cfg[sec][key] = type(_DEFAULTS[sec][key])(val)
             except ValueError as exc:
                 raise UsageError("invalid-spec", f"bad value for [{sec}] {key}: {val!r}") from exc
     return cfg

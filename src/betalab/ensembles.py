@@ -23,9 +23,7 @@ The Metropolis kernel is site-major: the chains sit as the columns of one
 (n, chains) array, a site move takes one log of a ratio product per chain
 instead of n logs, and V is cached per site and chain. Each chain draws
 its randomness from its own counter-based stream, a chunk of sweeps per
-call. That chunking makes samples for a given seed differ from those of
-versions that drew once per sweep; the law, the proposals and the
-acceptance rules are unchanged.
+call.
 """
 
 from __future__ import annotations
@@ -53,6 +51,8 @@ _BLOCK_ENTRIES = 1 << 15
 # n = 8, 41 ms against 68 ms at n = 32) and needs no scipy; from order 33
 # it is 1.3x slower at n = 39 and its n**3 cost keeps growing.
 _DENSE_MAX_ORDER = 32
+# sample_mcmc refuses a chain whose integrated autocorrelation time exceeds this
+_MAX_IAT = 200.0
 
 
 @dataclass
@@ -353,7 +353,6 @@ def sample_mcmc(
     chains: int | None = None,
     tune_sweeps: int = 120,
     measure_sweeps: int = 120,
-    max_iat: float = 200.0,
 ) -> EnsembleSample:
     """Metropolis sampler of the n-point law of an arbitrary potential.
 
@@ -411,10 +410,10 @@ def sample_mcmc(
     )
     series = np.stack(series)
     iat = _iat(series)
-    if iat > max_iat:
+    if iat > _MAX_IAT:
         raise NumericalError(
             "poor-mixing",
-            f"integrated autocorrelation time {iat:.1f} exceeds {max_iat}; "
+            f"integrated autocorrelation time {iat:.1f} exceeds {_MAX_IAT}; "
             "the chain is not usable at this size",
         )
     thin = int(np.clip(np.ceil(5.0 * iat), 2, 1000))

@@ -25,6 +25,9 @@ from .errors import NumericalError, UsageError
 from .potentials import Potential, make_potential
 from .potentials import _moment_residual
 
+# inverse square-root nodes of the recentering moments
+_RECENTERING_NODES = 256
+
 
 def _sqrt_branch(w):
     """w * sqrt(1 - 4/w^2) with the principal branch, analytic off the cut."""
@@ -302,7 +305,7 @@ def solve_equilibrium(
         return np.real((num / den) @ dw / (2.0j * np.pi))
 
     x_eps = ops.cheb_grid(grid_nodes, interval).nodes
-    p_cheb = ops.chop_coeffs(ops.coeffs_from_values(p_at(x_eps)), 1e-14)
+    p_cheb = ops.chop_coeffs(ops.coeffs_from_values(p_at(x_eps)))
 
     # genericity on the closed support: candidate minima are the endpoints
     # and the real critical points of the (chopped) Chebyshev series
@@ -334,7 +337,7 @@ def solve_equilibrium(
 
     # CDF modes from the support restriction
     p_sigma = ops.cheb_val(p_cheb, ops.cheb_grid(grid_nodes).nodes, interval)
-    sigma_coeffs = ops.chop_coeffs(ops.coeffs_from_values(p_sigma), 1e-14)
+    sigma_coeffs = ops.chop_coeffs(ops.coeffs_from_values(p_sigma))
     cdf_modes = _cdf_modes_from_sigma(sigma_coeffs)
     mass = float(cdf_modes[0] * np.pi)
     if abs(mass - 1.0) > 1e-8:
@@ -399,9 +402,9 @@ class RecenteringCoeffs:
     c2: float
 
 
-def recentering_coeffs(h, h_prime=None, nodes: int = 256) -> RecenteringCoeffs:
+def recentering_coeffs(h, h_prime=None) -> RecenteringCoeffs:
     """Moments of h' against the inverse square-root weight on the support."""
-    x, _ = ops.gauss_inv_sqrt(nodes, ops.SIGMA)
+    x, _ = ops.gauss_inv_sqrt(_RECENTERING_NODES, ops.SIGMA)
     if h_prime is None:
         h_prime = ops._derivative_callable(h, None)
     hp = np.asarray(h_prime(x), dtype=float)

@@ -26,12 +26,22 @@ SIGMA = (-2.0, 2.0)
 _VANDER_BLOCK = 1 << 16
 # entries of one block of principal-value difference quotients (256 KiB of floats)
 _PV_BLOCK = 1 << 15
-# A mode's series is chopped after its last coefficient above _MODE_CHOP_REL
-# of its largest one, if that drops at least _MODE_MIN_DROPPED coefficients
-# (the rounding plateau is reached); otherwise it keeps every coefficient.
-# This is the transport fit's resolution rule.
-_MODE_CHOP_REL = 1e-14
-_MODE_MIN_DROPPED = 8
+# The one chop rule: a series ends after its last coefficient above
+# CHOP_REL of its largest one, and it is resolved (on the rounding plateau)
+# when that drops at least MIN_DROPPED coefficients. The equilibrium
+# series, the transport fit and the kernel modes all use it.
+CHOP_REL = 1e-14
+MIN_DROPPED = 8
+# nodes of the principal-value rule and of the log-kernel transform
+_PV_NODES = 512
+# nodes of the value-space operators on SIGMA and of the pairings there
+_SIGMA_NODES = 256
+# truncation: the eigenvalue tail, and the reconstruction error it bounds
+_TAIL_TOL = 1e-12
+_RECON_TOL = 1e-10
+# the deformation identity's inverse square-root probes and semicircle rule
+_DEFORMATION_PROBES = 192
+_DEFORMATION_NODES = 256
 # pocketfft's pi literal, as a C long double
 _PI_LONG = np.longdouble("3.141592653589793238462643383279502884197")
 
@@ -244,13 +254,13 @@ def cheb_der(coeffs: np.ndarray, interval=SIGMA) -> np.ndarray:
     return out
 
 
-def chop_coeffs(coeffs: np.ndarray, rel: float = 1e-13) -> np.ndarray:
-    """Drop the trailing coefficients below a relative noise floor."""
+def chop_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    """Drop the trailing coefficients at or below ``CHOP_REL`` of the largest."""
     c = np.asarray(coeffs, dtype=float)
     scale = np.max(np.abs(c))
     if scale == 0.0:
         return c[:1].copy()
-    keep = np.nonzero(np.abs(c) > rel * scale)[0]
+    keep = np.nonzero(np.abs(c) > CHOP_REL * scale)[0]
     return c[: keep[-1] + 1].copy() if keep.size else c[:1].copy()
 
 
@@ -306,28 +316,29 @@ def semicircle_cdf(x):
 # the principal-value transform
 
 
-def _derivative_callable(h, h_prime, n: int = 512):
+def _derivative_callable(h, h_prime):
     if h_prime is not None:
         return h_prime
-    d = cheb_der(coeffs_from_values(h(cheb_grid(n).nodes)), SIGMA)
+    d = cheb_der(coeffs_from_values(h(cheb_grid(_PV_NODES).nodes)), SIGMA)
     return lambda x: cheb_val(d, x, SIGMA)
 
 
-def _pv_transform_numer(h_prime, lam: np.ndarray, quad_nodes: int = 512) -> np.ndarray:
+def _pv_transform_numer(h_prime, lam: np.ndarray) -> np.ndarray:
     """The principal-value integral sum w_j h'(mu_j) / (lam - mu_j) against
     the semicircle factor, with the singularity subtracted analytically.
 
     Returns the numerator s(lam) such that the transform equals
-    s(lam) / (pi^2 sqrt(4 - lam^2)). The points go through in row blocks
-    whose difference quotients hold at most ``_PV_BLOCK`` entries, so
-    memory is bounded for any number of points; a point within 1e-9 of a
-    node takes the central-difference limit of its quotient.
+    s(lam) / (pi^2 sqrt(4 - lam^2)). The rule has ``_PV_NODES`` nodes.
+    The points go through in row blocks whose difference quotients hold
+    at most ``_PV_BLOCK`` entries, so memory is bounded for any number of
+    points; a point within 1e-9 of a node takes the central-difference
+    limit of its quotient.
     """
-    mu, w = gauss_semicircle(quad_nodes, SIGMA)
+    mu, w = gauss_semicircle(_PV_NODES, SIGMA)
     hp_mu = np.asarray(h_prime(mu), dtype=float)
     hp_l = np.asarray(h_prime(lam), dtype=float)
     out = np.empty(lam.size)
-    step = max(1, _PV_BLOCK // quad_nodes)
+    step = max(1, _PV_BLOCK // _PV_NODES)
     for s in range(0, lam.size, step):
         lb, hb = lam[s : s + step], hp_l[s : s + step]
         diff = lb[:, None] - mu
@@ -346,7 +357,7 @@ def _pv_transform_numer(h_prime, lam: np.ndarray, quad_nodes: int = 512) -> np.n
     return out + hp_l * np.pi * lam
 
 
-def apply_cov_op(h, lam, h_prime=None, quad_nodes: int = 512):
+def apply_cov_op(h, lam, h_prime=None):
     """Pointwise covariance-form transform of h at interior points.
 
     This is the operator whose symmetrized quadratic form gives the
@@ -354,18 +365,19 @@ def apply_cov_op(h, lam, h_prime=None, quad_nodes: int = 512):
     function through its derivative and is computed here by
     principal-value quadrature with the singularity subtracted, i.e. with
     no reliance on the Chebyshev-diagonal shortcut (the two routes are
-    reconciled in :func:`cov_form`).
+    reconciled in :func:`cov_form`). ``lam`` may have any shape; a scalar
+    gives a float.
     """
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
+    lam_arr = np.asarray(lam, dtype=float)
     if np.any(np.abs(lam_arr) >= 2.0):
         raise UsageError(
             "out-of-domain",
             "transform is defined on the open interval (-2, 2)",
         )
-    hp = _derivative_callable(h, h_prime)
-    s = _pv_transform_numer(hp, lam_arr, quad_nodes)
-    out = s / (np.pi**2 * np.sqrt(4.0 - lam_arr * lam_arr))
-    return out if np.ndim(lam) else float(out[0])
+    flat = lam_arr.ravel()
+    s = _pv_transform_numer(_derivative_callable(h, h_prime), flat)
+    out = s / (np.pi**2 * np.sqrt(4.0 - flat * flat))
+    return out.reshape(lam_arr.shape) if lam_arr.ndim else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -378,43 +390,46 @@ class CovForm:
     kappa: float
 
 
-def _cov_form_pv(h, h_prime, quad_nodes: int = 512) -> float:
-    x, scalar_w = gauss_inv_sqrt(quad_nodes, SIGMA)
-    hp = _derivative_callable(h, h_prime)
-    s = _pv_transform_numer(hp, x, quad_nodes)
-    hv = np.asarray(h(x), dtype=float)
-    # outer rule absorbs the 1/sqrt factor left in the transform
-    return float(scalar_w * np.sum(s * hv) / np.pi**2)
+def _mode_form(c: np.ndarray):
+    """The covariance form kappa^2 sum_k k a_k b_k, kappa^2 = 1/2, on SIGMA.
+
+    ``c`` holds Chebyshev coefficients on SIGMA along axis 0: one
+    function gives a scalar, a column per function gives the matrix of
+    the form over the columns.
+    """
+    k = np.arange(c.shape[0])
+    return 0.5 * (c.T * k) @ c
 
 
-def cov_form(h, h_prime=None, modes: int = 64, quad_nodes: int = 512) -> CovForm:
+def cov_form(h, h_prime=None) -> CovForm:
     """Quadratic form of the symmetrized covariance operator, both routes.
 
     The principal-value route is the ground truth; the Chebyshev route is
     the mode sum kappa^2 * sum_k k h_k^2 with kappa = 1/sqrt(2) in closed
-    form. Their relative discrepancy is reported so callers can assert
-    consistency.
+    form, over the first 65 coefficients. Their relative discrepancy is
+    reported so callers can assert consistency.
     """
-    pv = _cov_form_pv(h, h_prime, quad_nodes)
-    kappa = np.sqrt(0.5)
-    c = cheb_coeffs(h, modes, SIGMA)
-    cheb = kappa * kappa * float(np.arange(c.size) @ (c * c))
+    x, scalar_w = gauss_inv_sqrt(_PV_NODES, SIGMA)
+    s = _pv_transform_numer(_derivative_callable(h, h_prime), x)
+    # the outer rule absorbs the 1/sqrt factor left in the transform
+    pv = float(scalar_w * np.sum(s * np.asarray(h(x), dtype=float)) / np.pi**2)
+    cheb = float(_mode_form(cheb_coeffs(h, 64, SIGMA)))
     rel = abs(pv - cheb) / max(abs(pv), 1e-300)
-    return CovForm(pv=pv, cheb=cheb, rel_discrepancy=rel, kappa=kappa)
+    return CovForm(pv=pv, cheb=cheb, rel_discrepancy=rel, kappa=np.sqrt(0.5))
 
 
 # ----------------------------------------------------------------------
 # the log kernel
 
 
-def log_kernel_apply(f, n: int = 512):
+def log_kernel_apply(f):
     """Return a callable for the integral of log|x - mu| f(mu) over SIGMA.
 
     Works through the mode expansion of f against the inverse square-root
     weight; the constant mode contributes nothing because the reference
     interval has logarithmic capacity one.
     """
-    x = cheb_grid(n).nodes
+    x = cheb_grid(_PV_NODES).nodes
     c = coeffs_from_values(np.asarray(f(x), dtype=float) * np.sqrt(4.0 - x * x))
     d = np.zeros_like(c)
     d[1:] = -np.pi * c[1:] / np.arange(1, c.size)
@@ -432,17 +447,17 @@ def log_kernel_apply(f, n: int = 512):
 # discrete value-space realizations on SIGMA
 
 
-@functools.lru_cache(maxsize=4)
-def _sigma_ops(n: int = 256):
-    """Value-space matrices on the n-point first-kind grid over SIGMA.
+@functools.cache
+def _sigma_ops():
+    """Value-space matrices on the ``_SIGMA_NODES``-point first-kind grid over SIGMA.
 
-    Returns nodes, plain quadrature weights, the covariance transform D,
-    its quadrature adjoint, the symmetrized Dbar, and the log kernel L.
-    The transform matrices act on vectors of function values at the
-    nodes; D and L use the diagonal mode action, the adjoint is the
-    weighted transpose, so structural identities (adjointness, the
-    rank-one inversion identity) hold to rounding.
+    Returns nodes, plain quadrature weights, the covariance transform D
+    and the log kernel L. Both act on vectors of function values at the
+    nodes through the diagonal mode action. D is self-adjoint for the
+    quadrature weights: by discrete orthogonality (u, Dv) is the mode
+    sum of :func:`_mode_form`, symmetric in u and v.
     """
+    n = _SIGMA_NODES
     x = cheb_grid(n).nodes
     sq = np.sqrt(4.0 - x * x)
     wq = (np.pi / n) * sq
@@ -450,37 +465,35 @@ def _sigma_ops(n: int = 256):
     ct = coeffs_from_values(np.eye(n))  # values -> coefficients
     vander = 0.5 * n * ct.T  # (i, k) -> T_k at node i, by discrete orthogonality
     dmat = (vander * (k / np.pi)[None, :] / sq[:, None]) @ ct
-    dstar = (dmat.T * wq[None, :]) / wq[:, None]
-    dbar = 0.5 * (dmat + dstar)
     lfac = np.zeros(n)
     lfac[1:] = -np.pi / k[1:]
     lmat = (vander * lfac[None, :]) @ ct * sq[None, :]
-    return x, wq, dmat, dstar, dbar, lmat
+    return x, wq, dmat, lmat
 
 
-def rank_one_identity_residual(v, n: int = 256) -> float:
-    """Residual of the inversion identity tying L to the symmetrized D.
+def rank_one_identity_residual(v) -> float:
+    """Residual of the inversion identity tying L to D.
 
-    Applying the log kernel after the symmetrized covariance transform
-    reproduces -v up to a rank-one term proportional to the mean of v
-    against the inverse square-root weight. Returns the max deviation
-    over the interior grid.
+    Applying the log kernel after the covariance transform reproduces -v
+    up to a rank-one term proportional to the mean of v against the
+    inverse square-root weight. Returns the max deviation over the
+    interior grid.
     """
-    x, wq, _, _, dbar, lmat = _sigma_ops(n)
+    x, _, dmat, lmat = _sigma_ops()
     vals = np.asarray(v(x), dtype=float)
-    lhs = lmat @ (dbar @ vals)
-    mean_term = np.sum(vals) / n  # (1/pi) * inv-sqrt inner product
+    lhs = lmat @ (dmat @ vals)
+    mean_term = np.sum(vals) / x.size  # (1/pi) * inv-sqrt inner product
     rhs = -vals + mean_term
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def adjointness_residual(u, v, n: int = 256) -> float:
-    """|(Du, v) - (u, D* v)| on the discrete grid (sanity diagnostic)."""
-    x, wq, dmat, dstar, _, _ = _sigma_ops(n)
+def adjointness_residual(u, v) -> float:
+    """|(Du, v) - (u, Dv)| on the discrete grid: D is self-adjoint."""
+    x, wq, dmat, _ = _sigma_ops()
     uv = np.asarray(u(x), dtype=float)
     vv = np.asarray(v(x), dtype=float)
     a = float(np.sum(wq * (dmat @ uv) * vv))
-    b = float(np.sum(wq * uv * (dstar @ vv)))
+    b = float(np.sum(wq * uv * (dmat @ vv)))
     return abs(a - b)
 
 
@@ -541,7 +554,7 @@ class KernelSpectrum:
 
     ``eigenvalues`` are ordered by decreasing magnitude with signs kept.
     ``truncation`` is the number of modes needed to push the absolute
-    eigenvalue tail below the requested tolerance. Mode functions are
+    eigenvalue tail below ``_TAIL_TOL``. Mode functions are
     available on the whole grid interval through :meth:`phi`, which
     evaluates the Chebyshev extension of the grid eigenvectors; they are
     orthonormal for the grid weights. ``phi_lengths`` holds each mode's
@@ -554,7 +567,6 @@ class KernelSpectrum:
     truncation: int
     decay_rate: float
     tail: float
-    phi_nodes: np.ndarray = field(repr=False)
     phi_coeffs: np.ndarray = field(repr=False)
     semicircle_proj: np.ndarray = field(repr=False)
     phi_lengths: np.ndarray = field(repr=False)
@@ -576,20 +588,19 @@ class KernelSpectrum:
         return cheb_val(self.phi_coeffs[:, :cols][idx], x_arr, self.grid.interval)
 
 
-def eigendecompose(
-    kmat: np.ndarray,
-    grid: ChebGrid,
-    tail_tol: float = 1e-12,
-    recon_tol: float = 1e-10,
-) -> KernelSpectrum:
+def eigendecompose(kmat: np.ndarray, grid: ChebGrid) -> KernelSpectrum:
     """Weighted symmetric eigendecomposition of a kernel matrix.
 
     The kernel is symmetrized against the square roots of the grid
     weights so the discrete problem is self-adjoint; eigenvectors are
     rescaled back to function values. The truncation point is the
     smallest mode count whose absolute eigenvalue tail is below
-    ``tail_tol``, grown if the weighted reconstruction of the kernel at
-    that rank misses ``recon_tol``.
+    ``_TAIL_TOL``, and below ``_RECON_TOL`` once the share of the
+    eigenvalues zeroed as rounding is added. The two bound the weighted
+    reconstruction error max|A - A_m| of the kernel at rank m: the tail
+    because orthonormal eigenvectors have entries of modulus at most one,
+    the share max_i sum |eta_k| psi_k(i)^2 over the zeroed modes by
+    Cauchy-Schwarz.
     """
     n = grid.n
     s = np.sqrt(grid.weights)
@@ -607,20 +618,18 @@ def eigendecompose(
     # dominated by genuine modes, not accumulated rounding
     abs_eta = np.abs(eta)
     floor = n * np.finfo(float).eps * (abs_eta[0] if abs_eta[0] > 0 else 1.0)
-    eta = np.where(abs_eta < floor, 0.0, eta)
+    rounding = abs_eta < floor
+    zeroed = np.where(rounding, abs_eta, 0.0)
+    zeroed_share = float(np.max(np.einsum("ik,ik,k->i", psi, psi, zeroed)))
+    eta = np.where(rounding, 0.0, eta)
     abs_eta = np.abs(eta)
     total = float(abs_eta.sum())
     tails = total - np.cumsum(abs_eta)  # tails[m-1] = sum_{k >= m} |eta_k|
-    if total <= tail_tol:
+    if total <= _TAIL_TOL:
         m = 0
     else:
-        m = int(np.searchsorted(-tails, -tail_tol) + 1)
-        m = min(m, n)
-    while m < n:
-        recon = (psi[:, :m] * eta[:m]) @ psi[:, :m].T
-        if np.max(np.abs(a - recon)) <= recon_tol:
-            break
-        m += 1
+        limit = min(_TAIL_TOL, _RECON_TOL - zeroed_share)
+        m = min(int(np.searchsorted(-tails, -limit) + 1), n)
 
     # fit the decay over modes within ten decades of the top one; deeper
     # modes sit on the numerical plateau and would flatten the fit
@@ -634,13 +643,12 @@ def eigendecompose(
         decay = float("inf")
 
     stored = min(max(m, 12), n)
-    phi_nodes = psi[:, :stored] / s[:, None]
-    coeffs = coeffs_from_values(phi_nodes).T
+    coeffs = coeffs_from_values(psi[:, :stored] / s[:, None]).T
     mag = np.abs(coeffs)
-    above = mag > _MODE_CHOP_REL * mag.max(axis=1, keepdims=True)
+    above = mag > CHOP_REL * mag.max(axis=1, keepdims=True)
     lengths = n - np.argmax(above[:, ::-1], axis=1)
-    lengths[n - lengths < _MODE_MIN_DROPPED] = n
-    xs, ws = gauss_semicircle(256, SIGMA)
+    lengths[n - lengths < MIN_DROPPED] = n
+    xs, ws = gauss_semicircle(n, SIGMA)
     proj = ws @ cheb_val(coeffs, xs, grid.interval) / (2.0 * np.pi)
 
     tail_val = float(tails[m - 1]) if m >= 1 else total
@@ -650,7 +658,6 @@ def eigendecompose(
         truncation=m,
         decay_rate=decay,
         tail=tail_val,
-        phi_nodes=phi_nodes,
         phi_coeffs=coeffs,
         semicircle_proj=proj,
         phi_lengths=lengths,
@@ -679,18 +686,22 @@ class ContractionMatrices:
         return self.norm_plus < 1.0 and self.norm_minus < 1.0
 
 
-def contraction_matrices(spectrum: KernelSpectrum, n_sigma: int = 256) -> ContractionMatrices:
-    """Assemble the sign-split contraction blocks for the leading modes."""
+def contraction_matrices(spectrum: KernelSpectrum) -> ContractionMatrices:
+    """Assemble the sign-split contraction blocks for the leading modes.
+
+    The covariance form of two modes is the mode sum of
+    :func:`_mode_form` over their Chebyshev coefficients on SIGMA, taken
+    from the modes' values at ``spectrum.grid.n`` first-kind nodes.
+    """
     m = spectrum.truncation
-    x, wq, _, _, dbar, _ = _sigma_ops(n_sigma)
     eta = spectrum.eigenvalues[:m]
     if m == 0:
         z = np.zeros((0, 0))
         e = np.zeros(0, dtype=int)
         return ContractionMatrices(z, z, 0.0, 0.0, e, e)
-    vals = spectrum.phi(x, range(m))
-    form = vals.T @ (wq[:, None] * (dbar @ vals))
-    form = 0.5 * (form + form.T)
+    x = cheb_grid(spectrum.grid.n).nodes
+    form = _mode_form(coeffs_from_values(spectrum.phi(x, range(m))))
+    form = 0.5 * (form + form.T)  # the product rounds (i, j) and (j, i) apart
     scale = np.sqrt(np.abs(eta))
     full = scale[:, None] * form * scale[None, :]
     ip = np.nonzero(eta > 0)[0]
@@ -706,7 +717,7 @@ def contraction_matrices(spectrum: KernelSpectrum, n_sigma: int = 256) -> Contra
 # pairings against equilibrium data
 
 
-def mean_shift_pairing(h, eq, beta: float, n: int = 256) -> float:
+def mean_shift_pairing(h, eq, beta: float) -> float:
     """Pairing of a test function with the order-one correction measure.
 
     Multiplied by 2/beta this is the predicted mean of the recentred
@@ -717,7 +728,8 @@ def mean_shift_pairing(h, eq, beta: float, n: int = 256) -> float:
     """
     if beta <= 0:
         raise UsageError("invalid-spec", f"beta must be positive, got {beta}")
-    x, _, _, _, _, _ = _sigma_ops(n)
+    n = _SIGMA_NODES
+    x = cheb_grid(n).nodes
     hv = np.asarray(h(x), dtype=float)
     edge_vals = np.asarray(h(np.array([-2.0, 2.0])), dtype=float)
     t_edge = 0.25 * float(edge_vals.sum())
@@ -735,7 +747,7 @@ class DeformationResidual:
     constant: float
 
 
-def deformation_residual(eq, tmap, probes: int = 192, quad_nodes: int = 256) -> DeformationResidual:
+def deformation_residual(eq, tmap) -> DeformationResidual:
     """Flatness of the transported variational combination.
 
     Pushing the reference semicircle through the transport map must
@@ -746,8 +758,8 @@ def deformation_residual(eq, tmap, probes: int = 192, quad_nodes: int = 256) -> 
     Robin constant offset between target and reference; the residual is
     the max deviation from it.
     """
-    lam, _ = gauss_inv_sqrt(probes, SIGMA)
-    mu, w = gauss_semicircle(quad_nodes, SIGMA)
+    lam, _ = gauss_inv_sqrt(_DEFORMATION_PROBES, SIGMA)
+    mu, w = gauss_semicircle(_DEFORMATION_NODES, SIGMA)
     z = np.asarray(tmap.value(np.concatenate((lam, mu))), dtype=float)
     z_lam, z_mu = z[: lam.size], z[lam.size :]
     kern = _log_ratio(tmap, lam[:, None], mu[None, :], z_lam[:, None], z_mu[None, :])

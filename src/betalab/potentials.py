@@ -18,6 +18,13 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import NumericalError, UsageError
 
+# first-kind nodes of the two endpoint moment conditions
+_MOMENT_NODES = 256
+# the endpoint Newton converges below this moment residual, and gives up
+# after this many steps
+_ENDPOINT_TOL = 1e-12
+_ENDPOINT_MAX_ITER = 80
+
 
 @dataclass(frozen=True)
 class AffineChange:
@@ -173,10 +180,10 @@ def make_potential(kind: str, eps: float = 0.2, **params) -> Potential:
     )
 
 
-def _moment_residual(pot: Potential, a: float, b: float, nodes: int = 256):
+def _moment_residual(pot: Potential, a: float, b: float):
     """The two endpoint conditions: zero odd moment, unit even moment."""
-    j = np.arange(nodes)
-    theta = (2.0 * j + 1.0) * np.pi / (2.0 * nodes)
+    j = np.arange(_MOMENT_NODES)
+    theta = (2.0 * j + 1.0) * np.pi / (2.0 * _MOMENT_NODES)
     x = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)
     dvx = np.asarray(pot.dv(x), dtype=float)
     r1 = float(np.mean(dvx)) * np.pi
@@ -184,29 +191,24 @@ def _moment_residual(pot: Potential, a: float, b: float, nodes: int = 256):
     return np.array([r1, r2])
 
 
-def support_endpoints(
-    pot: Potential,
-    guess=(-2.0, 2.0),
-    nodes: int = 256,
-    tol: float = 1e-12,
-    max_iter: int = 80,
-):
+def support_endpoints(pot: Potential, guess=(-2.0, 2.0)):
     """Solve the two moment conditions for the single support interval.
 
-    Damped Newton with a finite-difference Jacobian. Convergence is
-    quadratic from any reasonable guess for genuinely one-interval data;
-    a stall usually means the one-interval ansatz is wrong for this
-    potential (e.g. a deep double well).
+    Damped Newton with a finite-difference Jacobian, run until the moment
+    residual is below ``_ENDPOINT_TOL``. Convergence is quadratic from any
+    reasonable guess for genuinely one-interval data; a stall usually
+    means the one-interval ansatz is wrong for this potential (e.g. a
+    deep double well).
     """
     a, b = float(guess[0]), float(guess[1])
-    r = _moment_residual(pot, a, b, nodes)
-    for _ in range(max_iter):
+    r = _moment_residual(pot, a, b)
+    for _ in range(_ENDPOINT_MAX_ITER):
         nr = float(np.max(np.abs(r)))
-        if nr < tol:
+        if nr < _ENDPOINT_TOL:
             return a, b
         h = 1e-7 * max(b - a, 1.0)
-        ja = (_moment_residual(pot, a + h, b, nodes) - r) / h
-        jb = (_moment_residual(pot, a, b + h, nodes) - r) / h
+        ja = (_moment_residual(pot, a + h, b) - r) / h
+        jb = (_moment_residual(pot, a, b + h) - r) / h
         jac = np.column_stack([ja, jb])
         try:
             step = np.linalg.solve(jac, -r)
@@ -218,7 +220,7 @@ def support_endpoints(
         for _ in range(40):
             a_new, b_new = a + damp * step[0], b + damp * step[1]
             if b_new - a_new > 1e-6:
-                r_new = _moment_residual(pot, a_new, b_new, nodes)
+                r_new = _moment_residual(pot, a_new, b_new)
                 if np.max(np.abs(r_new)) < nr * (1.0 - 1e-4 * damp) + 1e-15:
                     a, b, r = a_new, b_new, r_new
                     break

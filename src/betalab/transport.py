@@ -24,11 +24,11 @@ from . import operators as ops
 from .equilibrium import SEMICIRCLE_MODES, EquilibriumData, _newton_decreasing
 from .errors import NumericalError, UsageError
 
-# Resolution: node counts double from the first to the last until chopping
-# at _CHOP_REL drops at least _MIN_DROPPED trailing coefficients.
+# Resolution: node counts double from the first to the last until the
+# chop (ops.chop_coeffs) drops at least _MIN_DROPPED trailing coefficients,
+# the plateau rule shared with the kernel modes.
 _FIT_NODES = (64, 4096)
-_CHOP_REL = 1e-14
-_MIN_DROPPED = 8
+_MIN_DROPPED = ops.MIN_DROPPED
 # certificate tolerances, the same as in `betalab verify`
 RESIDUAL_TOL = 1e-7
 OVERLAP_TOL = 1e-8
@@ -198,7 +198,7 @@ def _fit(eq: EquilibriumData) -> tuple:
     while n <= n_max:
         t = ops.cheb_grid(n, eq.interval).nodes
         coeffs = ops.coeffs_from_values(_pointwise(eq, t))
-        kept = ops.chop_coeffs(coeffs, _CHOP_REL)
+        kept = ops.chop_coeffs(coeffs)
         if coeffs.size - kept.size >= _MIN_DROPPED:
             return kept, n
         n *= 2

@@ -24,6 +24,9 @@ from .ensembles import (
 )
 from .errors import NumericalError, UsageError
 
+# Gauss-Legendre nodes per level of the linearization check's ordered grid
+_LINEARIZATION_GL_NODES = 96
+
 
 # ----------------------------------------------------------------------
 # central limit theorem reports
@@ -409,8 +412,6 @@ def linearization_check(
     n: int = 2,
     modes: int = 3,
     gh_nodes: int = 24,
-    gl_nodes: int = 96,
-    box=None,
     jacobian_weight: bool = True,
 ) -> LinearizationResult:
     """Deterministic two-route expectation of a symmetric observable.
@@ -424,12 +425,10 @@ def linearization_check(
     Agreement validates the entire decomposition chain end to end at
     small n, with no sampling noise involved.
     """
-    if box is None:
-        eps = eq.eps
-        box = (-(2.0 + 0.5 * eps), 2.0 + 0.5 * eps)
+    box = (-(2.0 + 0.5 * eq.eps), 2.0 + 0.5 * eq.eps)
     modes = int(min(modes, len(spectrum.eigenvalues)))
 
-    configs, logw = map(np.concatenate, zip(*_ordered_chunks(int(n), box, gl_nodes)))
+    configs, logw = map(np.concatenate, zip(*_ordered_chunks(int(n), box, _LINEARIZATION_GL_NODES)))
     obs = np.asarray(observable(configs), dtype=float)
     # configurations share their Gauss-Legendre coordinates: evaluate the
     # map and the modes once per distinct coordinate

@@ -7,7 +7,7 @@ simple on purpose.
 """
 
 import numpy as np
-from scipy import integrate, linalg, optimize, special
+from scipy import fft, integrate, linalg, optimize, special
 
 
 def density_value_oracle(dv, z, nodes: int = 4000) -> float:
@@ -470,3 +470,67 @@ class PerturbedMap:
     def derivative(self, lam):
         lam = np.asarray(lam, dtype=float)
         return self.base.derivative(lam) + self.amplitude * 0.5 * np.pi * np.cos(0.5 * np.pi * lam)
+
+
+def contraction_blocks_dense(spectrum, n=256):
+    """Sign-split contraction blocks from dense value-space operators on SIGMA.
+
+    On the n-point first-kind grid, D = V diag(k / pi) C / sqrt(4 - x^2)
+    (C values to Chebyshev coefficients by the DCT-II, V the cosine
+    matrix T_k at the nodes), D* = W^-1 D^T W its transpose for the
+    weights W = (pi / n) sqrt(4 - x^2), and the form of two modes is
+    phi_i^T W (D + D*)/2 phi_j, symmetrized. Returns the blocks of the
+    positive and negative eigenvalues, scaled by sqrt|eta|, and their
+    spectral norms.
+    """
+    m = spectrum.truncation
+    eta = spectrum.eigenvalues[:m]
+    theta = ((2.0 * np.arange(n) + 1.0) * np.pi / (2.0 * n))[::-1]
+    x = 2.0 * np.cos(theta)
+    sq = np.sqrt(4.0 - x * x)
+    wq = (np.pi / n) * sq
+    k = np.arange(n)
+    ct = fft.dct(np.eye(n)[::-1], type=2, axis=0) / n
+    vander = np.cos(np.outer(theta, k))
+    dmat = (vander * (k / np.pi)[None, :] / sq[:, None]) @ ct
+    dstar = (dmat.T * wq[None, :]) / wq[:, None]
+    dbar = 0.5 * (dmat + dstar)
+    vals = spectrum.phi(x, range(m))
+    form = vals.T @ (wq[:, None] * (dbar @ vals))
+    form = 0.5 * (form + form.T)
+    scale = np.sqrt(np.abs(eta))
+    full = scale[:, None] * form * scale[None, :]
+    ip, im = np.nonzero(eta > 0)[0], np.nonzero(eta < 0)[0]
+    plus, minus = full[np.ix_(ip, ip)], full[np.ix_(im, im)]
+    norm = lambda b: float(np.max(np.abs(linalg.eigvalsh(b)))) if b.size else 0.0
+    return plus, minus, norm(plus), norm(minus)
+
+
+def truncation_by_reconstruction(kmat, grid, tail_tol=1e-12, recon_tol=1e-10):
+    """Kernel truncation by growing the rank until the reconstruction holds.
+
+    Start at the smallest rank whose absolute eigenvalue tail (eigenvalues
+    below n eps |eta_0| zeroed) is at most tail_tol, then add one mode at
+    a time until the weighted kernel A = S K S, S = diag(sqrt(weights)),
+    is rebuilt from the kept modes to within recon_tol everywhere.
+    """
+    n = grid.n
+    s = np.sqrt(grid.weights)
+    a = s[:, None] * kmat * s[None, :]
+    a = 0.5 * (a + a.T)
+    eta, psi = np.linalg.eigh(a)
+    order = np.argsort(-np.abs(eta))
+    eta, psi = eta[order], psi[:, order]
+    abs_eta = np.abs(eta)
+    floor = n * np.finfo(float).eps * (abs_eta[0] if abs_eta[0] > 0 else 1.0)
+    eta = np.where(abs_eta < floor, 0.0, eta)
+    abs_eta = np.abs(eta)
+    total = float(abs_eta.sum())
+    tails = total - np.cumsum(abs_eta)
+    m = 0 if total <= tail_tol else min(int(np.searchsorted(-tails, -tail_tol) + 1), n)
+    while m < n:
+        recon = (psi[:, :m] * eta[:m]) @ psi[:, :m].T
+        if np.max(np.abs(a - recon)) <= recon_tol:
+            break
+        m += 1
+    return m

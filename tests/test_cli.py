@@ -188,6 +188,23 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_text_takes_the_default_type(tmp_path, capsys):
+    cfg = tmp_path / "typed.ini"
+    cfg.write_text("[potential]\ng = 0.3\n\n[ensemble]\nn = 12\nsampler = mcmc\n")
+    loaded = cli._load_config(str(cfg))
+    assert loaded["potential"]["g"] == 0.3 and loaded["ensemble"]["n"] == 12
+    assert loaded["ensemble"]["sampler"] == "mcmc"
+    for sec, keys in cli._load_config(None).items():
+        for key, val in keys.items():
+            assert type(loaded[sec][key]) is type(val), (sec, key)
+    cfg.write_text("[ensemble]\nn = 1.5\n")
+    code, _, err = run_cli(["sample", "--config", str(cfg)], capsys)
+    assert code == 2
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "invalid-spec"
+    assert "[ensemble] n" in record["message"]
+
+
 def test_invalid_beta_exits_two(tmp_path, capsys):
     code, _, err = run_cli(
         ["sample", "--kind", "gaussian", "--beta", "-1", "--n", "8", "--count", "4",

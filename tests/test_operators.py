@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy import fft
@@ -103,6 +105,12 @@ def test_cheb_val_matches_chebval_across_blocks():
     assert np.array_equal(ops._cheb_vander(u, 30), np.polynomial.chebyshev.chebvander(u, 30))
 
 
+def test_chop_keeps_through_last_coefficient_above_threshold():
+    c = np.array([1.0, -0.5, 3e-14, -1e-14, 5e-15, 0.0])
+    assert np.array_equal(ops.chop_coeffs(c), c[:3])
+    assert np.array_equal(ops.chop_coeffs(np.zeros(4)), np.zeros(1))
+
+
 # ----------------------------------------------------------------------
 # covariance operator
 
@@ -113,6 +121,19 @@ def test_apply_cov_op_first_mode():
     got = ops.apply_cov_op(lambda t: np.asarray(t, dtype=float), xs)
     want = xs / (np.pi * np.sqrt(4.0 - xs * xs))
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_apply_cov_op_is_pointwise_for_any_shape():
+    lam = np.random.default_rng(4).uniform(-1.9, 1.9, (3, 5))
+    got = ops.apply_cov_op(np.cos, lam)
+    flat = ops.apply_cov_op(np.cos, lam.ravel())
+    assert got.shape == (3, 5)
+    assert np.array_equal(got, flat.reshape(3, 5))
+    one = ops.apply_cov_op(np.cos, lam[1, 2])
+    assert type(one) is float and abs(one - got[1, 2]) <= 1e-13 * abs(got[1, 2])
+    with pytest.raises(UsageError) as err:
+        ops.apply_cov_op(np.cos, np.array([[0.1, 0.2], [-2.0, 0.3]]))
+    assert err.value.code == "out-of-domain"
 
 
 def test_cov_form_anchor_values():
@@ -199,6 +220,13 @@ def test_rank_one_inversion_identity():
 
 def test_adjointness_on_grid():
     assert ops.adjointness_residual(np.cos, lambda x: np.asarray(x, dtype=float) ** 2) < 1e-8
+
+
+def test_covariance_transform_is_self_adjoint():
+    # the weighted transpose W^-1 D^T W of D is D itself, by discrete orthogonality
+    _, wq, dmat, _ = ops._sigma_ops()
+    dstar = (dmat.T * wq[None, :]) / wq[:, None]
+    assert np.max(np.abs(dmat - dstar)) <= 1e-12 * np.max(np.abs(dmat))
 
 
 # ----------------------------------------------------------------------
@@ -367,6 +395,52 @@ def test_contraction_norms(g, nplus, nminus):
     assert max(cm.norm_plus, cm.norm_minus) < 1.0 - 1e-3
     assert abs(cm.norm_plus - nplus) < 1e-4
     assert abs(cm.norm_minus - nminus) < 1e-4
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_data(kind, g=None, nodes=256):
+    """Kernel matrix, grid and spectrum on the ``nodes``-point grid; the
+    polynomial is the benchmark sweep's, normalized onto SIGMA."""
+    from betalab.equilibrium import solve_equilibrium
+    from betalab.potentials import make_potential, normalize_support, support_endpoints
+    from betalab.transport import solve_transport
+
+    if kind == "polynomial":
+        pot = make_potential(kind, coeffs=[0.0, 0.05, 0.55, 0.01, 0.02])
+        pot, _ = normalize_support(pot, support_endpoints(pot))
+    else:
+        pot = make_potential(kind, **({} if g is None else {"g": g}))
+    tmap = solve_transport(solve_equilibrium(pot))
+    grid = ops.cheb_grid(nodes, tmap.eq.interval)
+    kmat = ops.kernel_matrix(tmap, grid)
+    return kmat, grid, ops.eigendecompose(kmat, grid)
+
+
+@pytest.mark.parametrize("g", [0.1, 0.5, 0.8])
+def test_contraction_mode_sum_matches_dense_form(g):
+    spec = _kernel_data("even-quartic", g)[2]
+    cm = ops.contraction_matrices(spec)
+    plus, minus, nplus, nminus = oracles.contraction_blocks_dense(spec)
+    for got, want in ((cm.plus, plus), (cm.minus, minus)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert abs(cm.norm_plus - nplus) <= 1e-14 * nplus
+    assert abs(cm.norm_minus - nminus) <= 1e-14 * nminus
+
+
+@pytest.mark.parametrize("kind,g,nodes", [
+    ("gaussian", None, 256),
+    ("even-quartic", 0.1, 256),
+    ("even-quartic", 0.5, 256),
+    ("even-quartic", 0.8, 256),
+    ("polynomial", None, 256),
+    # the eigenvalues zeroed as rounding sum to 1.5e-10 here, above the 1e-10
+    # reconstruction tolerance; their entrywise share is 3.6e-13
+    ("even-quartic", 0.9, 1024),
+])
+def test_truncation_bound_matches_reconstruction_loop(kind, g, nodes):
+    kmat, grid, spec = _kernel_data(kind, g, nodes)
+    assert spec.truncation == oracles.truncation_by_reconstruction(kmat, grid)
 
 
 # ----------------------------------------------------------------------
