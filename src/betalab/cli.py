@@ -428,9 +428,7 @@ def cmd_verify(cfg: dict) -> int:
     cfgs = ens.sample_gaussian(8, 2.0, 50, seed=5, window=(-2.05, 2.05)).configs
     hid = uni.hamiltonian_identity_residual(eq, tmap, spec, beta, cfgs)
     check("energy-identity", hid.residual, 1e-6)
-    lin = uni.linearization_check(
-        eq, tmap, spec, beta, lambda c: (c * c).sum(axis=1), n=2, modes=3
-    )
+    lin = uni.linearization_check(eq, tmap, spec, beta, lambda c: (c * c).sum(axis=1), n=2)
     check("linearization", lin.rel_discrepancy, 1e-3)
 
     payload = {

@@ -13,7 +13,6 @@ scheme cheap and exact to near machine precision for analytic data.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,8 @@ _PV_BLOCK = 1 << 15
 # The one chop rule: a series ends after its last coefficient above
 # CHOP_REL of its largest one, and it is resolved (on the rounding plateau)
 # when that drops at least MIN_DROPPED coefficients. The equilibrium
-# series, the transport fit and the kernel modes all use it.
+# series, the transport fit and the kernel modes all use it; the transport
+# fit only to pick its grid, and the kernel modes with a guard band.
 CHOP_REL = 1e-14
 MIN_DROPPED = 8
 # nodes of the principal-value rule and of the log-kernel transform
@@ -42,8 +42,6 @@ _RECON_TOL = 1e-10
 # the deformation identity's inverse square-root probes and semicircle rule
 _DEFORMATION_PROBES = 192
 _DEFORMATION_NODES = 256
-# pocketfft's pi literal, as a C long double
-_PI_LONG = np.longdouble("3.141592653589793238462643383279502884197")
 
 
 # ----------------------------------------------------------------------
@@ -97,95 +95,26 @@ def coeffs_from_values(vals: np.ndarray) -> np.ndarray:
     n-1 by discrete orthogonality. Works along axis 0, so a 2-D array
     transforms one function per column.
 
-    The DCT-II is :func:`_dct2`, which reproduces pocketfft's rounding
-    bit for bit: the transport fit chops its series at a relative
-    threshold that some coefficients sit close to, so the coefficients
-    must not move with the FFT library's order of operations.
+    The DCT-II is Makhoul's: the samples in DCT order (increasing nodes
+    reversed) are reordered evens first, odds reversed, and c[k] is
+    (2/n) Re(exp(-i pi k / (2n)) V[k]) for the n-point FFT V of the
+    reordered samples. V is conjugate-symmetric, so the real FFT's half
+    covers every k: c[n-k] is -(2/n) Im of the same product. Its peak
+    memory is below that of the FFT of the 2n-point even extension.
     """
     vals = np.asarray(vals, dtype=float)
-    # increasing nodes are the DCT-II angles in reverse order
-    return _dct2(vals[::-1]) / vals.shape[0]
-
-
-def _dct2(x: np.ndarray) -> np.ndarray:
-    """Unnormalized DCT-II along axis 0, y[k] = 2 sum_j x[j] cos(pi k (2j + 1) / (2n)).
-
-    Follows pocketfft's own route (``scipy.fft.dct(x, type=2, axis=0)``)
-    step by step, so the result is bitwise equal to it: pre-butterflies,
-    a real inverse FFT of the result read as FFTPACK half-complex data
-    (numpy's FFT is the same pocketfft), and a post-twiddle with
-    pocketfft's twiddle values.
-
-    The bit-identity rests on numpy's internal FFT kernel (its pocketfft
-    factorization and twiddle rounding, compiled without FMA contraction).
-    It is verified only for the numpy/scipy pair the tests run against,
-    on x86-64, by ``test_coeffs_from_values_bitwise_equal_to_scipy_dct``;
-    a numpy release that changes its FFT kernel could move coefficients
-    at the ulp level, and that test is the place it would show.
-    """
-    n = x.shape[0]
-    if n == 1:
-        return 2.0 * x
-    # pocketfft's pre-pass: double x[0] (and x[n-1] for even n), then
-    # (x[k], x[k+1]) <- (x[k] + x[k+1], x[k+1] - x[k]) for odd k < n - 1;
-    # the result, read as r0, r1, i1, r2, i2, ..., goes to the inverse FFT
-    m = (n - 1) // 2
-    z = np.zeros((n // 2 + 1,) + x.shape[1:], dtype=complex)
-    z.real[0] = 2.0 * x[0]
-    odd, even = x[1 : 2 * m : 2], x[2 : 2 * m + 1 : 2]
-    np.add(odd, even, out=z.real[1 : m + 1])
-    np.subtract(even, odd, out=z.imag[1 : m + 1])
-    if n % 2 == 0:
-        z.real[n // 2] = 2.0 * x[n - 1]
-    y = np.fft.irfft(z, n=n, axis=0, norm="forward")
-    # post-twiddle over k = 1 .. h - 1 and its mirror n - k
-    t = _dct_twiddle(n).reshape((n,) + (1,) * (y.ndim - 1))
-    h = (n + 1) // 2
-    tk, tkc = t[: h - 1], t[n - 2 : n - h - 1 : -1]
-    yk, ykc = y[1:h], y[n - 1 : n - h : -1]
-    t1 = tk * ykc
-    t1 += tkc * yk
-    t2 = tk * yk
-    t2 -= tkc * ykc
-    np.add(t1, t2, out=yk)
-    yk *= 0.5
-    np.subtract(t1, t2, out=ykc)
-    ykc *= 0.5
-    if n % 2 == 0:
-        y[h] *= t[h - 1]
-    return y
-
-
-@functools.lru_cache(maxsize=16)
-def _dct_twiddle(n: int) -> np.ndarray:
-    """cos(pi j / (2n)) for j = 1..n, rounded as pocketfft rounds them.
-
-    pocketfft reads exp(2 pi i j / m), m = 4n, from a two-level table:
-    entry j is v1[j & mask] * v2[j >> shift], and each table value is a
-    libm cos/sin of an angle reduced to the first octant, in steps of
-    pi / (4m) rounded from long double. Only j <= n, the first quadrant,
-    is needed here. Read-only, so the cached array cannot be altered.
-    """
-    m = 4 * n
-    ang = float(np.longdouble(0.25) * _PI_LONG / m)
-    shift = 1
-    while 1 << (2 * shift) < (m + 2) // 2:
-        shift += 1
-    mask = (1 << shift) - 1
-
-    def root(j):
-        x = 8 * j
-        if x < m:
-            return math.cos(x * ang), math.sin(x * ang)
-        return math.sin((2 * m - x) * ang), math.cos((2 * m - x) * ang)
-
-    v1 = np.array([root(j) for j in range(min(mask, n) + 1)])
-    v2 = np.array([root(j << shift) for j in range((n >> shift) + 1)])
-    j = np.arange(1, n + 1)
-    a, b = v1[j & mask], v2[j >> shift]
-    t = a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1]
-    t.flags.writeable = False
-    return t
+    n = vals.shape[0]
+    # in DCT order x = vals[::-1]: x[::2] is vals[::-2], x[1::2] reversed
+    # is vals[n % 2 :: 2]
+    v = np.concatenate((vals[::-2], vals[n % 2 :: 2]))
+    h = n // 2 + 1
+    twiddle = np.exp(-0.5j * np.pi / n * np.arange(h)).reshape((h,) + (1,) * (vals.ndim - 1))
+    z = np.fft.rfft(v, axis=0) * twiddle
+    out = np.empty(vals.shape)
+    out[:h] = z.real
+    out[h:] = -z.imag[n - h : 0 : -1]
+    out *= 2.0 / n
+    return out
 
 
 def cheb_val(coeffs: np.ndarray, x, interval=SIGMA):
@@ -644,10 +573,12 @@ def eigendecompose(kmat: np.ndarray, grid: ChebGrid) -> KernelSpectrum:
 
     stored = min(max(m, 12), n)
     coeffs = coeffs_from_values(psi[:, :stored] / s[:, None]).T
+    # a smooth mode keeps decaying past the chop threshold, and its tail
+    # there still adds up to more than CHOP_REL; a guard band of
+    # 4 * MIN_DROPPED coefficients past the last one above it keeps that
     mag = np.abs(coeffs)
     above = mag > CHOP_REL * mag.max(axis=1, keepdims=True)
-    lengths = n - np.argmax(above[:, ::-1], axis=1)
-    lengths[n - lengths < MIN_DROPPED] = n
+    lengths = np.minimum(n - np.argmax(above[:, ::-1], axis=1) + 4 * MIN_DROPPED, n)
     xs, ws = gauss_semicircle(n, SIGMA)
     proj = ws @ cheb_val(coeffs, xs, grid.interval) / (2.0 * np.pi)
 

@@ -25,8 +25,8 @@ from .equilibrium import SEMICIRCLE_MODES, EquilibriumData, _newton_decreasing
 from .errors import NumericalError, UsageError
 
 # Resolution: node counts double from the first to the last until the
-# chop (ops.chop_coeffs) drops at least _MIN_DROPPED trailing coefficients,
-# the plateau rule shared with the kernel modes.
+# chop (ops.chop_coeffs) would drop at least _MIN_DROPPED trailing
+# coefficients, the plateau rule shared with the kernel modes.
 _FIT_NODES = (64, 4096)
 _MIN_DROPPED = ops.MIN_DROPPED
 # certificate tolerances, the same as in `betalab verify`
@@ -40,7 +40,9 @@ class TransportMap:
 
     ``interior_cheb`` holds its coefficients on the working window
     ``eq.interval``, edges included (the name dates from when the series
-    covered the bulk only); ``anchor`` is the map's value at 0.
+    covered the bulk only): the resolving grid's whole series, one
+    coefficient per node, its rounding plateau included.
+    ``anchor`` is the map's value at 0.
     ``residual_max`` measures the density-matching equation on the
     support with the series' own derivative, so it checks the series
     against the equation rather than against its construction;
@@ -185,22 +187,24 @@ def _pointwise(eq: EquilibriumData, t: np.ndarray) -> np.ndarray:
     return zeta
 
 
-def _fit(eq: EquilibriumData) -> tuple:
+def _fit(eq: EquilibriumData) -> np.ndarray:
     """Resolved Chebyshev coefficients of the map on the working window.
 
-    The first node count whose fit loses at least ``_MIN_DROPPED``
-    trailing coefficients to chopping wins; the fit is then known to
-    reach the rounding plateau. Returns the kept coefficients and that
-    node count. Raises "ode-failure" (the code the map has always used)
-    if even the largest grid does not.
+    The chop decides resolution only: the first node count whose series
+    has at least ``_MIN_DROPPED`` trailing coefficients below the chop
+    threshold has reached the rounding plateau, and that grid's whole
+    coefficient vector is returned, one coefficient per node. Nothing is
+    cut at the threshold, so no coefficient can sit on it and the stored
+    series does not move with the last bits of the transform. Raises
+    "ode-failure" (the code the map has always used) if even the largest
+    grid does not resolve the map.
     """
     n, n_max = _FIT_NODES
     while n <= n_max:
         t = ops.cheb_grid(n, eq.interval).nodes
         coeffs = ops.coeffs_from_values(_pointwise(eq, t))
-        kept = ops.chop_coeffs(coeffs)
-        if coeffs.size - kept.size >= _MIN_DROPPED:
-            return kept, n
+        if n - ops.chop_coeffs(coeffs).size >= _MIN_DROPPED:
+            return coeffs
         n *= 2
     raise NumericalError(
         "ode-failure",
@@ -228,7 +232,8 @@ def solve_transport(
     ``RESIDUAL_TOL`` or more, or departs from the pointwise construction
     between its nodes by ``OVERLAP_TOL`` or more.
     """
-    coeffs, n = _fit(eq)
+    coeffs = _fit(eq)
+    n = coeffs.size
     tmap = TransportMap(
         eq=eq,
         interior_cheb=coeffs,

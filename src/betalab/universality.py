@@ -410,7 +410,7 @@ def linearization_check(
     beta: float,
     observable,
     n: int = 2,
-    modes: int = 3,
+    modes: int | None = None,
     gh_nodes: int = 24,
     jacobian_weight: bool = True,
 ) -> LinearizationResult:
@@ -423,9 +423,12 @@ def linearization_check(
     real arithmetic (:func:`_gauss_hermite_factors`). The tensor-product
     rule over the modes factorizes, so the weight is a product of 1-D sums.
     Agreement validates the entire decomposition chain end to end at
-    small n, with no sampling noise involved.
+    small n, with no sampling noise involved. ``modes`` defaults to the
+    spectrum's truncation, every mode it keeps.
     """
     box = (-(2.0 + 0.5 * eq.eps), 2.0 + 0.5 * eq.eps)
+    if modes is None:
+        modes = spectrum.truncation
     modes = int(min(modes, len(spectrum.eigenvalues)))
 
     configs, logw = map(np.concatenate, zip(*_ordered_chunks(int(n), box, _LINEARIZATION_GL_NODES)))

@@ -275,6 +275,16 @@ def test_verify_gaussian_passes(tmp_path, capsys):
     assert payload["passed"] is True
 
 
+def test_verify_quartic_passes_every_check(tmp_path, capsys):
+    # the linearization check uses every kept mode; three alone miss by 1.8e-3
+    code, out, err = run_cli(["verify", "--g", "0.5", "-o", str(tmp_path)], capsys)
+    assert code == 0, err
+    lines = [ln for ln in out.strip().splitlines() if ln.startswith(("PASS", "FAIL"))]
+    assert len(lines) == 10
+    assert all(ln.startswith("PASS") for ln in lines), lines
+    assert json.loads((tmp_path / "run.verify.json").read_text())["passed"] is True
+
+
 def test_module_entry_point_runs_verify(tmp_path):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)

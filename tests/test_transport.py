@@ -58,11 +58,12 @@ def test_edge_series_first_coefficient(quartic_tmap):
         assert abs(zpp - np.sign(edge) * -2.0 * c * s1) < 1e-10
 
 
-@pytest.mark.parametrize("g", [-0.1, 0.1, 0.8])
+@pytest.mark.parametrize("g", [-0.1, 0.1, 0.5, 0.8])
 def test_continued_equation_beyond_edges(g):
     # zeta' P(zeta) sqrt(zeta^2 - 4) = sqrt(lam^2 - 4) past the support, where P
-    # is read from its own Chebyshev series, not from the CDF modes; the series
-    # derivative loses digits toward the window ends as the series grows with g
+    # is read from its own Chebyshev series, not from the CDF modes; the whole
+    # resolving series is stored, so its derivative keeps its digits up to the
+    # window ends
     eq = _quartic_eq(g)
     tmap = solve_transport(eq)
     edge = np.linspace(2.0, 2.0 + eq.eps, 400)[1:]
@@ -72,7 +73,7 @@ def test_continued_equation_beyond_edges(g):
         assert keep.sum() > 100
         lam, z = lam[keep], z[keep]
         lhs = tmap.derivative(lam) * eq.p_value(z) * np.sqrt(z * z - 4.0)
-        assert np.max(np.abs(lhs - np.sqrt(lam * lam - 4.0))) < 1e-8
+        assert np.max(np.abs(lhs - np.sqrt(lam * lam - 4.0))) < 2e-9
 
 
 def test_edge_overlap_agreement(quartic_tmap):
