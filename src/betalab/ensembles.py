@@ -28,6 +28,7 @@ call.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -182,14 +183,22 @@ def _dense_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 def _lapack_eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """`_dense_eigvalsh`'s eigenvalues by LAPACK's tridiagonal solver, one matrix at a time.
 
-    ``scipy.linalg.eigvalsh_tridiagonal`` (``dstevd``) costs O(n**2) time
-    and O(n) memory per matrix. scipy.linalg takes about 0.25 s to import,
-    so it is imported here, at the first sample that needs it, rather than
-    with the package.
+    ``dstevd`` without eigenvectors costs O(n**2) time and O(n) memory per
+    matrix; it is the driver ``scipy.linalg.eigvalsh_tridiagonal`` picks,
+    called directly so each matrix skips that wrapper's validation.
+    scipy.linalg takes about 0.25 s to import, so it is imported here, at
+    the first sample that needs it, rather than with the package.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
+    from scipy.linalg import get_lapack_funcs
 
-    return np.array([eigvalsh_tridiagonal(d, e) for d, e in zip(diag, off)])
+    (stevd,) = get_lapack_funcs(("stevd",), (diag, off))
+    out = np.empty(diag.shape)
+    for row, (d, e) in enumerate(zip(diag, off)):
+        w, _, info = stevd(d, e, compute_v=False)
+        if info != 0:
+            raise NumericalError("no-convergence", f"LAPACK dstevd failed (info {info})")
+        out[row] = w
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -314,14 +323,24 @@ def _run_sweeps(
     chunk in one call, then its uniforms in a second. The chunk holds at
     most ``_DRAW_CAP`` draws of each kind over all chains, so a long block
     at large n does not allocate tens of MB; it depends only on (n, chains).
+    The draws land in two (chunk, n + 2, chains) buffers reused by every
+    chunk, through one chain-sized staging array.
     """
     n, chains = lt.shape
-    chunk = max(1, _DRAW_CAP // ((n + 2) * chains))
+    chunk = max(1, min(n_sweeps, _DRAW_CAP // ((n + 2) * chains)))
+    z_buf = np.empty((chunk, n + 2, chains))
+    logu_buf = np.empty_like(z_buf)
+    draw = np.empty((chunk, n + 2))
     acc = np.zeros(3)
     for start in range(0, n_sweeps, chunk):
         k = min(chunk, n_sweeps - start)
-        z = np.stack([g.standard_normal((k, n + 2)) for g in gens], axis=-1)
-        logu = np.log(np.stack([g.random((k, n + 2)) for g in gens], axis=-1) + 1e-300)
+        z, logu, d = z_buf[:k], logu_buf[:k], draw[:k]
+        for c, g in enumerate(gens):
+            z[..., c] = g.standard_normal(out=d)
+        for c, g in enumerate(gens):
+            logu[..., c] = g.random(out=d)
+        logu += 1e-300
+        np.log(logu, out=logu)
         acc += _sweep_block(vfun, beta, lt, widths, window, z, logu, collect)
     return acc
 
@@ -458,9 +477,13 @@ def sample_mcmc(
 # deterministic tiny-n quadrature
 
 
+@functools.cache
 def _gl_cache(nodes: int):
+    """Gauss-Legendre nodes and weights on [0, 1], computed once per node count, read-only."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * (x + 1.0), 0.5 * w  # on [0, 1]
+    u, w = 0.5 * (x + 1.0), 0.5 * w
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 def _ordered_chunks(n: int, box, nodes: int):

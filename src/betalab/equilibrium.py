@@ -299,10 +299,22 @@ def solve_equilibrium(
     dw = 1j * w * (2.0 * np.pi / contour_nodes)
 
     def p_at(x_real: np.ndarray) -> np.ndarray:
+        # the quotients go through in row blocks of two reused buffers, each
+        # holding as many bytes as ops._PV_BLOCK floats
         dvx = np.asarray(potential.dv(x_real), dtype=complex)
-        num = dvx[:, None] - dvw[None, :]
-        den = (x_real[:, None] - w[None, :]) * xw[None, :]
-        return np.real((num / den) @ dw / (2.0j * np.pi))
+        out = np.empty(x_real.size)
+        rows = max(1, min(x_real.size, ops._PV_BLOCK // (2 * contour_nodes)))
+        num = np.empty((rows, contour_nodes), dtype=complex)
+        den = np.empty_like(num)
+        for s in range(0, x_real.size, rows):
+            k = min(rows, x_real.size - s)
+            q, d = num[:k], den[:k]
+            np.subtract(dvx[s : s + k, None], dvw, out=q)
+            np.subtract(x_real[s : s + k, None], w, out=d)
+            d *= xw
+            q /= d
+            out[s : s + k] = np.real(q @ dw / (2.0j * np.pi))
+        return out
 
     x_eps = ops.cheb_grid(grid_nodes, interval).nodes
     p_cheb = ops.chop_coeffs(ops.coeffs_from_values(p_at(x_eps)))

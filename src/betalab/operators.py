@@ -392,11 +392,18 @@ def _sigma_ops():
     wq = (np.pi / n) * sq
     k = np.arange(n)
     ct = coeffs_from_values(np.eye(n))  # values -> coefficients
-    vander = 0.5 * n * ct.T  # (i, k) -> T_k at node i, by discrete orthogonality
-    dmat = (vander * (k / np.pi)[None, :] / sq[:, None]) @ ct
+    # (i, k) -> T_k at node i, by discrete orthogonality, built in one
+    # scratch matrix for each operator
+    scratch = np.multiply(0.5 * n, ct.T)
+    scratch *= (k / np.pi)[None, :]
+    scratch /= sq[:, None]
+    dmat = scratch @ ct
     lfac = np.zeros(n)
     lfac[1:] = -np.pi / k[1:]
-    lmat = (vander * lfac[None, :]) @ ct * sq[None, :]
+    np.multiply(0.5 * n, ct.T, out=scratch)
+    scratch *= lfac[None, :]
+    lmat = scratch @ ct
+    lmat *= sq[None, :]
     return x, wq, dmat, lmat
 
 
@@ -448,17 +455,27 @@ def log_ratio_kernel(tmap, x, y):
 
 
 def _log_ratio(tmap, x, y, zx, zy):
-    """:func:`log_ratio_kernel` given the images ``zx``, ``zy`` of x and y."""
-    zx, zy = np.broadcast_arrays(zx, zy)
+    """:func:`log_ratio_kernel` given the images ``zx``, ``zy`` of x and y.
+
+    Works in place in two arrays of the broadcast shape: the differences
+    x - y, with each close pair's set to one, and the result.
+    """
     x, y = np.broadcast_arrays(x, y)
-    diff = x - y
-    near = np.abs(diff) < 1e-3
-    safe = np.where(near, 1.0, diff)
-    out = np.empty_like(diff)
+    diff = np.subtract(x, y)
+    out = np.abs(diff)
+    near = out < 1e-3
+    close = bool(np.any(near))
+    if close:
+        d_near = diff[near]
+        mid = 0.5 * (x[near] + y[near])
+        diff[near] = 1.0
+    np.subtract(zx, zy, out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out[...] = np.log(np.abs((zx - zy) / safe))
-    if np.any(near):
-        mid = 0.5 * (x + y)[near]
+        out /= diff
+        np.abs(out, out=out)
+        np.log(out, out=out)
+    del diff
+    if close:
         t = 1e-3
         # curvature probe shifted inward so mid +- t stays in the window
         hw = tmap.eq.interval[1] - 2.0 * t
@@ -466,7 +483,7 @@ def _log_ratio(tmap, x, y, zx, zy):
         zd = np.asarray(tmap.derivative(np.concatenate((mid, ctr + t, ctr, ctr - t))), dtype=float)
         zp, zr, zc, zl = np.split(zd, 4)
         zpp2 = (zr - 2.0 * zc + zl) / (t * t)
-        out[near] = np.log(zp) + (diff[near] ** 2) * zpp2 / (24.0 * zp)
+        out[near] = np.log(zp) + (d_near**2) * zpp2 / (24.0 * zp)
     return out
 
 
@@ -474,7 +491,9 @@ def kernel_matrix(tmap, grid: ChebGrid) -> np.ndarray:
     """Symmetric matrix of the transported log-ratio kernel on the grid."""
     x = grid.nodes
     k = log_ratio_kernel(tmap, x[:, None], x[None, :])
-    return 0.5 * (k + k.T)
+    out = np.add(k, k.T)
+    out *= 0.5
+    return out
 
 
 @dataclass
@@ -533,15 +552,19 @@ def eigendecompose(kmat: np.ndarray, grid: ChebGrid) -> KernelSpectrum:
     """
     n = grid.n
     s = np.sqrt(grid.weights)
-    a = s[:, None] * kmat * s[None, :]
-    a = 0.5 * (a + a.T)
-    eta, psi = np.linalg.eigh(a)
+    a = s[:, None] * kmat
+    a *= s[None, :]
+    sym = np.add(a, a.T)
+    del a
+    sym *= 0.5
+    eta, psi = np.linalg.eigh(sym)
+    del sym
     order = np.argsort(-np.abs(eta))
     eta = eta[order]
     psi = psi[:, order]
     # deterministic sign: largest-magnitude component positive
     lead = psi[np.argmax(np.abs(psi), axis=0), np.arange(n)]
-    psi = np.where(lead < 0, -psi, psi)
+    psi[:, lead < 0] *= -1
 
     # kill eigenvalues below the eigh noise floor so the tail sum is
     # dominated by genuine modes, not accumulated rounding

@@ -197,12 +197,18 @@ def phi_estimate(sample: EnsembleSample, eq, center: float, test) -> PhiEstimate
 
     u is the locally unfolded coordinate n * density(center) * (lambda -
     center); the test function should decay within a few unit spacings.
+    Configurations go through in row chunks of at most ``ops._PV_BLOCK``
+    entries, so the temporaries of ``test`` stay bounded at any sample size.
     """
     scale = sample.n * eq.density(center)
     if scale <= 0:
         raise UsageError("invalid-spec", f"density vanishes at center {center}")
-    u = scale * (sample.configs - center)
-    vals = np.asarray(test(u), dtype=float).sum(axis=1)
+    configs = sample.configs
+    rows = max(1, ops._PV_BLOCK // configs.shape[1])
+    vals = np.empty(len(configs))
+    for s in range(0, len(configs), rows):
+        u = scale * (configs[s : s + rows] - center)
+        vals[s : s + rows] = np.asarray(test(u), dtype=float).sum(axis=1)
     return PhiEstimate(
         value=float(vals.mean()),
         se=float(vals.std(ddof=1) / np.sqrt(len(vals))),
@@ -364,8 +370,9 @@ def hamiltonian_identity_residual(
 
     const = float(np.median(t))
     residual = float(np.max(np.abs(t - const)))
-    dres = ops.deformation_residual(eq, tmap)
-    predicted = 0.5 * beta * n * n * (float(eta @ (proj * proj)) - dres.constant)
+    # the constant of ops.deformation_residual in closed form: the target's
+    # Robin constant minus the reference one, which is -1
+    predicted = 0.5 * beta * n * n * (float(eta @ (proj * proj)) - (eq.robin_constant + 1.0))
     return HamiltonianIdentity(
         residual=residual, constant=const, predicted_constant=predicted, modes=modes
     )

@@ -1,3 +1,7 @@
+import contextlib
+import tracemalloc
+from types import SimpleNamespace
+
 import pytest
 
 from betalab import operators as ops
@@ -6,6 +10,29 @@ from betalab.potentials import make_potential
 from betalab.transport import solve_transport
 
 QUARTIC_G = 0.1
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Peak bytes allocated inside the block, above what was held on entry.
+
+    numpy reports its array buffers to tracemalloc, so the peak counts
+    every array a stage holds at once; LAPACK and FFT workspaces are not
+    counted. Use as ``with traced_peak() as peak: ...``, then read
+    ``peak.bytes``.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    peak = SimpleNamespace(bytes=None)
+    try:
+        yield peak
+    finally:
+        peak.bytes = tracemalloc.get_traced_memory()[1] - base
+        if started:
+            tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -3,11 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from betalab import operators as ops
 from betalab.equilibrium import EquilibriumData, recentering_coeffs, solve_equilibrium
 from betalab.errors import NumericalError, UsageError
 from betalab.potentials import make_potential
 
 import oracles
+from conftest import QUARTIC_G, traced_peak
 
 
 def test_gaussian_density_factor_is_one(gauss_eq):
@@ -147,3 +149,15 @@ def test_exterior_effective_potential_dips_nowhere(quartic_eq):
     logpot = float(w @ (quartic_eq.p_value(x) * np.log(np.abs(probe - x)))) / (2.0 * np.pi)
     vout = 2.0 * logpot - quartic_eq.potential.v(probe)
     assert vout <= quartic_eq.robin_constant + 1e-6
+
+
+def test_contour_quadrature_working_set(monkeypatch):
+    # the parent held three complex 256 x 512 quotients (6.2 MiB)
+    pot = make_potential("even-quartic", g=QUARTIC_G)
+    with traced_peak() as peak:
+        eq = solve_equilibrium(pot, contour_nodes=512, grid_nodes=256)
+    assert peak.bytes <= 1 << 20
+    # the row blocks do not change a bit of the density polynomial
+    monkeypatch.setattr(ops, "_PV_BLOCK", 1 << 30)
+    whole = solve_equilibrium(pot, contour_nodes=512, grid_nodes=256)
+    assert np.array_equal(eq.p_cheb, whole.p_cheb)

@@ -8,6 +8,7 @@ from betalab import operators as ops
 from betalab.errors import UsageError
 
 import oracles
+from conftest import traced_peak
 
 
 # ----------------------------------------------------------------------
@@ -324,6 +325,18 @@ def test_kernel_merges_map_calls(quartic_eq, quartic_tmap):
     counted = CountingMap(quartic_tmap)
     ops.deformation_residual(quartic_eq, counted)
     assert counted.value_calls == 1
+
+
+def test_kernel_and_spectrum_working_set(quartic_tmap):
+    # one n x n scratch beside the result; the parent held 5.1x and 4.0x
+    n = 1024
+    grid = ops.cheb_grid(n, quartic_tmap.eq.interval)
+    with traced_peak() as peak:
+        kmat = ops.kernel_matrix(quartic_tmap, grid)
+    assert peak.bytes <= 2.25 * kmat.nbytes
+    with traced_peak() as peak:
+        ops.eigendecompose(kmat, grid)
+    assert peak.bytes <= 2.25 * 8 * n * n
 
 
 def test_mode_orthonormality(quartic_spectrum):

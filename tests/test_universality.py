@@ -9,8 +9,10 @@ import pytest
 from scipy import stats
 
 from betalab import ensembles as ens
+from betalab import operators as ops
 from betalab import universality as uni
 from betalab.errors import NumericalError, UsageError
+from betalab.potentials import make_potential
 
 import oracles
 
@@ -212,6 +214,39 @@ def test_same_law_distance_within_floor(gauss_eq, sample_cache):
     dist = uni.universality_distance(a, gauss_eq, 0.0, b, gauss_eq, 0.0, 0.15)
     assert dist.ks_distance < dist.noise_floor + 0.02
     assert dist.passed()
+
+
+def _run_sweeps_stacked(vfun, beta, lt, gens, widths, window, n_sweeps, collect=None):
+    """`ens._run_sweeps` with each chunk's draws made as fresh per-chain arrays and stacked."""
+    n, chains = lt.shape
+    chunk = max(1, ens._DRAW_CAP // ((n + 2) * chains))
+    acc = np.zeros(3)
+    for start in range(0, n_sweeps, chunk):
+        k = min(chunk, n_sweeps - start)
+        z = np.stack([g.standard_normal((k, n + 2)) for g in gens], axis=-1)
+        logu = np.log(np.stack([g.random((k, n + 2)) for g in gens], axis=-1) + 1e-300)
+        acc += ens._sweep_block(vfun, beta, lt, widths, window, z, logu, collect)
+    return acc
+
+
+def test_blocked_layouts_match_unblocked(monkeypatch, gauss_eq, quartic_eq):
+    # the sampler's reused draw buffers (measured over two draw chunks)
+    # against freshly stacked draws, and phi_estimate's row chunks (the
+    # reference sample spans two) against one chunk, bit for bit
+    pot = make_potential("even-quartic", g=0.1)
+    main = ens.sample_mcmc(pot, 12, 2.0, 100, seed=4, eq=quartic_eq)
+    ref = ens.sample_gaussian(12, 2.0, 3000, seed=7)
+    assert ens._DRAW_CAP // (14 * 64) < 120 and ops._PV_BLOCK // 12 < ref.count
+    dist = uni.universality_distance(main, quartic_eq, 0.0, ref, gauss_eq, 0.0, 0.3)
+
+    monkeypatch.setattr(ens, "_run_sweeps", _run_sweeps_stacked)
+    monkeypatch.setattr(ops, "_PV_BLOCK", 1 << 30)
+    want = ens.sample_mcmc(pot, 12, 2.0, 100, seed=4, eq=quartic_eq)
+    assert np.array_equal(main.configs, want.configs)
+    assert main.diagnostics == want.diagnostics
+    whole = uni.universality_distance(want, quartic_eq, 0.0, ref, gauss_eq, 0.0, 0.3)
+    assert (dist.ks_distance, dist.noise_floor) == (whole.ks_distance, whole.noise_floor)
+    assert np.array_equal(dist.phi_z, whole.phi_z)
 
 
 def test_mismatched_samples_rejected(gauss_eq, sample_cache):
