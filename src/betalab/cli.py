@@ -36,7 +36,6 @@ from .transport import OVERLAP_TOL, RESIDUAL_TOL, solve_transport
 # converts the INI text.
 _DEFAULTS = {
     "potential": {"kind": "even-quartic", "g": 0.1, "coeffs": "", "eps": 0.2},
-    "equilibrium": {"contour-nodes": 512, "grid-nodes": 256},
     "operators": {"kernel-nodes": 256},
     "ensemble": {
         "beta": 2.0,
@@ -161,11 +160,7 @@ def _potential(cfg: dict):
 
 
 def _equilibrium(cfg: dict):
-    return solve_equilibrium(
-        _potential(cfg),
-        contour_nodes=cfg["equilibrium"]["contour-nodes"],
-        grid_nodes=cfg["equilibrium"]["grid-nodes"],
-    )
+    return solve_equilibrium(_potential(cfg))
 
 
 def _spectrum(cfg: dict, tmap):

@@ -75,11 +75,7 @@ class EquilibriumData:
         out = np.zeros_like(flat)
         if np.any(inside):
             xi = flat[inside]
-            out[inside] = (
-                ops.cheb_val(self.p_cheb, xi, self.interval)
-                * np.sqrt(4.0 - xi * xi)
-                / (2.0 * np.pi)
-            )
+            out[inside] = self.p_value(xi) * np.sqrt(4.0 - xi * xi) / (2.0 * np.pi)
         if x_arr.ndim == 0:
             return float(out[0])
         return out.reshape(x_arr.shape)

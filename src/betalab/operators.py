@@ -12,7 +12,6 @@ scheme cheap and exact to near machine precision for analytic data.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ CHOP_REL = 1e-14
 MIN_DROPPED = 8
 # nodes of the principal-value rule and of the log-kernel transform
 _PV_NODES = 512
-# nodes of the value-space operators on SIGMA and of the pairings there
+# nodes of the inversion identity and of the mean-shift pairing on SIGMA
 _SIGMA_NODES = 256
 # truncation: the eigenvalue tail, and the reconstruction error it bounds
 _TAIL_TOL = 1e-12
@@ -114,6 +113,31 @@ def coeffs_from_values(vals: np.ndarray) -> np.ndarray:
     out[:h] = z.real
     out[h:] = -z.imag[n - h : 0 : -1]
     out *= 2.0 / n
+    return out
+
+
+def values_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    """Samples at the :func:`cheb_grid` nodes from Chebyshev coefficients.
+
+    The inverse of :func:`coeffs_from_values`, same convention and axis:
+    a DCT-III by one inverse real FFT. It undoes that transform's steps:
+    (c[k] - i c[n-k]) exp(i pi k / (2n)) is (n/2) times the FFT of the
+    reordered samples, which the half-spectrum inverse FFT returns.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    n = c.shape[0]
+    h = n // 2 + 1
+    z = c[:h].astype(complex)
+    z.imag[1:] = -c[n - 1 : n - h : -1]
+    z *= np.exp(0.5j * np.pi / n * np.arange(h)).reshape((h,) + (1,) * (c.ndim - 1))
+    v = np.fft.irfft(z, n, axis=0, norm="forward")
+    v *= 0.5
+    # undo the reordering: DCT order is the reversed nodes, evens first
+    # and odds reversed
+    out = np.empty(c.shape)
+    q = (n + 1) // 2
+    out[::-1][::2] = v[:q]
+    out[::-1][1::2] = v[q:][::-1]
     return out
 
 
@@ -235,12 +259,6 @@ def semicircle_density(x):
     return np.sqrt(np.clip(4.0 - x * x, 0.0, None)) / (2.0 * np.pi)
 
 
-def semicircle_cdf(x):
-    """Distribution function of the semicircle law, closed form in the arccos angle."""
-    phi = np.arccos(np.clip(np.asarray(x, dtype=float) / 2.0, -1.0, 1.0))
-    return (np.pi - phi) / np.pi + np.sin(2.0 * phi) / (2.0 * np.pi)
-
-
 # ----------------------------------------------------------------------
 # the principal-value transform
 
@@ -258,30 +276,33 @@ def _pv_transform_numer(h_prime, lam: np.ndarray) -> np.ndarray:
 
     Returns the numerator s(lam) such that the transform equals
     s(lam) / (pi^2 sqrt(4 - lam^2)). The rule has ``_PV_NODES`` nodes.
-    The points go through in row blocks whose difference quotients hold
-    at most ``_PV_BLOCK`` entries, so memory is bounded for any number of
-    points; a point within 1e-9 of a node takes the central-difference
-    limit of its quotient.
+    The points go through in row blocks of two reused buffers, the
+    differences and the quotients, each of at most ``_PV_BLOCK`` entries,
+    so memory is bounded for any number of points; a point within 1e-9 of
+    a node takes the central-difference limit of its quotient.
     """
     mu, w = gauss_semicircle(_PV_NODES, SIGMA)
     hp_mu = np.asarray(h_prime(mu), dtype=float)
     hp_l = np.asarray(h_prime(lam), dtype=float)
     out = np.empty(lam.size)
-    step = max(1, _PV_BLOCK // _PV_NODES)
-    for s in range(0, lam.size, step):
-        lb, hb = lam[s : s + step], hp_l[s : s + step]
-        diff = lb[:, None] - mu
-        quot = hp_mu - hb[:, None]
-        small = np.abs(diff) < 1e-9
+    rows = max(1, min(lam.size, _PV_BLOCK // _PV_NODES))
+    diff = np.empty((rows, _PV_NODES))
+    quot = np.empty_like(diff)
+    for s in range(0, lam.size, rows):
+        k = min(rows, lam.size - s)
+        lb, d, q = lam[s : s + k], diff[:k], quot[:k]
+        np.subtract(lb[:, None], mu, out=d)
+        np.subtract(hp_mu, hp_l[s : s + k, None], out=q)
+        small = (d > -1e-9) & (d < 1e-9)
         if np.any(small):
             t = 1e-5
             h2 = (np.asarray(h_prime(lb + t)) - np.asarray(h_prime(lb - t))) / (2.0 * t)
-            diff[small] = 1.0
-            quot /= diff
-            quot[small] = np.broadcast_to(-h2[:, None], small.shape)[small]
+            d[small] = 1.0
+            q /= d
+            q[small] = np.broadcast_to(-h2[:, None], small.shape)[small]
         else:
-            quot /= diff
-        out[s : s + step] = quot @ w
+            q /= d
+        out[s : s + k] = q @ w
     # PV of the semicircle factor alone: integral sqrt(4-mu^2)/(lam-mu) = pi*lam
     return out + hp_l * np.pi * lam
 
@@ -316,52 +337,64 @@ class CovForm:
     pv: float
     cheb: float
     rel_discrepancy: float
-    kappa: float
 
 
-def _mode_form(c: np.ndarray):
-    """The covariance form kappa^2 sum_k k a_k b_k, kappa^2 = 1/2, on SIGMA.
+def _mode_form(a: np.ndarray, b: np.ndarray):
+    """The covariance form (1/2) sum_k k a_k b_k on SIGMA.
 
-    ``c`` holds Chebyshev coefficients on SIGMA along axis 0: one
-    function gives a scalar, a column per function gives the matrix of
-    the form over the columns.
+    ``a`` and ``b`` hold Chebyshev coefficients on SIGMA along axis 0:
+    two functions give a scalar, a column per function gives the matrix
+    of the form between the columns of ``a`` and those of ``b``. It is
+    the weighted form (u, Dv) of the covariance transform D, which
+    multiplies mode k by k / pi, so D is self-adjoint.
     """
-    k = np.arange(c.shape[0])
-    return 0.5 * (c.T * k) @ c
+    k = np.arange(a.shape[0])
+    return 0.5 * (a.T * k) @ b
 
 
 def cov_form(h, h_prime=None) -> CovForm:
     """Quadratic form of the symmetrized covariance operator, both routes.
 
     The principal-value route is the ground truth; the Chebyshev route is
-    the mode sum kappa^2 * sum_k k h_k^2 with kappa = 1/sqrt(2) in closed
-    form, over the first 65 coefficients. Their relative discrepancy is
-    reported so callers can assert consistency.
+    the mode sum (1/2) sum_k k h_k^2 of :func:`_mode_form`, over the first
+    65 coefficients. Their relative discrepancy is reported so callers can
+    assert consistency.
     """
     x, scalar_w = gauss_inv_sqrt(_PV_NODES, SIGMA)
     s = _pv_transform_numer(_derivative_callable(h, h_prime), x)
     # the outer rule absorbs the 1/sqrt factor left in the transform
     pv = float(scalar_w * np.sum(s * np.asarray(h(x), dtype=float)) / np.pi**2)
-    cheb = float(_mode_form(cheb_coeffs(h, 64, SIGMA)))
+    c = cheb_coeffs(h, 64, SIGMA)
+    cheb = float(_mode_form(c, c))
     rel = abs(pv - cheb) / max(abs(pv), 1e-300)
-    return CovForm(pv=pv, cheb=cheb, rel_discrepancy=rel, kappa=np.sqrt(0.5))
+    return CovForm(pv=pv, cheb=cheb, rel_discrepancy=rel)
 
 
 # ----------------------------------------------------------------------
 # the log kernel
 
 
+def _log_kernel_modes(c: np.ndarray) -> np.ndarray:
+    """The log kernel L on modes: mode k of f sqrt(4 - x^2) times -pi / k.
+
+    ``c`` holds the Chebyshev coefficients on SIGMA of f times the
+    semicircle factor; the result holds those of the integral of
+    log|x - mu| f(mu). The constant mode goes to zero because the
+    reference interval has logarithmic capacity one.
+    """
+    d = np.zeros_like(c)
+    d[1:] = -np.pi * c[1:] / np.arange(1, c.size)
+    return d
+
+
 def log_kernel_apply(f):
     """Return a callable for the integral of log|x - mu| f(mu) over SIGMA.
 
     Works through the mode expansion of f against the inverse square-root
-    weight; the constant mode contributes nothing because the reference
-    interval has logarithmic capacity one.
+    weight, by :func:`_log_kernel_modes`.
     """
     x = cheb_grid(_PV_NODES).nodes
-    c = coeffs_from_values(np.asarray(f(x), dtype=float) * np.sqrt(4.0 - x * x))
-    d = np.zeros_like(c)
-    d[1:] = -np.pi * c[1:] / np.arange(1, c.size)
+    d = _log_kernel_modes(coeffs_from_values(np.asarray(f(x), dtype=float) * np.sqrt(4.0 - x * x)))
 
     def apply(y):
         y_arr = np.asarray(y, dtype=float)
@@ -372,65 +405,24 @@ def log_kernel_apply(f):
     return apply
 
 
-# ----------------------------------------------------------------------
-# discrete value-space realizations on SIGMA
-
-
-@functools.cache
-def _sigma_ops():
-    """Value-space matrices on the ``_SIGMA_NODES``-point first-kind grid over SIGMA.
-
-    Returns nodes, plain quadrature weights, the covariance transform D
-    and the log kernel L. Both act on vectors of function values at the
-    nodes through the diagonal mode action. D is self-adjoint for the
-    quadrature weights: by discrete orthogonality (u, Dv) is the mode
-    sum of :func:`_mode_form`, symmetric in u and v.
-    """
-    n = _SIGMA_NODES
-    x = cheb_grid(n).nodes
-    sq = np.sqrt(4.0 - x * x)
-    wq = (np.pi / n) * sq
-    k = np.arange(n)
-    ct = coeffs_from_values(np.eye(n))  # values -> coefficients
-    # (i, k) -> T_k at node i, by discrete orthogonality, built in one
-    # scratch matrix for each operator
-    scratch = np.multiply(0.5 * n, ct.T)
-    scratch *= (k / np.pi)[None, :]
-    scratch /= sq[:, None]
-    dmat = scratch @ ct
-    lfac = np.zeros(n)
-    lfac[1:] = -np.pi / k[1:]
-    np.multiply(0.5 * n, ct.T, out=scratch)
-    scratch *= lfac[None, :]
-    lmat = scratch @ ct
-    lmat *= sq[None, :]
-    return x, wq, dmat, lmat
-
-
 def rank_one_identity_residual(v) -> float:
     """Residual of the inversion identity tying L to D.
 
-    Applying the log kernel after the covariance transform reproduces -v
-    up to a rank-one term proportional to the mean of v against the
-    inverse square-root weight. Returns the max deviation over the
-    interior grid.
+    Applying the log kernel L after the covariance transform D reproduces
+    -v up to the rank-one term c_0 / 2, the mean of v against the inverse
+    square-root weight. Both act through their mode factors on values at
+    the ``_SIGMA_NODES`` first-kind nodes: D multiplies the coefficients
+    of v by k / pi and divides the resulting values by the semicircle
+    factor; L multiplies back by it and applies :func:`_log_kernel_modes`.
+    Returns the max deviation over the nodes.
     """
-    x, _, dmat, lmat = _sigma_ops()
+    x = cheb_grid(_SIGMA_NODES).nodes
+    sq = np.sqrt(4.0 - x * x)
     vals = np.asarray(v(x), dtype=float)
-    lhs = lmat @ (dmat @ vals)
-    mean_term = np.sum(vals) / x.size  # (1/pi) * inv-sqrt inner product
-    rhs = -vals + mean_term
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def adjointness_residual(u, v) -> float:
-    """|(Du, v) - (u, Dv)| on the discrete grid: D is self-adjoint."""
-    x, wq, dmat, _ = _sigma_ops()
-    uv = np.asarray(u(x), dtype=float)
-    vv = np.asarray(v(x), dtype=float)
-    a = float(np.sum(wq * (dmat @ uv) * vv))
-    b = float(np.sum(wq * uv * (dmat @ vv)))
-    return abs(a - b)
+    c = coeffs_from_values(vals)
+    dv = values_from_coeffs(c * np.arange(c.size) / np.pi) / sq
+    lhs = values_from_coeffs(_log_kernel_modes(coeffs_from_values(dv * sq)))
+    return float(np.max(np.abs(lhs + vals - 0.5 * c[0])))
 
 
 # ----------------------------------------------------------------------
@@ -508,6 +500,8 @@ class KernelSpectrum:
     orthonormal for the grid weights. ``phi_lengths`` holds each mode's
     resolved series length, and :meth:`phi` evaluates only the
     coefficient columns that the requested modes need.
+    ``semicircle_proj`` holds each stored mode's integral against the
+    semicircle density, (b_0 - b_2) / 2 of its coefficients b on SIGMA.
     """
 
     grid: ChebGrid
@@ -516,8 +510,12 @@ class KernelSpectrum:
     decay_rate: float
     tail: float
     phi_coeffs: np.ndarray = field(repr=False)
-    semicircle_proj: np.ndarray = field(repr=False)
     phi_lengths: np.ndarray = field(repr=False)
+    semicircle_proj: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        b = _sigma_coeffs(self, range(self.stored))
+        self.semicircle_proj = 0.5 * (b[0] - b[2])
 
     @property
     def stored(self) -> int:
@@ -534,6 +532,15 @@ class KernelSpectrum:
             raise UsageError("out-of-domain", "mode evaluated outside the grid interval")
         cols = int(self.phi_lengths[idx].max(initial=1))
         return cheb_val(self.phi_coeffs[:, :cols][idx], x_arr, self.grid.interval)
+
+
+def _sigma_coeffs(spectrum: KernelSpectrum, modes) -> np.ndarray:
+    """Chebyshev coefficients on SIGMA of the given modes, a column each.
+
+    They are taken from the modes' values at ``spectrum.grid.n``
+    first-kind nodes on SIGMA.
+    """
+    return coeffs_from_values(spectrum.phi(cheb_grid(spectrum.grid.n).nodes, modes))
 
 
 def eigendecompose(kmat: np.ndarray, grid: ChebGrid) -> KernelSpectrum:
@@ -602,8 +609,6 @@ def eigendecompose(kmat: np.ndarray, grid: ChebGrid) -> KernelSpectrum:
     mag = np.abs(coeffs)
     above = mag > CHOP_REL * mag.max(axis=1, keepdims=True)
     lengths = np.minimum(n - np.argmax(above[:, ::-1], axis=1) + 4 * MIN_DROPPED, n)
-    xs, ws = gauss_semicircle(n, SIGMA)
-    proj = ws @ cheb_val(coeffs, xs, grid.interval) / (2.0 * np.pi)
 
     tail_val = float(tails[m - 1]) if m >= 1 else total
     return KernelSpectrum(
@@ -613,7 +618,6 @@ def eigendecompose(kmat: np.ndarray, grid: ChebGrid) -> KernelSpectrum:
         decay_rate=decay,
         tail=tail_val,
         phi_coeffs=coeffs,
-        semicircle_proj=proj,
         phi_lengths=lengths,
     )
 
@@ -644,17 +648,12 @@ def contraction_matrices(spectrum: KernelSpectrum) -> ContractionMatrices:
     """Assemble the sign-split contraction blocks for the leading modes.
 
     The covariance form of two modes is the mode sum of
-    :func:`_mode_form` over their Chebyshev coefficients on SIGMA, taken
-    from the modes' values at ``spectrum.grid.n`` first-kind nodes.
+    :func:`_mode_form` over their Chebyshev coefficients on SIGMA.
     """
     m = spectrum.truncation
     eta = spectrum.eigenvalues[:m]
-    if m == 0:
-        z = np.zeros((0, 0))
-        e = np.zeros(0, dtype=int)
-        return ContractionMatrices(z, z, 0.0, 0.0, e, e)
-    x = cheb_grid(spectrum.grid.n).nodes
-    form = _mode_form(coeffs_from_values(spectrum.phi(x, range(m))))
+    c = _sigma_coeffs(spectrum, range(m))
+    form = _mode_form(c, c)
     form = 0.5 * (form + form.T)  # the product rounds (i, j) and (j, i) apart
     scale = np.sqrt(np.abs(eta))
     full = scale[:, None] * form * scale[None, :]
@@ -682,16 +681,14 @@ def mean_shift_pairing(h, eq, beta: float) -> float:
     """
     if beta <= 0:
         raise UsageError("invalid-spec", f"beta must be positive, got {beta}")
-    n = _SIGMA_NODES
-    x = cheb_grid(n).nodes
-    hv = np.asarray(h(x), dtype=float)
+    x = cheb_grid(_SIGMA_NODES).nodes
     edge_vals = np.asarray(h(np.array([-2.0, 2.0])), dtype=float)
     t_edge = 0.25 * float(edge_vals.sum())
-    t_arcsine = float(np.mean(hv)) / 2.0
-    lp = np.log(np.asarray(eq.p_value(x), dtype=float))
-    c = coeffs_from_values(lp)
-    g = cheb_val(c * np.arange(n) / np.pi, x)
-    t_logp = (np.pi / n) * float(g @ hv)
+    # coefficients of log p and of h: the arcsine mean of h is c_0 / 2 of
+    # its own, and the log-derivative term is their covariance form
+    c = coeffs_from_values(np.column_stack((np.log(eq.p_value(x)), np.asarray(h(x), dtype=float))))
+    t_arcsine = 0.25 * float(c[0, 1])
+    t_logp = float(_mode_form(c[:, 0], c[:, 1]))
     return (1.0 - beta / 2.0) * (t_edge - t_arcsine - 0.5 * t_logp)
 
 

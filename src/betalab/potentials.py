@@ -10,7 +10,7 @@ audit, since a silently wrong derivative would poison everything downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -261,17 +261,7 @@ def normalize_support(pot: Potential, endpoints) -> tuple:
         composed = base(np.polynomial.Polynomial([shift, scale]))
         coeffs = [float(c) for c in composed.coef]
         out = make_potential("polynomial", eps=eps, coeffs=coeffs)
-        out = Potential(
-            kind=out.kind,
-            label=f"{pot.label}|normalized",
-            v=out.v,
-            dv=out.dv,
-            d2v=out.d2v,
-            domain=out.domain,
-            analyticity_radius=pot.analyticity_radius,
-            confinement_margin=out.confinement_margin,
-            params=out.params,
-        )
+        out = replace(out, label=f"{pot.label}|normalized", analyticity_radius=pot.analyticity_radius)
         return out, change
 
     v0, dv0, d2v0 = pot.v, pot.dv, pot.d2v

@@ -362,11 +362,8 @@ def hamiltonian_identity_residual(
 
     eta = spectrum.eigenvalues[:modes]
     proj = spectrum.semicircle_proj[:modes]
-    if modes == 0:
-        t = direct - (0.5 * beta - 1.0) * logzp
-    else:
-        q = spectrum.phi(lam, range(modes)).sum(axis=1) - n * proj
-        t = direct + 0.5 * beta * (q * q) @ eta - (0.5 * beta - 1.0) * logzp
+    q = spectrum.phi(lam, range(modes)).sum(axis=1) - n * proj
+    t = direct + 0.5 * beta * (q * q) @ eta - (0.5 * beta - 1.0) * logzp
 
     const = float(np.median(t))
     residual = float(np.max(np.abs(t - const)))
@@ -454,13 +451,10 @@ def linearization_check(
     log_ref = _log_density_ordered(lambda x: 0.5 * x * x, beta, int(n), configs) + logw
     wr = np.exp(log_ref - log_ref.max())
 
-    if modes == 0:
-        w_mode = np.ones(len(configs))
-    else:
-        eta = spectrum.eigenvalues[:modes]
-        proj = spectrum.semicircle_proj[:modes]
-        q = spectrum.phi(nodes, range(modes))[where].sum(axis=1) - n * proj
-        w_mode = np.prod(_gauss_hermite_factors(q, beta * eta, gh_nodes), axis=1)
+    eta = spectrum.eigenvalues[:modes]
+    proj = spectrum.semicircle_proj[:modes]
+    q = spectrum.phi(nodes, range(modes))[where].sum(axis=1) - n * proj
+    w_mode = np.prod(_gauss_hermite_factors(q, beta * eta, gh_nodes), axis=1)
     # jacobian_weight=False drops the (beta/2 - 1) log-derivative factor,
     # a deliberate corruption used as a negative control (inactive at beta=2)
     jac = np.exp(-(0.5 * beta - 1.0) * logzp) if jacobian_weight else 1.0

@@ -173,12 +173,19 @@ def test_flag_beats_env(tmp_path, capsys, monkeypatch):
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[ensemble]\nwalkers = 12\n")
-    code, _, err = run_cli(["sample", "--config", str(cfg)], capsys)
-    assert code == 2
-    record = json.loads(err.strip().splitlines()[-1])
-    assert record["error"] == "invalid-spec"
-    assert "walkers" in record["message"]
+    # the [equilibrium] node counts are retired: the solver's defaults
+    # resolve every potential the CLI accepts
+    for text, name in [
+        ("[ensemble]\nwalkers = 12\n", "walkers"),
+        ("[equilibrium]\ncontour-nodes = 512\n", "equilibrium"),
+        ("[equilibrium]\ngrid-nodes = 256\n", "equilibrium"),
+    ]:
+        cfg.write_text(text)
+        code, _, err = run_cli(["sample", "--config", str(cfg)], capsys)
+        assert code == 2
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "invalid-spec"
+        assert name in record["message"]
 
 
 def test_unknown_config_section_rejected(tmp_path, capsys):

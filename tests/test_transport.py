@@ -150,7 +150,7 @@ def test_quartic_family_certifies_or_refuses(g):
     assert np.max(c[max(2, c.size - 4) :], initial=0.0) < 1e-12 * np.max(c)
     # ... and interpolates the quantile composition between its nodes
     t = np.random.default_rng(7).uniform(-1.9, 1.9, 200)
-    want = eq.quantile(ops.semicircle_cdf(t))
+    want = eq.quantile(oracles.semicircle_cdf(t))
     assert np.max(np.abs(ops.cheb_val(tmap.interior_cheb, t, tmap.eq.interval) - want)) < 1e-12
 
 
