@@ -38,6 +38,13 @@ _SIGMA_NODES = 256
 # truncation: the eigenvalue tail, and the reconstruction error it bounds
 _TAIL_TOL = 1e-12
 _RECON_TOL = 1e-10
+# the kernel's modes by randomized subspace iteration (Halko, Martinsson
+# and Tropp, SIAM Rev. 2011, Algorithms 4.4 and 5.3): the starting rank,
+# doubled until the last Ritz value is rounding, the power steps, and the
+# seed of the Gaussian starting block
+_SUBSPACE_RANK = 48
+_POWER_STEPS = 2
+_SUBSPACE_SEED = 0
 # the deformation identity's inverse square-root probes and semicircle rule
 _DEFORMATION_PROBES = 192
 _DEFORMATION_NODES = 256
@@ -469,20 +476,29 @@ def _log_ratio(tmap, x, y, zx, zy):
     del diff
     if close:
         t = 1e-3
-        # curvature probe shifted inward so mid +- t stays in the window
+        # curvature probes only where the correction is not multiplied by
+        # d^2 = 0, shifted inward so that ctr +- t stays in the window
+        off = d_near != 0.0
         hw = tmap.eq.interval[1] - 2.0 * t
-        ctr = np.clip(mid, -hw, hw)
+        ctr = np.clip(mid[off], -hw, hw)
         zd = np.asarray(tmap.derivative(np.concatenate((mid, ctr + t, ctr, ctr - t))), dtype=float)
-        zp, zr, zc, zl = np.split(zd, 4)
+        zp = zd[: mid.size]
+        zr, zc, zl = np.split(zd[mid.size :], 3)
         zpp2 = (zr - 2.0 * zc + zl) / (t * t)
-        out[near] = np.log(zp) + (d_near**2) * zpp2 / (24.0 * zp)
+        val = np.log(zp)
+        val[off] += (d_near[off] ** 2) * zpp2 / (24.0 * zp[off])
+        out[near] = val
     return out
 
 
 def kernel_matrix(tmap, grid: ChebGrid) -> np.ndarray:
-    """Symmetric matrix of the transported log-ratio kernel on the grid."""
+    """Symmetric matrix of the transported log-ratio kernel on the grid.
+
+    The map is evaluated once on the nodes, whose images serve both axes.
+    """
     x = grid.nodes
-    k = log_ratio_kernel(tmap, x[:, None], x[None, :])
+    z = np.asarray(tmap.value(x), dtype=float)
+    k = _log_ratio(tmap, x[:, None], x[None, :], z[:, None], z[None, :])
     out = np.add(k, k.T)
     out *= 0.5
     return out
@@ -492,16 +508,20 @@ def kernel_matrix(tmap, grid: ChebGrid) -> np.ndarray:
 class KernelSpectrum:
     """Eigendata of the transported log-ratio kernel.
 
-    ``eigenvalues`` are ordered by decreasing magnitude with signs kept.
-    ``truncation`` is the number of modes needed to push the absolute
-    eigenvalue tail below ``_TAIL_TOL``. Mode functions are
+    ``eigenvalues`` holds the Ritz values of :func:`eigendecompose`, one
+    per column of its subspace, ordered by decreasing magnitude with
+    signs kept. ``truncation`` is the number of modes needed to push the
+    absolute eigenvalue tail below ``_TAIL_TOL``. Mode functions are
     available on the whole grid interval through :meth:`phi`, which
     evaluates the Chebyshev extension of the grid eigenvectors; they are
     orthonormal for the grid weights. ``phi_lengths`` holds each mode's
     resolved series length, and :meth:`phi` evaluates only the
     coefficient columns that the requested modes need.
-    ``semicircle_proj`` holds each stored mode's integral against the
-    semicircle density, (b_0 - b_2) / 2 of its coefficients b on SIGMA.
+    ``sigma_coeffs`` holds the stored modes' Chebyshev coefficients on
+    SIGMA, a column each, from their values at ``grid.n`` first-kind
+    nodes there; the contraction form reads them, and
+    ``semicircle_proj`` holds each mode's integral against the
+    semicircle density, (b_0 - b_2) / 2 of its coefficients b.
     """
 
     grid: ChebGrid
@@ -511,11 +531,12 @@ class KernelSpectrum:
     tail: float
     phi_coeffs: np.ndarray = field(repr=False)
     phi_lengths: np.ndarray = field(repr=False)
-    semicircle_proj: np.ndarray = field(init=False, repr=False)
+    sigma_coeffs: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        b = _sigma_coeffs(self, range(self.stored))
-        self.semicircle_proj = 0.5 * (b[0] - b[2])
+    @property
+    def semicircle_proj(self) -> np.ndarray:
+        b = self.sigma_coeffs
+        return 0.5 * (b[0] - b[2])
 
     @property
     def stored(self) -> int:
@@ -534,52 +555,124 @@ class KernelSpectrum:
         return cheb_val(self.phi_coeffs[:, :cols][idx], x_arr, self.grid.interval)
 
 
-def _sigma_coeffs(spectrum: KernelSpectrum, modes) -> np.ndarray:
-    """Chebyshev coefficients on SIGMA of the given modes, a column each.
+def _sigma_values(grid: ChebGrid, vals: np.ndarray) -> np.ndarray:
+    """Values at the ``grid.n`` first-kind nodes on SIGMA of the polynomial
+    that takes ``vals`` (a column per function) at the grid nodes.
 
-    They are taken from the modes' values at ``spectrum.grid.n``
-    first-kind nodes on SIGMA.
+    The barycentric formula of the second kind, whose weights at
+    first-kind nodes alternate in sign with magnitudes proportional to
+    the grid weights, taken in row blocks of at most ``_PV_BLOCK``
+    entries; a node shared by both grids takes its grid value.
     """
-    return coeffs_from_values(spectrum.phi(cheb_grid(spectrum.grid.n).nodes, modes))
+    x = grid.nodes
+    y = cheb_grid(x.size).nodes
+    lam = grid.weights.copy()
+    lam[1::2] *= -1.0
+    rows = max(1, _PV_BLOCK // x.size)
+    out = np.empty((y.size, vals.shape[1]))
+    for i in range(0, y.size, rows):
+        d = np.subtract.outer(y[i : i + rows], x)
+        hit = np.nonzero(d == 0.0)
+        d[hit] = 1.0
+        np.divide(lam, d, out=d)
+        d[hit[0]] = 0.0
+        d[hit] = 1.0
+        out[i : i + rows] = (d @ vals) / d.sum(axis=1)[:, None]
+    return out
+
+
+def _ritz_pairs(kmat: np.ndarray, s: np.ndarray):
+    """Ritz pairs of A = S K S on a randomized subspace, and its basis.
+
+    A is applied, never formed. From an n x r Gaussian block of the fixed
+    seed, ``_POWER_STEPS`` steps of A @ Q and QR give an orthonormal
+    basis Q of A's dominant range, and the eigenpairs of the r x r matrix
+    T = Q^T A Q are the Ritz pairs. r starts at ``_SUBSPACE_RANK`` and
+    doubles until the smallest Ritz magnitude is below the rounding floor
+    n eps |theta_0|, or below ``_TAIL_TOL`` / n, where even n such
+    eigenvalues stay under the tail tolerance (a kernel that is rounding
+    throughout, such as the gaussian one, has no floor below its own
+    noise); at r = n they are the full decomposition. Returns the Ritz
+    values, the Ritz vectors Q U and the floor.
+    """
+    n = s.size
+
+    def apply(q):
+        y = kmat @ (s[:, None] * q)
+        y *= s[:, None]
+        return y
+
+    r = min(_SUBSPACE_RANK, n)
+    while True:
+        q = np.random.default_rng(_SUBSPACE_SEED).standard_normal((n, r))
+        for _ in range(_POWER_STEPS):
+            q = np.linalg.qr(apply(q))[0]
+        t = q.T @ apply(q)
+        theta, u = np.linalg.eigh(0.5 * (t + t.T))
+        abs_theta = np.abs(theta)
+        top = float(abs_theta.max())
+        floor = n * np.finfo(float).eps * (top if top > 0 else 1.0)
+        if r == n or abs_theta.min() < max(floor, _TAIL_TOL / n):
+            return theta, q @ u, floor
+        r = min(2 * r, n)
+
+
+def _missed_part(kmat: np.ndarray, s: np.ndarray, theta: np.ndarray, psi: np.ndarray) -> float:
+    """Largest entry of A - Q T Q^T, the part of A = S K S that the
+    Ritz pairs (theta, psi) miss, in row blocks of at most ``_PV_BLOCK``
+    entries."""
+    n = s.size
+    rows = max(1, _PV_BLOCK // n)
+    worst = 0.0
+    for i in range(0, n, rows):
+        blk = np.multiply(kmat[i : i + rows], s)
+        blk *= s[i : i + rows, None]
+        blk -= (psi[i : i + rows] * theta) @ psi.T
+        worst = max(worst, float(np.max(np.abs(blk, out=blk))))
+    return worst
 
 
 def eigendecompose(kmat: np.ndarray, grid: ChebGrid) -> KernelSpectrum:
-    """Weighted symmetric eigendecomposition of a kernel matrix.
+    """Leading weighted eigenpairs of a symmetric kernel matrix.
 
-    The kernel is symmetrized against the square roots of the grid
-    weights so the discrete problem is self-adjoint; eigenvectors are
-    rescaled back to function values. The truncation point is the
-    smallest mode count whose absolute eigenvalue tail is below
-    ``_TAIL_TOL``, and below ``_RECON_TOL`` once the share of the
-    eigenvalues zeroed as rounding is added. The two bound the weighted
-    reconstruction error max|A - A_m| of the kernel at rank m: the tail
-    because orthonormal eigenvectors have entries of modulus at most one,
-    the share max_i sum |eta_k| psi_k(i)^2 over the zeroed modes by
-    Cauchy-Schwarz.
+    The kernel is weighted by the square roots of the grid weights,
+    A = S K S, so the discrete problem is self-adjoint; its eigenpairs
+    are the Ritz pairs of :func:`_ritz_pairs`, and the eigenvectors are
+    rescaled back to function values. ``eigenvalues`` holds the r Ritz
+    values, ordered by decreasing magnitude; two whose magnitudes agree
+    to a relative n eps are a tie, which the positive one wins. Ritz
+    values below the floor are zeroed. Each mode's sign makes the
+    largest-magnitude entry of its weighted grid values
+    sqrt(w_i) phi(x_i) positive.
+
+    The truncation point is the smallest mode count whose absolute
+    eigenvalue tail is below ``_TAIL_TOL``, and below ``_RECON_TOL`` once
+    a bound on the rest of A is added: the share of the Ritz values
+    zeroed as rounding, max_i sum |theta_k| psi_k(i)^2 over them, and the
+    largest entry of A - Q T Q^T, the part of A that the rank-r range
+    misses. A - A_m at rank m is that part plus the Ritz terms past m,
+    so the three bound the weighted reconstruction error max|A - A_m|:
+    the tail because orthonormal eigenvectors have entries of modulus at
+    most one, the share by Cauchy-Schwarz.
     """
     n = grid.n
     s = np.sqrt(grid.weights)
-    a = s[:, None] * kmat
-    a *= s[None, :]
-    sym = np.add(a, a.T)
-    del a
-    sym *= 0.5
-    eta, psi = np.linalg.eigh(sym)
-    del sym
-    order = np.argsort(-np.abs(eta))
-    eta = eta[order]
+    theta, psi, floor = _ritz_pairs(kmat, s)
+    r = theta.size
+    missed = _missed_part(kmat, s, theta, psi)
+    tie = 1.0 + n * np.finfo(float).eps * (theta > 0)
+    order = np.argsort(-np.abs(theta) * tie, kind="stable")
+    eta = theta[order]
     psi = psi[:, order]
-    # deterministic sign: largest-magnitude component positive
-    lead = psi[np.argmax(np.abs(psi), axis=0), np.arange(n)]
+    lead = psi[np.argmax(np.abs(psi), axis=0), np.arange(r)]
     psi[:, lead < 0] *= -1
 
-    # kill eigenvalues below the eigh noise floor so the tail sum is
+    # kill eigenvalues below the noise floor so the tail sum is
     # dominated by genuine modes, not accumulated rounding
     abs_eta = np.abs(eta)
-    floor = n * np.finfo(float).eps * (abs_eta[0] if abs_eta[0] > 0 else 1.0)
     rounding = abs_eta < floor
     zeroed = np.where(rounding, abs_eta, 0.0)
-    zeroed_share = float(np.max(np.einsum("ik,ik,k->i", psi, psi, zeroed)))
+    bound = float(np.max(np.einsum("ik,ik,k->i", psi, psi, zeroed))) + missed
     eta = np.where(rounding, 0.0, eta)
     abs_eta = np.abs(eta)
     total = float(abs_eta.sum())
@@ -587,8 +680,8 @@ def eigendecompose(kmat: np.ndarray, grid: ChebGrid) -> KernelSpectrum:
     if total <= _TAIL_TOL:
         m = 0
     else:
-        limit = min(_TAIL_TOL, _RECON_TOL - zeroed_share)
-        m = min(int(np.searchsorted(-tails, -limit) + 1), n)
+        limit = min(_TAIL_TOL, _RECON_TOL - bound)
+        m = min(int(np.searchsorted(-tails, -limit) + 1), r)
 
     # fit the decay over modes within ten decades of the top one; deeper
     # modes sit on the numerical plateau and would flatten the fit
@@ -601,8 +694,9 @@ def eigendecompose(kmat: np.ndarray, grid: ChebGrid) -> KernelSpectrum:
     else:
         decay = float("inf")
 
-    stored = min(max(m, 12), n)
-    coeffs = coeffs_from_values(psi[:, :stored] / s[:, None]).T
+    stored = min(max(m, 12), r)
+    vals = psi[:, :stored] / s[:, None]
+    coeffs = coeffs_from_values(vals).T
     # a smooth mode keeps decaying past the chop threshold, and its tail
     # there still adds up to more than CHOP_REL; a guard band of
     # 4 * MIN_DROPPED coefficients past the last one above it keeps that
@@ -619,6 +713,7 @@ def eigendecompose(kmat: np.ndarray, grid: ChebGrid) -> KernelSpectrum:
         tail=tail_val,
         phi_coeffs=coeffs,
         phi_lengths=lengths,
+        sigma_coeffs=coeffs_from_values(_sigma_values(grid, vals)),
     )
 
 
@@ -652,7 +747,7 @@ def contraction_matrices(spectrum: KernelSpectrum) -> ContractionMatrices:
     """
     m = spectrum.truncation
     eta = spectrum.eigenvalues[:m]
-    c = _sigma_coeffs(spectrum, range(m))
+    c = spectrum.sigma_coeffs[:, :m]
     form = _mode_form(c, c)
     form = 0.5 * (form + form.T)  # the product rounds (i, j) and (j, i) apart
     scale = np.sqrt(np.abs(eta))

@@ -234,13 +234,7 @@ def solve_transport(
     """
     coeffs = _fit(eq)
     n = coeffs.size
-    tmap = TransportMap(
-        eq=eq,
-        interior_cheb=coeffs,
-        anchor=float(ops.cheb_val(coeffs, 0.0, eq.interval)),
-        residual_max=0.0,
-        overlap_max=0.0,
-    )
+    tmap = TransportMap(eq=eq, interior_cheb=coeffs, anchor=0.0, residual_max=0.0, overlap_max=0.0)
 
     # the Chebyshev extreme points interlace the fit nodes and include
     # both ends of the window
@@ -248,7 +242,9 @@ def solve_transport(
     between = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(n + 1) / n)
     lam, _ = ops.gauss_inv_sqrt(512, ops.SIGMA)
     probes = np.concatenate((between, lam))
-    z = tmap.value(probes)
+    # the anchor, the map's value at 0, rides along with the probes
+    z = tmap.value(np.append(probes, 0.0))
+    tmap.anchor = float(z[-1])
     overlap = float(np.max(np.abs(z[: between.size] - _pointwise(eq, between))))
     if not overlap < OVERLAP_TOL:
         raise NumericalError(
@@ -261,7 +257,7 @@ def solve_transport(
     dz = tmap.derivative(probes)
     if np.any(dz <= 0):
         raise NumericalError("ode-failure", "transport map is not strictly increasing")
-    z, dz = z[between.size :], dz[between.size :]
+    z, dz = z[between.size : probes.size], dz[between.size :]
     resid = float(np.max(np.abs(eq.density(z) * dz - ops.semicircle_density(lam))))
     if not resid < RESIDUAL_TOL:
         raise NumericalError(

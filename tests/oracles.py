@@ -506,24 +506,29 @@ def contraction_blocks_dense(spectrum, n=256):
     return plus, minus, norm(plus), norm(minus)
 
 
-def truncation_by_reconstruction(kmat, grid, tail_tol=1e-12, recon_tol=1e-10):
-    """Kernel truncation by growing the rank until the reconstruction holds.
+def _dense_weighted_eigh(kmat, grid):
+    """Dense eigenpairs of the weighted kernel A = S K S, S = diag(sqrt(weights)).
 
-    Start at the smallest rank whose absolute eigenvalue tail (eigenvalues
-    below n eps |eta_0| zeroed) is at most tail_tol, then add one mode at
-    a time until the weighted kernel A = S K S, S = diag(sqrt(weights)),
-    is rebuilt from the kept modes to within recon_tol everywhere.
+    Returns A (symmetrized), the eigenvalues with those below n eps
+    |eta_0| zeroed, and the eigenvectors, ordered by decreasing
+    magnitude; magnitudes within a relative n eps tie, and the positive
+    value goes first.
     """
     n = grid.n
     s = np.sqrt(grid.weights)
     a = s[:, None] * kmat * s[None, :]
     a = 0.5 * (a + a.T)
     eta, psi = np.linalg.eigh(a)
-    order = np.argsort(-np.abs(eta))
+    eps = np.finfo(float).eps
+    order = np.argsort(-np.abs(eta) * (1.0 + n * eps * (eta > 0)), kind="stable")
     eta, psi = eta[order], psi[:, order]
     abs_eta = np.abs(eta)
-    floor = n * np.finfo(float).eps * (abs_eta[0] if abs_eta[0] > 0 else 1.0)
-    eta = np.where(abs_eta < floor, 0.0, eta)
+    floor = n * eps * (abs_eta[0] if abs_eta[0] > 0 else 1.0)
+    return a, np.where(abs_eta < floor, 0.0, eta), psi
+
+
+def _reconstruction_rank(a, eta, psi, tail_tol, recon_tol):
+    n = eta.size
     abs_eta = np.abs(eta)
     total = float(abs_eta.sum())
     tails = total - np.cumsum(abs_eta)
@@ -534,3 +539,54 @@ def truncation_by_reconstruction(kmat, grid, tail_tol=1e-12, recon_tol=1e-10):
             break
         m += 1
     return m
+
+
+def truncation_by_reconstruction(kmat, grid, tail_tol=1e-12, recon_tol=1e-10):
+    """Kernel truncation by growing the rank until the reconstruction holds.
+
+    Start at the smallest rank whose absolute eigenvalue tail (eigenvalues
+    below n eps |eta_0| zeroed) is at most tail_tol, then add one mode at
+    a time until the weighted kernel A = S K S, S = diag(sqrt(weights)),
+    is rebuilt from the kept modes to within recon_tol everywhere.
+    """
+    return _reconstruction_rank(*_dense_weighted_eigh(kmat, grid), tail_tol, recon_tol)
+
+
+def eigendecompose_dense(kmat, grid, tail_tol=1e-12, recon_tol=1e-10):
+    """The kernel spectrum from numpy's dense eigh of the whole weighted kernel.
+
+    Every one of the n eigenpairs of A = S K S is computed; the truncation
+    is :func:`truncation_by_reconstruction`'s, and each mode's largest
+    grid value is made positive. The stored modes keep their whole
+    Chebyshev series, from scipy's DCT-II of their grid values, and
+    their coefficients on [-2, 2] come from that series summed by numpy's
+    chebval at the first-kind nodes there. Memory grows like n^2.
+    """
+    from betalab.operators import KernelSpectrum
+
+    n = grid.n
+    a, eta, psi = _dense_weighted_eigh(kmat, grid)
+    m = _reconstruction_rank(a, eta, psi, tail_tol, recon_tol)
+    del a
+    lead = psi[np.argmax(np.abs(psi), axis=0), np.arange(n)]
+    psi[:, lead < 0] *= -1
+    stored = min(max(m, 12), n)
+    vals = psi[:, :stored] / np.sqrt(grid.weights)[:, None]
+    coeffs = fft.dct(vals[::-1], type=2, axis=0) / n
+    lo, hi = grid.interval
+    theta = (2.0 * np.arange(n) + 1.0) * np.pi / (2.0 * n)
+    u = (4.0 * np.cos(theta)[::-1] - (lo + hi)) / (hi - lo)
+    half = coeffs.copy()
+    half[0] *= 0.5
+    on_sigma = np.polynomial.chebyshev.chebval(u, half).T
+    abs_eta = np.abs(eta)
+    return KernelSpectrum(
+        grid=grid,
+        eigenvalues=eta,
+        truncation=m,
+        decay_rate=float("nan"),
+        tail=float(abs_eta[m:].sum()),
+        phi_coeffs=coeffs.T,
+        phi_lengths=np.full(stored, n),
+        sigma_coeffs=fft.dct(on_sigma[::-1], type=2, axis=0) / n,
+    )

@@ -320,13 +320,14 @@ def test_modal_double_sum_agreement(quartic_tmap, quartic_spectrum):
 
 
 class CountingMap:
-    """A transport map that counts the points passed to ``value`` and the
-    calls of ``value`` and ``derivative``."""
+    """A transport map that counts the points passed to ``value`` and to
+    ``derivative``, and the calls of each."""
 
     def __init__(self, tmap):
         self.base = tmap
         self.eq = tmap.eq
         self.points = 0
+        self.derivative_points = 0
         self.value_calls = 0
         self.derivative_calls = 0
 
@@ -336,6 +337,7 @@ class CountingMap:
         return self.base.value(lam)
 
     def derivative(self, lam):
+        self.derivative_points += np.size(lam)
         self.derivative_calls += 1
         return self.base.derivative(lam)
 
@@ -344,11 +346,47 @@ def test_kernel_evaluates_map_once_per_node(quartic_tmap):
     grid = ops.cheb_grid(256, quartic_tmap.eq.interval)
     counted = CountingMap(quartic_tmap)
     ops.kernel_matrix(counted, grid)
-    assert counted.points <= 2 * 256
+    assert counted.points == 256
     x = grid.nodes
     outer = ops.log_ratio_kernel(quartic_tmap, x[:, None], x[None, :])
     full = ops.log_ratio_kernel(quartic_tmap, *np.broadcast_arrays(x[:, None], x[None, :]))
     assert np.array_equal(outer, full)
+
+
+@pytest.mark.parametrize("g", [0.1, 0.8])
+def test_kernel_matrix_is_the_symmetrized_pointwise_kernel(g):
+    # one map call on the grid serves both axes, with the same bits as the
+    # pointwise kernel, which maps the grid once per axis
+    tmap = _transport_data("even-quartic", g)
+    grid = ops.cheb_grid(256, tmap.eq.interval)
+    x = grid.nodes
+    k = ops.log_ratio_kernel(tmap, x[:, None], x[None, :])
+    assert np.array_equal(ops.kernel_matrix(tmap, grid), 0.5 * (k + k.T))
+
+
+def test_curvature_probes_only_off_the_diagonal(quartic_eq, quartic_tmap):
+    # the diagonal's curvature correction is multiplied by d^2 = 0, so only
+    # close pairs with x != y probe the derivative at ctr +- t and ctr
+    grid = ops.cheb_grid(256, quartic_tmap.eq.interval)
+    x = grid.nodes
+    d = np.abs(x[:, None] - x[None, :])
+    close, off = int(np.sum(d < 1e-3)), int(np.sum((d < 1e-3) & (d > 0)))
+    assert (close, off) == (256 + 16, 16)
+    counted = CountingMap(quartic_tmap)
+    kmat = ops.kernel_matrix(counted, grid)
+    assert counted.derivative_points == close + 3 * off
+    separate = oracles.log_ratio_kernel_separate_calls(quartic_tmap, x[:, None], x[None, :])
+    assert np.array_equal(kmat, 0.5 * (separate + separate.T))
+    # the deformation identity's probe-by-rule grid: 46 close pairs, none on
+    # the diagonal
+    lam, _ = ops.gauss_inv_sqrt(ops._DEFORMATION_PROBES, ops.SIGMA)
+    mu, _ = ops.gauss_semicircle(ops._DEFORMATION_NODES, ops.SIGMA)
+    assert int(np.sum(np.abs(lam[:, None] - mu[None, :]) < 1e-3)) == 46
+    counted = CountingMap(quartic_tmap)
+    got = ops.log_ratio_kernel(counted, lam[:, None], mu[None, :])
+    assert counted.derivative_points == 4 * 46
+    want = oracles.log_ratio_kernel_separate_calls(quartic_tmap, lam[:, None], mu[None, :])
+    assert np.array_equal(got, want)
 
 
 def test_kernel_merges_map_calls(quartic_eq, quartic_tmap):
@@ -374,7 +412,9 @@ def test_kernel_merges_map_calls(quartic_eq, quartic_tmap):
 
 
 def test_kernel_and_spectrum_working_set(quartic_tmap):
-    # one n x n scratch beside the result; the parent held 5.1x and 4.0x
+    # the kernel: one n x n scratch beside the result. The spectrum forms
+    # no n x n array: its Ritz data are n x r, and its row blocks at most
+    # _PV_BLOCK entries; it read 1.53 MiB, where the dense eigh held 16.1
     n = 1024
     grid = ops.cheb_grid(n, quartic_tmap.eq.interval)
     with traced_peak() as peak:
@@ -382,7 +422,7 @@ def test_kernel_and_spectrum_working_set(quartic_tmap):
     assert peak.bytes <= 2.25 * kmat.nbytes
     with traced_peak() as peak:
         ops.eigendecompose(kmat, grid)
-    assert peak.bytes <= 2.25 * 8 * n * n
+    assert peak.bytes <= 2 * 2**20
 
 
 def test_mode_orthonormality(quartic_spectrum):
@@ -464,9 +504,9 @@ def test_contraction_norms(g, nplus, nminus):
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel_data(kind, g=None, nodes=256):
-    """Kernel matrix, grid and spectrum on the ``nodes``-point grid; the
-    polynomial is the benchmark sweep's, normalized onto SIGMA."""
+def _transport_data(kind, g=None):
+    """The certified transport map; the polynomial is the benchmark
+    sweep's, normalized onto SIGMA."""
     from betalab.equilibrium import solve_equilibrium
     from betalab.potentials import make_potential, normalize_support, support_endpoints
     from betalab.transport import solve_transport
@@ -476,7 +516,13 @@ def _kernel_data(kind, g=None, nodes=256):
         pot, _ = normalize_support(pot, support_endpoints(pot))
     else:
         pot = make_potential(kind, **({} if g is None else {"g": g}))
-    tmap = solve_transport(solve_equilibrium(pot))
+    return solve_transport(solve_equilibrium(pot))
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_data(kind, g=None, nodes=256):
+    """Kernel matrix, grid and spectrum on the ``nodes``-point grid."""
+    tmap = _transport_data(kind, g)
     grid = ops.cheb_grid(nodes, tmap.eq.interval)
     kmat = ops.kernel_matrix(tmap, grid)
     return kmat, grid, ops.eigendecompose(kmat, grid)
@@ -521,6 +567,125 @@ def test_contraction_mode_sum_matches_dense_form(g):
 def test_truncation_bound_matches_reconstruction_loop(kind, g, nodes):
     kmat, grid, spec = _kernel_data(kind, g, nodes)
     assert spec.truncation == oracles.truncation_by_reconstruction(kmat, grid)
+
+
+# the benchmark sweep's potentials on 256 nodes, and g=0.9 on the grids it needs
+SWEEP_KERNELS = [
+    ("gaussian", None, 256),
+    *(("even-quartic", g, 256) for g in (-0.1, 0.1, 0.3, 0.5, 0.7, 0.8)),
+    ("polynomial", None, 256),
+    ("even-quartic", 0.9, 1024),
+    ("even-quartic", 0.9, 2048),
+]
+
+
+@pytest.mark.parametrize("kind,g,nodes", SWEEP_KERNELS)
+def test_subspace_spectrum_matches_dense_invariants(kind, g, nodes):
+    # near-equal |eta_k| may order deep modes differently on the two
+    # routes, so only invariants of the kept modes are compared
+    from betalab import universality as uni
+    from betalab.ensembles import sample_gaussian
+
+    kmat, grid, spec = _kernel_data(kind, g, nodes)
+    dense = oracles.eigendecompose_dense(kmat, grid)
+    m = spec.truncation
+    assert m == dense.truncation
+    top = abs(dense.eigenvalues[0])
+    assert np.max(np.abs(spec.eigenvalues[:m] - dense.eigenvalues[:m]), initial=0.0) <= 1e-14 * top
+
+    s = np.sqrt(grid.weights)
+
+    def weighted_reconstruction(sp):
+        v = sp.phi(grid.nodes, range(m)) * s[:, None]
+        return (v * sp.eigenvalues[:m]) @ v.T
+
+    recon = weighted_reconstruction(spec)
+    assert np.max(np.abs(recon - weighted_reconstruction(dense))) <= 1e-14 * max(top, 1e-300)
+    assert np.max(np.abs(s[:, None] * kmat * s[None, :] - recon)) <= ops._RECON_TOL
+    del recon
+
+    got, want = ops.contraction_matrices(spec), ops.contraction_matrices(dense)
+    assert abs(got.norm_plus - want.norm_plus) <= 1e-14
+    assert abs(got.norm_minus - want.norm_minus) <= 1e-14
+
+    tmap = _transport_data(kind, g)
+    configs = sample_gaussian(8, 2.0, 50, seed=6, window=(-2.05, 2.05)).configs
+    a = uni.hamiltonian_identity_residual(tmap.eq, tmap, spec, 2.0, configs)
+    b = uni.hamiltonian_identity_residual(tmap.eq, tmap, dense, 2.0, configs)
+    assert a.modes == b.modes == m
+    assert abs(a.residual - b.residual) <= 1e-13
+    assert abs(a.predicted_constant - b.predicted_constant) <= 1e-12
+
+
+def test_missed_part_is_what_the_ritz_pairs_leave_of_the_kernel():
+    kmat, grid, spec = _kernel_data("even-quartic", 0.5)
+    s = np.sqrt(grid.weights)
+    theta, psi, _ = ops._ritz_pairs(kmat, s)
+    a = s[:, None] * kmat * s[None, :]
+    assert ops._missed_part(kmat, s, theta, psi) <= 1e-14 * abs(spec.eigenvalues[0])
+    keep = np.argsort(-np.abs(theta))[:6]
+    want = np.max(np.abs(a - (psi[:, keep] * theta[keep]) @ psi[:, keep].T))
+    assert want > 1e-6
+    assert abs(ops._missed_part(kmat, s, theta[keep], psi[:, keep]) - want) <= 1e-15
+
+
+def test_sigma_coefficients_of_a_spectrum_on_sigma(quartic_tmap):
+    # on a grid over SIGMA itself every node of the rule is a grid node,
+    # so the modes' coefficients there are their own series
+    grid = ops.cheb_grid(128)
+    spec = ops.eigendecompose(ops.kernel_matrix(quartic_tmap, grid), grid)
+    assert np.array_equal(spec.sigma_coeffs, spec.phi_coeffs.T)
+
+
+def test_subspace_spectrum_is_reproducible():
+    kmat, grid, spec = _kernel_data("even-quartic", 0.8)
+    again = ops.eigendecompose(kmat, grid)
+    assert again.truncation == spec.truncation
+    for name in ("eigenvalues", "phi_coeffs", "phi_lengths", "sigma_coeffs", "semicircle_proj"):
+        assert np.array_equal(getattr(again, name), getattr(spec, name)), name
+
+
+def test_subspace_spectrum_breaks_ties_to_the_positive_mode():
+    # a kernel with an exact +-eta pair above a geometric tail: the two Ritz
+    # values agree to rounding, and the positive one comes first whichever
+    # the rounding makes larger
+    n = 128
+    grid = ops.cheb_grid(n, (-2.1, 2.1))
+    basis = np.linalg.qr(np.random.default_rng(5).standard_normal((n, 8)))[0]
+    eta = np.array([0.3, -0.3, 0.1, -0.05, 0.02, 1e-3, -1e-4, 1e-5])
+    s = np.sqrt(grid.weights)
+    for sign in (1.0, -1.0):
+        a = (basis * (sign * eta)) @ basis.T
+        kmat = a / np.outer(s, s)
+        kmat = 0.5 * (kmat + kmat.T)
+        spec = ops.eigendecompose(kmat, grid)
+        got = spec.eigenvalues[:2]
+        assert got[0] > 0.0 > got[1]
+        assert np.max(np.abs(np.abs(got) - 0.3)) <= 1e-14
+        assert spec.truncation == eta.size
+        # each mode's largest-magnitude weighted grid value is positive
+        vals = spec.phi(grid.nodes, range(spec.stored)) * s[:, None]
+        lead = vals[np.argmax(np.abs(vals), axis=0), np.arange(spec.stored)]
+        assert np.all(lead > 0.0)
+
+
+def test_no_dense_eigensolver_in_the_spectrum(monkeypatch):
+    # every eigh the spectrum calls is the Rayleigh-Ritz one, of order r
+    eigh = np.linalg.eigh
+    sizes = []
+
+    def guarded(a, *args, **kw):
+        sizes.append(a.shape[-1])
+        if a.shape[-1] > ops._SUBSPACE_RANK:
+            raise AssertionError(f"dense eigh of order {a.shape[-1]}")
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", guarded)
+    for kind, g, nodes in SWEEP_KERNELS:
+        kmat, grid = _kernel_data(kind, g, nodes)[:2]
+        spec = ops.eigendecompose(kmat, grid)
+        assert spec.eigenvalues.size == ops._SUBSPACE_RANK
+    assert sizes == [ops._SUBSPACE_RANK] * len(SWEEP_KERNELS)
 
 
 # ----------------------------------------------------------------------

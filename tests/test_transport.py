@@ -169,6 +169,23 @@ def test_anchor_is_map_value_at_zero(quartic_tmap):
     assert quartic_tmap.to_dict()["anchor"] == quartic_tmap.anchor
 
 
+@pytest.mark.parametrize("g", [0.1, 0.8])
+def test_anchor_rides_with_the_probes(monkeypatch, g):
+    # the whole series is summed once, on the probes with 0 appended, and
+    # the anchor keeps the bits of a value call at 0 alone
+    shapes = []
+    cheb_val = ops.cheb_val
+
+    def counted(coeffs, x, interval=ops.SIGMA):
+        shapes.append(np.shape(coeffs))
+        return cheb_val(coeffs, x, interval)
+
+    monkeypatch.setattr(ops, "cheb_val", counted)
+    tmap = solve_transport(_quartic_eq(g))
+    assert shapes.count(tmap.interior_cheb.shape) == 1
+    assert tmap.anchor == tmap.value(0.0)
+
+
 def test_unresolved_or_uncertified_map_is_refused(monkeypatch):
     eq = _quartic_eq(0.8)  # needs 1024 nodes
     monkeypatch.setattr(transport, "_FIT_NODES", (64, 512))
