@@ -227,8 +227,7 @@ def cmd_transport(cfg: dict) -> int:
     payload.update(tmap.to_dict())
     _write_json(_out_path(cfg, ".transport.json"), payload)
     xs, _ = ops.gauss_inv_sqrt(257)
-    zs = tmap.value(xs)
-    zps = tmap.derivative(xs)
+    zs, zps = tmap.value_and_derivative(xs)
     res = zps * eq.density(zs) - ops.semicircle_density(xs)
     rows = [(f"{x:.12e}", f"{z:.12e}", f"{zp:.12e}", f"{r:.3e}") for x, z, zp, r in zip(xs, zs, zps, res)]
     _write_csv(_out_path(cfg, ".residual.csv"), ["x", "zeta", "zeta_prime", "residual"], rows)

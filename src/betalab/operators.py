@@ -148,12 +148,58 @@ def values_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
+def grid_values(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Samples at the m :func:`cheb_grid` nodes of a series of any length.
+
+    On the m-point first-kind grid T_{2mq+r} = (-1)^q T_r and
+    T_{2mq-r} = (-1)^q T_r, and T_m vanishes (Trefethen, *Approximation
+    Theory and Approximation Practice*, ch. 4). The coefficients fold
+    onto the first m modes by these identities, and
+    :func:`values_from_coeffs` takes the folded series to values. Same
+    convention and axis as that transform, and a series of exactly m
+    coefficients gets its bits.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    blocks = -(-c.shape[0] // (2 * m))
+    f = np.zeros((blocks * 2 * m,) + c.shape[1:])
+    f[: c.shape[0]] = c
+    f[0] *= 0.5
+    f = f.reshape((blocks, 2 * m) + c.shape[1:])
+    f[1::2] *= -1.0
+    f = f.sum(axis=0)
+    # r and 2m - r share a mode; the constant goes back to the halved-c0
+    # convention
+    folded = f[:m]
+    folded[1:] -= f[:m:-1]
+    folded[0] *= 2.0
+    return values_from_coeffs(folded)
+
+
+def extrema_values(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Samples at the n + 1 extreme points cos(pi j / n), increasing, of a
+    series of at most n + 1 coefficients, in the halved-c0 convention.
+
+    A DCT-I by one inverse real FFT of the even extension: halving every
+    coefficient but the n-th makes the half spectrum whose inverse FFT
+    of length 2n, unnormalized, is the series at cos(pi j / n). Works
+    along axis 0.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    z = np.zeros((n + 1,) + c.shape[1:])
+    z[: c.shape[0]] = c
+    z[:n] *= 0.5
+    return np.fft.irfft(z, 2 * n, axis=0, norm="forward")[n::-1]
+
+
 def cheb_val(coeffs: np.ndarray, x, interval=SIGMA):
     """Evaluate Chebyshev series in the halved-c0 convention.
 
     A 1-D ``coeffs`` (one function) goes through Clenshaw's recurrence,
     elementwise on all points at once: a few temporaries the size of
-    ``x`` and about 3 numpy calls per coefficient.
+    ``x`` and about 3 numpy calls per coefficient. Complex coefficients
+    sum two real series in that one pass: with real points the real and
+    imaginary parts go through the same real operations, so each part
+    has the bits of its own real call.
 
     A 2-D ``coeffs`` holds one function per row; the result then stacks
     the functions on a last axis, shape ``x.shape + (rows,)``. Points go
@@ -171,7 +217,8 @@ def cheb_val(coeffs: np.ndarray, x, interval=SIGMA):
     lo, hi = interval
     x_arr = np.asarray(x, dtype=float)
     u = (2.0 * x_arr - (lo + hi)) / (hi - lo)
-    c = np.array(coeffs, dtype=float).T
+    c = np.array(coeffs).T
+    c = c.astype(np.result_type(c, float), copy=False)
     c[0] *= 0.5
     if c.ndim == 1:
         return np.polynomial.chebyshev.chebval(u, c)[()]
@@ -286,7 +333,9 @@ def _pv_transform_numer(h_prime, lam: np.ndarray) -> np.ndarray:
     The points go through in row blocks of two reused buffers, the
     differences and the quotients, each of at most ``_PV_BLOCK`` entries,
     so memory is bounded for any number of points; a point within 1e-9 of
-    a node takes the central-difference limit of its quotient.
+    a node takes the central-difference limit of its quotient. Each row
+    is reduced on its own, so a point's value does not depend on the
+    other points in its block.
     """
     mu, w = gauss_semicircle(_PV_NODES, SIGMA)
     hp_mu = np.asarray(h_prime(mu), dtype=float)
@@ -309,7 +358,7 @@ def _pv_transform_numer(h_prime, lam: np.ndarray) -> np.ndarray:
             q[small] = np.broadcast_to(-h2[:, None], small.shape)[small]
         else:
             q /= d
-        out[s : s + k] = q @ w
+        out[s : s + k] = np.vecdot(q, w)
     # PV of the semicircle factor alone: integral sqrt(4-mu^2)/(lam-mu) = pi*lam
     return out + hp_l * np.pi * lam
 
@@ -494,10 +543,16 @@ def _log_ratio(tmap, x, y, zx, zy):
 def kernel_matrix(tmap, grid: ChebGrid) -> np.ndarray:
     """Symmetric matrix of the transported log-ratio kernel on the grid.
 
-    The map is evaluated once on the nodes, whose images serve both axes.
+    The nodes' images serve both axes. On a grid over the map's own
+    window they are one transform of its series, :func:`grid_values`;
+    on any other interval, one :meth:`~betalab.transport.TransportMap.value`
+    call.
     """
     x = grid.nodes
-    z = np.asarray(tmap.value(x), dtype=float)
+    if grid.interval == tuple(tmap.eq.interval):
+        z = grid_values(tmap.interior_cheb, grid.n)
+    else:
+        z = np.asarray(tmap.value(x), dtype=float)
     k = _log_ratio(tmap, x[:, None], x[None, :], z[:, None], z[None, :])
     out = np.add(k, k.T)
     out *= 0.5

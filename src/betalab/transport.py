@@ -48,6 +48,12 @@ class TransportMap:
     against the equation rather than against its construction;
     ``overlap_max`` is the largest disagreement of the series with the
     pointwise construction between the fit nodes.
+
+    Off the Chebyshev points, :meth:`value` and :meth:`derivative` sum
+    their series by Clenshaw's recurrence (``ops.cheb_val``), and
+    :meth:`value_and_derivative` sums both in one pass, with the same
+    bits. At Chebyshev points of the window the values are transforms
+    of the series, ``ops.grid_values`` and ``ops.extrema_values``.
     """
 
     eq: EquilibriumData
@@ -56,9 +62,14 @@ class TransportMap:
     residual_max: float
     overlap_max: float
     _der_cheb: np.ndarray = field(init=False, repr=False)
+    _pair: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self._der_cheb = ops.cheb_der(self.interior_cheb, self.eq.interval)
+        # the map's series and its derivative's, zero-padded, as the real
+        # and imaginary parts of one series
+        self._pair = self.interior_cheb.astype(complex)
+        self._pair.imag[: self._der_cheb.size] = self._der_cheb
 
     def _eval(self, coeffs, lam):
         lam = np.asarray(lam, dtype=float)
@@ -71,6 +82,12 @@ class TransportMap:
 
     def derivative(self, lam):
         return self._eval(self._der_cheb, lam)
+
+    def value_and_derivative(self, lam):
+        """:meth:`value` and :meth:`derivative` at the same points, by one
+        recurrence pass over both series."""
+        z = self._eval(self._pair, lam)
+        return z.real, z.imag
 
     # -- serialization -------------------------------------------------
 
@@ -231,21 +248,21 @@ def solve_transport(
     increasing on the window, misses the density-matching equation by
     ``RESIDUAL_TOL`` or more, or departs from the pointwise construction
     between its nodes by ``OVERLAP_TOL`` or more.
+
+    Between the nodes means at the Chebyshev extreme points, where the
+    series and its derivative are one DCT-I each; the residual, the
+    monotonicity on the support and the anchor take both at the support
+    probes, and at 0, in one recurrence pass.
     """
     coeffs = _fit(eq)
     n = coeffs.size
     tmap = TransportMap(eq=eq, interior_cheb=coeffs, anchor=0.0, residual_max=0.0, overlap_max=0.0)
 
     # the Chebyshev extreme points interlace the fit nodes and include
-    # both ends of the window
+    # both ends of the window; the series' values there are transforms
     lo, hi = eq.interval
-    between = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(n + 1) / n)
-    lam, _ = ops.gauss_inv_sqrt(512, ops.SIGMA)
-    probes = np.concatenate((between, lam))
-    # the anchor, the map's value at 0, rides along with the probes
-    z = tmap.value(np.append(probes, 0.0))
-    tmap.anchor = float(z[-1])
-    overlap = float(np.max(np.abs(z[: between.size] - _pointwise(eq, between))))
+    between = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(n, -1, -1) / n)
+    overlap = float(np.max(np.abs(ops.extrema_values(coeffs, n) - _pointwise(eq, between))))
     if not overlap < OVERLAP_TOL:
         raise NumericalError(
             "ode-failure",
@@ -254,10 +271,13 @@ def solve_transport(
         )
     tmap.overlap_max = overlap
 
-    dz = tmap.derivative(probes)
-    if np.any(dz <= 0):
+    # the anchor, the map's value at 0, rides along with the support probes
+    lam, _ = ops.gauss_inv_sqrt(512, ops.SIGMA)
+    z, dz = tmap.value_and_derivative(np.append(lam, 0.0))
+    tmap.anchor = float(z[-1])
+    if np.any(dz <= 0) or np.any(ops.extrema_values(tmap._der_cheb, n) <= 0):
         raise NumericalError("ode-failure", "transport map is not strictly increasing")
-    z, dz = z[between.size : probes.size], dz[between.size :]
+    z, dz = z[:-1], dz[:-1]
     resid = float(np.max(np.abs(eq.density(z) * dz - ops.semicircle_density(lam))))
     if not resid < RESIDUAL_TOL:
         raise NumericalError(

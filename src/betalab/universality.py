@@ -355,8 +355,8 @@ def hamiltonian_identity_residual(
         modes = spectrum.truncation
     modes = int(min(modes, len(spectrum.eigenvalues)))
 
-    zeta = tmap.value(lam)
-    logzp = np.log(tmap.derivative(lam)).sum(axis=1)
+    zeta, zp = tmap.value_and_derivative(lam)
+    logzp = np.log(zp).sum(axis=1)
     one_body = n * (eq.potential.v(zeta) - 0.5 * lam * lam).sum(axis=1)
     direct = 0.5 * beta * (one_body - 2.0 * _pair_log_sum(zeta, lam)) - logzp
 
@@ -441,8 +441,9 @@ def linearization_check(
     # map and the modes once per distinct coordinate
     nodes, where = np.unique(configs, return_inverse=True)
     where = where.reshape(configs.shape)
-    zeta = tmap.value(nodes)[where]
-    logzp = np.log(tmap.derivative(nodes))[where].sum(axis=1)
+    zeta, zp = tmap.value_and_derivative(nodes)
+    zeta = zeta[where]
+    logzp = np.log(zp)[where].sum(axis=1)
 
     log_exact = _log_density_ordered(eq.potential.v, beta, int(n), zeta) + logzp + logw
     we = np.exp(log_exact - log_exact.max())

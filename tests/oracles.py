@@ -319,17 +319,19 @@ def pair_log_ratio_loop(lam, zeta):
     return pair
 
 
-def log_ratio_kernel_separate_calls(tmap, x, y):
+def log_ratio_kernel_separate_calls(tmap, x, y, zx=None, zy=None):
     """The transported log-ratio kernel with one map call per point set.
 
-    ``tmap.value`` is called on x and on y, and ``tmap.derivative`` on
-    the close-pair midpoints and on each of the three curvature probes
-    separately; the arithmetic is otherwise that of
-    ``operators.log_ratio_kernel``.
+    ``tmap.value`` is called on x and on y, unless their images ``zx``
+    and ``zy`` are given, and ``tmap.derivative`` on the close-pair
+    midpoints and on each of the three curvature probes separately; the
+    arithmetic is otherwise that of ``operators.log_ratio_kernel``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    zx, zy = np.broadcast_arrays(np.asarray(tmap.value(x)), np.asarray(tmap.value(y)))
+    if zx is None:
+        zx, zy = tmap.value(x), tmap.value(y)
+    zx, zy = np.broadcast_arrays(np.asarray(zx), np.asarray(zy))
     x, y = np.broadcast_arrays(x, y)
     diff = x - y
     near = np.abs(diff) < 1e-3
@@ -470,6 +472,9 @@ class PerturbedMap:
     def derivative(self, lam):
         lam = np.asarray(lam, dtype=float)
         return self.base.derivative(lam) + self.amplitude * 0.5 * np.pi * np.cos(0.5 * np.pi * lam)
+
+    def value_and_derivative(self, lam):
+        return self.value(lam), self.derivative(lam)
 
 
 def contraction_blocks_dense(spectrum, n=256):

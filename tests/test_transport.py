@@ -171,19 +171,33 @@ def test_anchor_is_map_value_at_zero(quartic_tmap):
 
 @pytest.mark.parametrize("g", [0.1, 0.8])
 def test_anchor_rides_with_the_probes(monkeypatch, g):
-    # the whole series is summed once, on the probes with 0 appended, and
-    # the anchor keeps the bits of a value call at 0 alone
-    shapes = []
+    # the map's series and its derivative's are summed once, together, on
+    # the support probes with 0 appended; the values at the extreme points
+    # are transforms. The anchor keeps the bits of a value call at 0 alone
+    passes = []
     cheb_val = ops.cheb_val
 
     def counted(coeffs, x, interval=ops.SIGMA):
-        shapes.append(np.shape(coeffs))
+        passes.append((coeffs, np.size(x)))
         return cheb_val(coeffs, x, interval)
 
     monkeypatch.setattr(ops, "cheb_val", counted)
     tmap = solve_transport(_quartic_eq(g))
-    assert shapes.count(tmap.interior_cheb.shape) == 1
+    series = (tmap.interior_cheb, tmap._der_cheb, tmap._pair)
+    mine = [(i, size) for coeffs, size in passes for i, c in enumerate(series) if coeffs is c]
+    assert mine == [(2, 513)]
     assert tmap.anchor == tmap.value(0.0)
+
+
+@pytest.mark.parametrize("g", [0.1, 0.8])
+def test_value_and_derivative_in_one_pass(g):
+    tmap = solve_transport(_quartic_eq(g))
+    hi = tmap.eq.interval[1]
+    for lam in (np.random.default_rng(9).uniform(-hi, hi, (40, 7)), 0.3):
+        z, dz = tmap.value_and_derivative(lam)
+        assert np.array_equal(z, tmap.value(lam)) and np.array_equal(dz, tmap.derivative(lam))
+    with pytest.raises(UsageError):
+        tmap.value_and_derivative(hi + 0.1)
 
 
 def test_unresolved_or_uncertified_map_is_refused(monkeypatch):

@@ -13,6 +13,7 @@ from betalab import operators as ops
 from betalab import universality as uni
 from betalab.errors import NumericalError, UsageError
 from betalab.potentials import make_potential
+from betalab.transport import solve_transport
 
 import oracles
 
@@ -313,6 +314,35 @@ def test_energy_identity_perturbed_map_control(quartic_eq, quartic_tmap, quartic
         quartic_eq, bad, quartic_spectrum, 2.0, configs
     )
     assert out.residual > 1e-2
+
+
+def test_whole_series_recurrence_passes(monkeypatch, quartic_eq, quartic_spectrum):
+    # each stage sums the map's whole series by one recurrence pass, its
+    # derivative's riding along; the kernel's images on the map's window
+    # are a transform, and only its close pairs sum the derivative
+    passes = []
+    cheb_val = ops.cheb_val
+
+    def counted(coeffs, x, interval=ops.SIGMA):
+        passes.append(coeffs)
+        return cheb_val(coeffs, x, interval)
+
+    def series_passes(tmap):
+        names = ("value", "derivative", "both")
+        series = (tmap.interior_cheb, tmap._der_cheb, tmap._pair)
+        got = [name for coeffs in passes for name, c in zip(names, series) if coeffs is c]
+        passes.clear()
+        return got
+
+    monkeypatch.setattr(ops, "cheb_val", counted)
+    tmap = solve_transport(quartic_eq)
+    assert series_passes(tmap) == ["both"]
+    uni.hamiltonian_identity_residual(quartic_eq, tmap, quartic_spectrum, 2.0, _probe_configs(50, 8, seed=5))
+    assert series_passes(tmap) == ["both"]
+    uni.linearization_check(quartic_eq, tmap, quartic_spectrum, 2.0, lambda c: (c**2).sum(axis=1), n=2, modes=3)
+    assert series_passes(tmap) == ["both"]
+    ops.kernel_matrix(tmap, ops.cheb_grid(256, tmap.eq.interval))
+    assert series_passes(tmap) == ["derivative"]
 
 
 def test_energy_identity_guards(quartic_eq, quartic_tmap, quartic_spectrum):
