@@ -72,21 +72,22 @@ def _load_config(path: str | None) -> dict:
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
+    # each override flag sets the config key of its own name
     pairs = [
-        ("beta", "ensemble", "beta"),
-        ("n", "ensemble", "n"),
-        ("count", "ensemble", "count"),
-        ("seed", "ensemble", "seed"),
-        ("sampler", "ensemble", "sampler"),
-        ("g", "potential", "g"),
-        ("kind", "potential", "kind"),
-        ("eps", "potential", "eps"),
-        ("prefix", "output", "prefix"),
-        ("center", "bulk", "center"),
-        ("halfwidth", "bulk", "halfwidth"),
+        ("ensemble", "beta"),
+        ("ensemble", "n"),
+        ("ensemble", "count"),
+        ("ensemble", "seed"),
+        ("ensemble", "sampler"),
+        ("potential", "g"),
+        ("potential", "kind"),
+        ("potential", "eps"),
+        ("output", "prefix"),
+        ("bulk", "center"),
+        ("bulk", "halfwidth"),
     ]
-    for attr, sec, key in pairs:
-        val = getattr(args, attr.replace("-", "_"), None)
+    for sec, key in pairs:
+        val = getattr(args, key, None)
         if val is not None:
             cfg[sec][key] = val
     env_dir = os.environ.get("BETALAB_OUT")

@@ -413,9 +413,7 @@ class RecenteringCoeffs:
 def recentering_coeffs(h, h_prime=None) -> RecenteringCoeffs:
     """Moments of h' against the inverse square-root weight on the support."""
     x, _ = ops.gauss_inv_sqrt(_RECENTERING_NODES, ops.SIGMA)
-    if h_prime is None:
-        h_prime = ops._derivative_callable(h, None)
-    hp = np.asarray(h_prime(x), dtype=float)
+    hp = np.asarray(ops._derivative_callable(h, h_prime)(x), dtype=float)
     c1 = float(np.mean(hp))
     c2 = float(np.mean(x * hp)) / 2.0
     return RecenteringCoeffs(c1=c1, c2=c2)

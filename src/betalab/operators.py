@@ -20,15 +20,14 @@ import numpy.fft  # numpy loads it lazily; load it with the package instead
 from .errors import NumericalError, UsageError
 
 SIGMA = (-2.0, 2.0)
-# entries of one Chebyshev-Vandermonde block in cheb_val (512 KiB of floats)
-_VANDER_BLOCK = 1 << 16
-# entries of one block of principal-value difference quotients (256 KiB of floats)
+# entries of one row block of principal-value difference quotients or of
+# barycentric weights (256 KiB of floats)
 _PV_BLOCK = 1 << 15
 # The one chop rule: a series ends after its last coefficient above
 # CHOP_REL of its largest one, and it is resolved (on the rounding plateau)
 # when that drops at least MIN_DROPPED coefficients. The equilibrium
-# series, the transport fit and the kernel modes all use it; the transport
-# fit only to pick its grid, and the kernel modes with a guard band.
+# series and the transport fit use it; the transport fit only to pick its
+# grid.
 CHOP_REL = 1e-14
 MIN_DROPPED = 8
 # nodes of the principal-value rule and of the log-kernel transform
@@ -192,60 +191,25 @@ def extrema_values(coeffs: np.ndarray, n: int) -> np.ndarray:
 
 
 def cheb_val(coeffs: np.ndarray, x, interval=SIGMA):
-    """Evaluate Chebyshev series in the halved-c0 convention.
+    """Evaluate a Chebyshev series in the halved-c0 convention.
 
-    A 1-D ``coeffs`` (one function) goes through Clenshaw's recurrence,
-    elementwise on all points at once: a few temporaries the size of
-    ``x`` and about 3 numpy calls per coefficient. Complex coefficients
-    sum two real series in that one pass: with real points the real and
-    imaginary parts go through the same real operations, so each part
-    has the bits of its own real call.
-
-    A 2-D ``coeffs`` holds one function per row; the result then stacks
-    the functions on a last axis, shape ``x.shape + (rows,)``. Points go
-    through in blocks: each block's Chebyshev-Vandermonde matrix, at most
-    ``_VANDER_BLOCK`` entries, times the coefficient matrix, so BLAS
-    serves all rows at once. The product is taken one Vandermonde row at a
-    time, so every point gets the same BLAS call (one matrix product per
-    block rounds a row differently depending on its position in the
-    block).
-
-    On both routes a point's value does not depend on the other points
-    evaluated with it, so one call on concatenated point sets returns the
-    same bits as separate calls.
+    Clenshaw's recurrence on 1-D ``coeffs``, elementwise on all points at
+    once: a few temporaries the size of ``x`` and about 3 numpy calls per
+    coefficient. Complex coefficients sum two real series in that one
+    pass: with real points the real and imaginary parts go through the
+    same real operations, so each part has the bits of its own real call.
+    A point's value does not depend on the other points evaluated with
+    it, so one call on concatenated point sets returns the same bits as
+    separate calls.
     """
     lo, hi = interval
-    x_arr = np.asarray(x, dtype=float)
-    u = (2.0 * x_arr - (lo + hi)) / (hi - lo)
-    c = np.array(coeffs).T
+    u = (2.0 * np.asarray(x, dtype=float) - (lo + hi)) / (hi - lo)
+    c = np.array(coeffs)
+    if c.ndim != 1:
+        raise UsageError("invalid-spec", f"cheb_val sums one series, got coefficients of shape {c.shape}")
     c = c.astype(np.result_type(c, float), copy=False)
     c[0] *= 0.5
-    if c.ndim == 1:
-        return np.polynomial.chebyshev.chebval(u, c)[()]
-    u = u.ravel()
-    deg = c.shape[0] - 1
-    step = max(1, _VANDER_BLOCK // (deg + 1))
-    out = np.empty((u.size,) + c.shape[1:])
-    for s in range(0, u.size, step):
-        vander = _cheb_vander(u[s : s + step], deg)
-        out[s : s + step] = np.matmul(vander[:, None, :], c)[:, 0]
-    return out.reshape(x_arr.shape + c.shape[1:])[()]
-
-
-def _cheb_vander(u: np.ndarray, deg: int) -> np.ndarray:
-    """T_0..T_deg at the points u as contiguous rows, shape (u.size, deg + 1).
-
-    The recurrence of ``numpy.polynomial.chebyshev.chebvander``, written
-    into rows directly, so no transposing copy.
-    """
-    v = np.empty((u.size, deg + 1))
-    v[:, 0] = 1.0
-    if deg:
-        v[:, 1] = u
-        u2 = 2.0 * u
-        for k in range(2, deg + 1):
-            v[:, k] = v[:, k - 1] * u2 - v[:, k - 2]
-    return v
+    return np.polynomial.chebyshev.chebval(u, c)[()]
 
 
 def cheb_der(coeffs: np.ndarray, interval=SIGMA) -> np.ndarray:
@@ -566,17 +530,16 @@ class KernelSpectrum:
     ``eigenvalues`` holds the Ritz values of :func:`eigendecompose`, one
     per column of its subspace, ordered by decreasing magnitude with
     signs kept. ``truncation`` is the number of modes needed to push the
-    absolute eigenvalue tail below ``_TAIL_TOL``. Mode functions are
-    available on the whole grid interval through :meth:`phi`, which
-    evaluates the Chebyshev extension of the grid eigenvectors; they are
-    orthonormal for the grid weights. ``phi_lengths`` holds each mode's
-    resolved series length, and :meth:`phi` evaluates only the
-    coefficient columns that the requested modes need.
-    ``sigma_coeffs`` holds the stored modes' Chebyshev coefficients on
-    SIGMA, a column each, from their values at ``grid.n`` first-kind
-    nodes there; the contraction form reads them, and
-    ``semicircle_proj`` holds each mode's integral against the
-    semicircle density, (b_0 - b_2) / 2 of its coefficients b.
+    absolute eigenvalue tail below ``_TAIL_TOL``. ``phi_values`` holds
+    the stored modes' values at the grid nodes, a column each; they are
+    orthonormal for the grid weights. :meth:`phi` evaluates the
+    polynomial that interpolates them, anywhere on the grid interval, by
+    :func:`_barycentric`. ``sigma_coeffs`` holds the stored modes'
+    Chebyshev coefficients on SIGMA, a column each, from the same
+    routine's values at ``grid.n`` first-kind nodes there; the
+    contraction form reads them, and ``semicircle_proj`` holds each
+    mode's integral against the semicircle density, (b_0 - b_2) / 2 of
+    its coefficients b.
     """
 
     grid: ChebGrid
@@ -584,8 +547,7 @@ class KernelSpectrum:
     truncation: int
     decay_rate: float
     tail: float
-    phi_coeffs: np.ndarray = field(repr=False)
-    phi_lengths: np.ndarray = field(repr=False)
+    phi_values: np.ndarray = field(repr=False)
     sigma_coeffs: np.ndarray = field(repr=False)
 
     @property
@@ -595,7 +557,7 @@ class KernelSpectrum:
 
     @property
     def stored(self) -> int:
-        return self.phi_coeffs.shape[0]
+        return self.phi_values.shape[1]
 
     def phi(self, x, k):
         """Mode k at x; a sequence of modes is stacked on a last axis."""
@@ -606,33 +568,43 @@ class KernelSpectrum:
         x_arr = np.asarray(x, dtype=float)
         if np.any((x_arr < lo - 1e-12) | (x_arr > hi + 1e-12)):
             raise UsageError("out-of-domain", "mode evaluated outside the grid interval")
-        cols = int(self.phi_lengths[idx].max(initial=1))
-        return cheb_val(self.phi_coeffs[:, :cols][idx], x_arr, self.grid.interval)
+        out = _barycentric(self.grid, self.phi_values[:, idx.ravel()], x_arr.ravel())
+        return out.reshape(x_arr.shape + idx.shape)[()]
 
 
-def _sigma_values(grid: ChebGrid, vals: np.ndarray) -> np.ndarray:
-    """Values at the ``grid.n`` first-kind nodes on SIGMA of the polynomial
-    that takes ``vals`` (a column per function) at the grid nodes.
+def _barycentric(grid: ChebGrid, vals: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Values at the points ``y`` (1-D) of the polynomial that takes
+    ``vals`` (a column per function) at the grid nodes, shape
+    ``(y.size, columns)``.
 
     The barycentric formula of the second kind, whose weights at
     first-kind nodes alternate in sign with magnitudes proportional to
-    the grid weights, taken in row blocks of at most ``_PV_BLOCK``
-    entries; a node shared by both grids takes its grid value.
+    the grid weights; it is forward stable at Chebyshev points (Higham,
+    IMA J. Numer. Anal. 2004). The points go through in row blocks of
+    one reused buffer of at most ``_PV_BLOCK`` entries, and each row is
+    reduced on its own, so a point's value does not depend on the other
+    points in its call. A point on a node divides by zero; its row is
+    then the node's values.
     """
     x = grid.nodes
-    y = cheb_grid(x.size).nodes
     lam = grid.weights.copy()
     lam[1::2] *= -1.0
-    rows = max(1, _PV_BLOCK // x.size)
+    rows = max(1, min(y.size, _PV_BLOCK // x.size))
+    buf = np.empty((rows, x.size))
     out = np.empty((y.size, vals.shape[1]))
     for i in range(0, y.size, rows):
-        d = np.subtract.outer(y[i : i + rows], x)
-        hit = np.nonzero(d == 0.0)
-        d[hit] = 1.0
-        np.divide(lam, d, out=d)
-        d[hit[0]] = 0.0
-        d[hit] = 1.0
-        out[i : i + rows] = (d @ vals) / d.sum(axis=1)[:, None]
+        yb, o = y[i : i + rows], out[i : i + rows]
+        d = buf[: yb.size]
+        np.subtract(yb[:, None], x, out=d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(lam, d, out=d)
+            den = d.sum(axis=1)
+            np.divide(np.matmul(d[:, None, :], vals)[:, 0], den[:, None], out=o)
+        bad = np.nonzero(~np.isfinite(den))[0]
+        if bad.size:
+            j = np.minimum(np.searchsorted(x, yb[bad]), x.size - 1)
+            hit = x[j] == yb[bad]
+            o[bad[hit]] = vals[j[hit]]
     return out
 
 
@@ -693,7 +665,10 @@ def eigendecompose(kmat: np.ndarray, grid: ChebGrid) -> KernelSpectrum:
     The kernel is weighted by the square roots of the grid weights,
     A = S K S, so the discrete problem is self-adjoint; its eigenpairs
     are the Ritz pairs of :func:`_ritz_pairs`, and the eigenvectors are
-    rescaled back to function values. ``eigenvalues`` holds the r Ritz
+    rescaled back to function values at the grid nodes, which the
+    spectrum stores as its modes; their coefficients on SIGMA are the
+    transform of :func:`_barycentric`'s values at the ``grid.n``
+    first-kind nodes there. ``eigenvalues`` holds the r Ritz
     values, ordered by decreasing magnitude; two whose magnitudes agree
     to a relative n eps are a tie, which the positive one wins. Ritz
     values below the floor are zeroed. Each mode's sign makes the
@@ -751,13 +726,6 @@ def eigendecompose(kmat: np.ndarray, grid: ChebGrid) -> KernelSpectrum:
 
     stored = min(max(m, 12), r)
     vals = psi[:, :stored] / s[:, None]
-    coeffs = coeffs_from_values(vals).T
-    # a smooth mode keeps decaying past the chop threshold, and its tail
-    # there still adds up to more than CHOP_REL; a guard band of
-    # 4 * MIN_DROPPED coefficients past the last one above it keeps that
-    mag = np.abs(coeffs)
-    above = mag > CHOP_REL * mag.max(axis=1, keepdims=True)
-    lengths = np.minimum(n - np.argmax(above[:, ::-1], axis=1) + 4 * MIN_DROPPED, n)
 
     tail_val = float(tails[m - 1]) if m >= 1 else total
     return KernelSpectrum(
@@ -766,9 +734,8 @@ def eigendecompose(kmat: np.ndarray, grid: ChebGrid) -> KernelSpectrum:
         truncation=m,
         decay_rate=decay,
         tail=tail_val,
-        phi_coeffs=coeffs,
-        phi_lengths=lengths,
-        sigma_coeffs=coeffs_from_values(_sigma_values(grid, vals)),
+        phi_values=vals,
+        sigma_coeffs=coeffs_from_values(_barycentric(grid, vals, cheb_grid(n).nodes)),
     )
 
 

@@ -25,10 +25,9 @@ from .equilibrium import SEMICIRCLE_MODES, EquilibriumData, _newton_decreasing
 from .errors import NumericalError, UsageError
 
 # Resolution: node counts double from the first to the last until the
-# chop (ops.chop_coeffs) would drop at least _MIN_DROPPED trailing
-# coefficients, the plateau rule shared with the kernel modes.
+# chop (ops.chop_coeffs) would drop at least ops.MIN_DROPPED trailing
+# coefficients, the library's plateau rule.
 _FIT_NODES = (64, 4096)
-_MIN_DROPPED = ops.MIN_DROPPED
 # certificate tolerances, the same as in `betalab verify`
 RESIDUAL_TOL = 1e-7
 OVERLAP_TOL = 1e-8
@@ -208,7 +207,7 @@ def _fit(eq: EquilibriumData) -> np.ndarray:
     """Resolved Chebyshev coefficients of the map on the working window.
 
     The chop decides resolution only: the first node count whose series
-    has at least ``_MIN_DROPPED`` trailing coefficients below the chop
+    has at least ``ops.MIN_DROPPED`` trailing coefficients below the chop
     threshold has reached the rounding plateau, and that grid's whole
     coefficient vector is returned, one coefficient per node. Nothing is
     cut at the threshold, so no coefficient can sit on it and the stored
@@ -220,7 +219,7 @@ def _fit(eq: EquilibriumData) -> np.ndarray:
     while n <= n_max:
         t = ops.cheb_grid(n, eq.interval).nodes
         coeffs = ops.coeffs_from_values(_pointwise(eq, t))
-        if n - ops.chop_coeffs(coeffs).size >= _MIN_DROPPED:
+        if n - ops.chop_coeffs(coeffs).size >= ops.MIN_DROPPED:
             return coeffs
         n *= 2
     raise NumericalError(

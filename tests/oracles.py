@@ -562,9 +562,9 @@ def eigendecompose_dense(kmat, grid, tail_tol=1e-12, recon_tol=1e-10):
 
     Every one of the n eigenpairs of A = S K S is computed; the truncation
     is :func:`truncation_by_reconstruction`'s, and each mode's largest
-    grid value is made positive. The stored modes keep their whole
-    Chebyshev series, from scipy's DCT-II of their grid values, and
-    their coefficients on [-2, 2] come from that series summed by numpy's
+    grid value is made positive. The stored modes are their grid
+    values, and their coefficients on [-2, 2] come from their whole
+    Chebyshev series, scipy's DCT-II of those values, summed by numpy's
     chebval at the first-kind nodes there. Memory grows like n^2.
     """
     from betalab.operators import KernelSpectrum
@@ -577,12 +577,11 @@ def eigendecompose_dense(kmat, grid, tail_tol=1e-12, recon_tol=1e-10):
     psi[:, lead < 0] *= -1
     stored = min(max(m, 12), n)
     vals = psi[:, :stored] / np.sqrt(grid.weights)[:, None]
-    coeffs = fft.dct(vals[::-1], type=2, axis=0) / n
+    half = fft.dct(vals[::-1], type=2, axis=0) / n
+    half[0] *= 0.5
     lo, hi = grid.interval
     theta = (2.0 * np.arange(n) + 1.0) * np.pi / (2.0 * n)
     u = (4.0 * np.cos(theta)[::-1] - (lo + hi)) / (hi - lo)
-    half = coeffs.copy()
-    half[0] *= 0.5
     on_sigma = np.polynomial.chebyshev.chebval(u, half).T
     abs_eta = np.abs(eta)
     return KernelSpectrum(
@@ -591,7 +590,6 @@ def eigendecompose_dense(kmat, grid, tail_tol=1e-12, recon_tol=1e-10):
         truncation=m,
         decay_rate=float("nan"),
         tail=float(abs_eta[m:].sum()),
-        phi_coeffs=coeffs.T,
-        phi_lengths=np.full(stored, n),
+        phi_values=vals,
         sigma_coeffs=fft.dct(on_sigma[::-1], type=2, axis=0) / n,
     )

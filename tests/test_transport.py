@@ -207,7 +207,7 @@ def test_unresolved_or_uncertified_map_is_refused(monkeypatch):
         solve_transport(eq)
     assert err.value.code == "ode-failure"
     # accept the 64-node fit anyway: the certificates must catch it
-    monkeypatch.setattr(transport, "_MIN_DROPPED", 0)
+    monkeypatch.setattr(ops, "MIN_DROPPED", 0)
     with pytest.raises(NumericalError, match="overlap|density-matching") as err:
         solve_transport(eq)
     assert err.value.code == "ode-failure"
