@@ -47,6 +47,10 @@ _SUBSPACE_SEED = 0
 # the deformation identity's inverse square-root probes and semicircle rule
 _DEFORMATION_PROBES = 192
 _DEFORMATION_NODES = 256
+# pairs of the log-ratio kernel closer than this take the divided
+# difference in closed form; it bounds the difference quotient's rounding,
+# eps max|zeta| / _CLOSE_PAIR, by about 5e-13
+_CLOSE_PAIR = 1e-3
 
 
 # ----------------------------------------------------------------------
@@ -452,13 +456,14 @@ def rank_one_identity_residual(v) -> float:
 def log_ratio_kernel(tmap, x, y):
     """Pointwise smooth kernel log |(zeta(x) - zeta(y)) / (x - y)|.
 
-    Safe on and near the diagonal: close pairs are evaluated through the
-    midpoint derivative with a second-order curvature correction instead
-    of the difference quotient, whose cancellation error grows like
-    eps/|x - y|. The switchover at 1e-3 balances the two error sources
-    (series truncation ~|x - y|^4 against cancellation). The map is
+    Safe on and near the diagonal: pairs closer than 1e-3
+    (``_CLOSE_PAIR``) take the divided difference of the map's series in
+    closed form,
+    :func:`_divided_difference`, in place of the difference quotient,
+    whose cancellation error grows like eps/|x - y|. The map is
     evaluated on ``x`` and ``y`` as given, before broadcasting, in one
-    call, so an outer grid costs one evaluation per distinct node.
+    :meth:`~betalab.transport.TransportMap.value` call, so an outer grid
+    costs one evaluation per distinct node.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -466,20 +471,23 @@ def log_ratio_kernel(tmap, x, y):
     return _log_ratio(tmap, x, y, z[: x.size].reshape(x.shape), z[x.size :].reshape(y.shape))
 
 
-def _log_ratio(tmap, x, y, zx, zy):
+def _log_ratio(tmap, x, y, zx, zy, diagonal=None):
     """:func:`log_ratio_kernel` given the images ``zx``, ``zy`` of x and y.
 
     Works in place in two arrays of the broadcast shape: the differences
-    x - y, with each close pair's set to one, and the result.
+    x - y, with each close pair's set to one, and the result. On a square
+    grid, ``diagonal`` holds the log-derivative at the nodes, which the
+    diagonal takes in place of the closed form.
     """
     x, y = np.broadcast_arrays(x, y)
     diff = np.subtract(x, y)
     out = np.abs(diff)
-    near = out < 1e-3
+    near = out < _CLOSE_PAIR
+    if diagonal is not None:
+        np.fill_diagonal(near, False)
     close = bool(np.any(near))
     if close:
-        d_near = diff[near]
-        mid = 0.5 * (x[near] + y[near])
+        x_near, y_near = x[near], y[near]
         diff[near] = 1.0
     np.subtract(zx, zy, out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -487,37 +495,90 @@ def _log_ratio(tmap, x, y, zx, zy):
         np.abs(out, out=out)
         np.log(out, out=out)
     del diff
+    if diagonal is not None:
+        np.fill_diagonal(out, diagonal)
     if close:
-        t = 1e-3
-        # curvature probes only where the correction is not multiplied by
-        # d^2 = 0, shifted inward so that ctr +- t stays in the window
-        off = d_near != 0.0
-        hw = tmap.eq.interval[1] - 2.0 * t
-        ctr = np.clip(mid[off], -hw, hw)
-        zd = np.asarray(tmap.derivative(np.concatenate((mid, ctr + t, ctr, ctr - t))), dtype=float)
-        zp = zd[: mid.size]
-        zr, zc, zl = np.split(zd[mid.size :], 3)
-        zpp2 = (zr - 2.0 * zc + zl) / (t * t)
-        val = np.log(zp)
-        val[off] += (d_near[off] ** 2) * zpp2 / (24.0 * zp[off])
-        out[near] = val
+        dd = _divided_difference(tmap.interior_cheb, tmap.eq.interval, x_near, y_near)
+        out[near] = np.log(np.abs(dd))
+    return out
+
+
+def _sin_multiples(t: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sin kt into ``out``, a row per angle t and a column per degree k,
+    and returns sin t. Where t = 0 the row is k and sin t is one, so that
+    their quotient, U_{k-1}(cos t), takes its limit."""
+    np.multiply.outer(t, k, out=out)
+    np.sin(out, out=out)
+    st = np.sin(t)
+    zero = t == 0.0
+    out[zero] = k
+    st[zero] = 1.0
+    return st
+
+
+def _divided_difference(coeffs, interval, x, y):
+    """(f(x) - f(y)) / (x - y) for the Chebyshev series f on ``interval``,
+    pair by pair over the 1-D points x and y, and f'(x) where x = y.
+
+    Scaled to [-1, 1] with x = cos a and y = cos b, and with
+    s = (a + b) / 2 and d = (a - b) / 2,
+    (T_k(x) - T_k(y)) / (x - y) = U_{k-1}(cos s) U_{k-1}(cos d), where
+    U_{k-1}(cos t) = sin kt / sin t tends to k as t -> 0: a sum with no
+    cancellation. A pair with s past pi/2 takes its angles from -x and
+    -y, since U_{k-1}(-u) = (-1)^{k-1} U_{k-1}(u), so s keeps its
+    relative accuracy near either end of the window and x = y on an end
+    is exact. Points are clipped to the window. The whole series is
+    summed. The pairs go through in row blocks of two reused buffers of
+    at most ``_PV_BLOCK`` entries, and each row is reduced on its own, so
+    a pair's value does not depend on the other pairs.
+    """
+    lo, hi = interval
+    u = np.clip((2.0 * x - (lo + hi)) / (hi - lo), -1.0, 1.0)
+    v = np.clip((2.0 * y - (lo + hi)) / (hi - lo), -1.0, 1.0)
+    fold = u + v < 0.0
+    u[fold] *= -1.0
+    v[fold] *= -1.0
+    a, b = np.arccos(u), np.arccos(v)
+    s, d = 0.5 * (a + b), 0.5 * (a - b)
+    c = np.asarray(coeffs, dtype=float)[1:]
+    k = np.arange(1.0, c.size + 1.0)
+    rows = max(1, min(s.size, _PV_BLOCK // k.size))
+    us = np.empty((rows, k.size))
+    ud = np.empty_like(us)
+    out = np.empty(s.size)
+    for i in range(0, s.size, rows):
+        j = slice(i, i + rows)
+        m = s[j].size
+        sin_s = _sin_multiples(s[j], k, us[:m])
+        sin_d = _sin_multiples(d[j], k, ud[:m])
+        odd = us[:m, 1::2]  # the columns of k - 1 odd
+        np.negative(odd, out=odd, where=fold[j, None])
+        us[:m] *= ud[:m]
+        out[j] = np.vecdot(us[:m], c) / (sin_s * sin_d)
+    out *= 2.0 / (hi - lo)
     return out
 
 
 def kernel_matrix(tmap, grid: ChebGrid) -> np.ndarray:
-    """Symmetric matrix of the transported log-ratio kernel on the grid.
+    """Symmetric matrix of the transported log-ratio kernel on a grid
+    over the map's window.
 
-    The nodes' images serve both axes. On a grid over the map's own
-    window they are one transform of its series, :func:`grid_values`;
-    on any other interval, one :meth:`~betalab.transport.TransportMap.value`
-    call.
+    The nodes' images serve both axes, and the diagonal is the
+    log-derivative at the nodes; both are transforms of the map's
+    series and of its derivative's, :func:`grid_values`, so the map is
+    not evaluated. The other close pairs take the closed form of
+    :func:`_divided_difference`. A grid over any other interval raises
+    "invalid-spec".
     """
+    if grid.interval != tuple(tmap.eq.interval):
+        raise UsageError(
+            "invalid-spec",
+            f"kernel grid on {grid.interval}, the transport map's window is {tuple(tmap.eq.interval)}",
+        )
     x = grid.nodes
-    if grid.interval == tuple(tmap.eq.interval):
-        z = grid_values(tmap.interior_cheb, grid.n)
-    else:
-        z = np.asarray(tmap.value(x), dtype=float)
-    k = _log_ratio(tmap, x[:, None], x[None, :], z[:, None], z[None, :])
+    z = grid_values(tmap.interior_cheb, grid.n)
+    dz = np.log(grid_values(tmap._der_cheb, grid.n))
+    k = _log_ratio(tmap, x[:, None], x[None, :], z[:, None], z[None, :], diagonal=dz)
     out = np.add(k, k.T)
     out *= 0.5
     return out
@@ -825,13 +886,24 @@ def deformation_residual(eq, tmap) -> DeformationResidual:
     confinement, is constant on the interior. The constant equals the
     Robin constant offset between target and reference; the residual is
     the max deviation from it.
+
+    The semicircle rule with N nodes is exact to degree 2N - 1, so N
+    follows the map: half its chopped length, and at least
+    ``_DEFORMATION_NODES``. The probes and the rule's nodes are mapped
+    in one :meth:`~betalab.transport.TransportMap.value` call, and the
+    kernel is taken in row blocks of at most ``_PV_BLOCK`` entries.
     """
     lam, _ = gauss_inv_sqrt(_DEFORMATION_PROBES, SIGMA)
-    mu, w = gauss_semicircle(_DEFORMATION_NODES, SIGMA)
+    nodes = max(_DEFORMATION_NODES, -(-chop_coeffs(tmap.interior_cheb).size // 2))
+    mu, w = gauss_semicircle(nodes, SIGMA)
     z = np.asarray(tmap.value(np.concatenate((lam, mu))), dtype=float)
     z_lam, z_mu = z[: lam.size], z[lam.size :]
-    kern = _log_ratio(tmap, lam[:, None], mu[None, :], z_lam[:, None], z_mu[None, :])
-    inner = (kern @ w) / (2.0 * np.pi)
+    inner = np.empty(lam.size)
+    rows = max(1, _PV_BLOCK // nodes)
+    for i in range(0, lam.size, rows):
+        j = slice(i, i + rows)
+        inner[j] = _log_ratio(tmap, lam[j, None], mu[None, :], z_lam[j, None], z_mu[None, :]) @ w
+    inner /= 2.0 * np.pi
     v = np.asarray(eq.potential.v(z_lam), dtype=float)
     g = 2.0 * inner - v + lam * lam / 2.0
     const = float(np.median(g))

@@ -9,6 +9,8 @@ simple on purpose.
 import numpy as np
 from scipy import fft, integrate, linalg, optimize, special
 
+from betalab.transport import TransportMap
+
 
 def density_value_oracle(dv, z, nodes: int = 4000) -> float:
     """Polynomial factor of the equilibrium density by plain quadrature.
@@ -319,33 +321,26 @@ def pair_log_ratio_loop(lam, zeta):
     return pair
 
 
-def log_ratio_kernel_separate_calls(tmap, x, y, zx=None, zy=None):
-    """The transported log-ratio kernel with one map call per point set.
+def divided_difference_longdouble(coeffs, interval, x, y):
+    """(f(x) - f(y)) / (x - y) of a Chebyshev series f on ``interval``, in
+    long double, and f'(x) where x = y; halved-c0 convention, pairwise
+    over broadcast x and y.
 
-    ``tmap.value`` is called on x and on y, unless their images ``zx``
-    and ``zy`` are given, and ``tmap.derivative`` on the close-pair
-    midpoints and on each of the three curvature probes separately; the
-    arithmetic is otherwise that of ``operators.log_ratio_kernel``.
+    With u and v the points scaled to [-1, 1], Clenshaw's recurrence
+    b_k = c_k + 2v b_{k+1} - b_{k+2} at v and its divided difference in
+    u and v, q_k = 2 b_{k+1} + 2u q_{k+1} - q_{k+2}, run side by side,
+    and f[u, v] = b_1 + u q_1 - q_2. Nothing cancels, so the closest
+    pairs keep their digits, which the difference of two long-double
+    sums loses (5e-14 at a distance of 5e-6).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if zx is None:
-        zx, zy = tmap.value(x), tmap.value(y)
-    zx, zy = np.broadcast_arrays(np.asarray(zx), np.asarray(zy))
-    x, y = np.broadcast_arrays(x, y)
-    diff = x - y
-    near = np.abs(diff) < 1e-3
-    out = np.empty_like(diff)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[...] = np.log(np.abs((zx - zy) / np.where(near, 1.0, diff)))
-    mid = 0.5 * (x + y)[near]
-    t = 1e-3
-    hw = 2.0 + tmap.eq.eps - 2.0 * t
-    ctr = np.clip(mid, -hw, hw)
-    zp = tmap.derivative(mid)
-    zpp2 = (tmap.derivative(ctr + t) - 2.0 * tmap.derivative(ctr) + tmap.derivative(ctr - t)) / (t * t)
-    out[near] = np.log(zp) + (diff[near] ** 2) * zpp2 / (24.0 * zp)
-    return out
+    lo, hi = (np.longdouble(t) for t in interval)
+    c = np.asarray(coeffs, dtype=np.longdouble)
+    u = (2 * np.asarray(x, dtype=np.longdouble) - (lo + hi)) / (hi - lo)
+    v = (2 * np.asarray(y, dtype=np.longdouble) - (lo + hi)) / (hi - lo)
+    b1 = b2 = q1 = q2 = np.zeros(np.broadcast(u, v).shape, dtype=np.longdouble)
+    for ck in c[:0:-1]:
+        b1, b2, q1, q2 = ck + 2 * v * b1 - b2, b1, 2 * b1 + 2 * u * q1 - q2, q1
+    return (b1 + u * q1 - q2) * (2 / (hi - lo))
 
 
 def metropolis_sweeps_logsum(vfun, beta, lam, widths, window, z, logu):
@@ -457,24 +452,21 @@ def tridiagonal_eigvals_sturm(d, e):
     return 0.5 * (lo + hi)
 
 
-class PerturbedMap:
-    """Monotone perturbation of a transport map (negative-control shim)."""
+class PerturbedMap(TransportMap):
+    """Monotone perturbation of a transport map (negative-control shim):
+    the map plus amplitude sin(pi lam / 2), added to its series, so that
+    every route through the map sees the same perturbed map."""
 
     def __init__(self, tmap, amplitude: float = 0.03):
-        self.base = tmap
-        self.eq = tmap.eq
-        self.amplitude = amplitude
-
-    def value(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        return self.base.value(lam) + self.amplitude * np.sin(0.5 * np.pi * lam)
-
-    def derivative(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        return self.base.derivative(lam) + self.amplitude * 0.5 * np.pi * np.cos(0.5 * np.pi * lam)
-
-    def value_and_derivative(self, lam):
-        return self.value(lam), self.derivative(lam)
+        lo, hi = tmap.eq.interval
+        bump = np.polynomial.chebyshev.chebinterpolate(
+            lambda u: amplitude * np.sin(0.25 * np.pi * (lo + hi + (hi - lo) * u)), 40
+        )
+        bump[0] *= 2.0  # the halved-c0 convention
+        coeffs = np.zeros(max(tmap.interior_cheb.size, bump.size))
+        coeffs[: tmap.interior_cheb.size] = tmap.interior_cheb
+        coeffs[: bump.size] += bump
+        super().__init__(tmap.eq, coeffs, tmap.anchor, tmap.residual_max, tmap.overlap_max)
 
 
 def contraction_blocks_dense(spectrum, n=256):

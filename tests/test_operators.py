@@ -359,49 +359,36 @@ def test_modal_double_sum_agreement(quartic_tmap, quartic_spectrum):
 
 
 class CountingMap:
-    """A transport map that counts the points passed to ``value`` and to
-    ``derivative``, and the calls of each; ``value_and_derivative``
-    counts as one call of each. The series is the map's own, which a
-    kernel on the map's window transforms without calling it."""
+    """A transport map that counts the calls of ``value`` and the points
+    passed to it. It carries the map's series, which a kernel on the
+    map's window transforms without calling it, and has no
+    ``derivative``: a route that asks for one fails."""
 
     def __init__(self, tmap):
         self.base = tmap
         self.eq = tmap.eq
         self.interior_cheb = tmap.interior_cheb
+        self._der_cheb = tmap._der_cheb
         self.points = 0
-        self.derivative_points = 0
         self.value_calls = 0
-        self.derivative_calls = 0
 
     def value(self, lam):
         self.points += np.size(lam)
         self.value_calls += 1
         return self.base.value(lam)
 
-    def derivative(self, lam):
-        self.derivative_points += np.size(lam)
-        self.derivative_calls += 1
-        return self.base.derivative(lam)
-
-    def value_and_derivative(self, lam):
-        self.points += np.size(lam)
-        self.derivative_points += np.size(lam)
-        self.value_calls += 1
-        self.derivative_calls += 1
-        return self.base.value_and_derivative(lam)
-
 
 def test_kernel_evaluates_map_once_per_node(quartic_tmap):
-    # on the map's own window the nodes' images are a transform of the
-    # series, with no value call; a grid on another interval maps each
-    # node once
+    # on the map's own window the nodes' images and the diagonal's
+    # derivative are transforms of the series, with no map call; a grid
+    # on any other interval is refused
     grid = ops.cheb_grid(256, quartic_tmap.eq.interval)
     counted = CountingMap(quartic_tmap)
     ops.kernel_matrix(counted, grid)
-    assert (counted.value_calls, counted.points) == (0, 0)
-    counted = CountingMap(quartic_tmap)
-    ops.kernel_matrix(counted, ops.cheb_grid(256))
-    assert (counted.value_calls, counted.points) == (1, 256)
+    assert counted.value_calls == 0
+    with pytest.raises(UsageError) as err:
+        ops.kernel_matrix(counted, ops.cheb_grid(256))
+    assert err.value.code == "invalid-spec"
     x = grid.nodes
     outer = ops.log_ratio_kernel(quartic_tmap, x[:, None], x[None, :])
     full = ops.log_ratio_kernel(quartic_tmap, *np.broadcast_arrays(x[:, None], x[None, :]))
@@ -416,75 +403,81 @@ IMAGE_TOL = 8.0
 
 @pytest.mark.parametrize("g", [0.1, 0.8])
 def test_kernel_matrix_is_the_symmetrized_pointwise_kernel(g):
-    # the transform's images on the grid serve both axes, and the kernel
-    # keeps the bits of the pointwise arithmetic on them
+    # the transform's images on the grid serve both axes, and off the
+    # diagonal the kernel keeps the bits of the pointwise arithmetic on
+    # them; the diagonal is the transform of the derivative's series
     tmap = _transport_data("even-quartic", g)
     grid = ops.cheb_grid(256, tmap.eq.interval)
     x = grid.nodes
     z = ops.grid_values(tmap.interior_cheb, grid.n)
     scale = np.finfo(float).eps * np.abs(tmap.interior_cheb).sum()
     assert np.max(np.abs(z - tmap.value(x))) <= IMAGE_TOL * scale
-    k = ops._log_ratio(tmap, x[:, None], x[None, :], z[:, None], z[None, :])
     kmat = ops.kernel_matrix(tmap, grid)
-    assert np.array_equal(kmat, 0.5 * (k + k.T))
+    assert np.array_equal(np.diag(kmat), np.log(ops.grid_values(tmap._der_cheb, grid.n)))
+    k = ops._log_ratio(tmap, x[:, None], x[None, :], z[:, None], z[None, :])
+    off = ~np.eye(grid.n, dtype=bool)
+    assert np.array_equal(kmat[off], (0.5 * (k + k.T))[off])
     # the pointwise kernel, which maps the grid by the recurrence, agrees
     # to the rounding of the difference quotients (1.3e-12 at g = 0.8)
     k = ops.log_ratio_kernel(tmap, x[:, None], x[None, :])
     assert np.max(np.abs(kmat - 0.5 * (k + k.T))) < 1e-11
 
 
-def test_curvature_probes_only_off_the_diagonal(quartic_eq, quartic_tmap):
-    # the diagonal's curvature correction is multiplied by d^2 = 0, so only
-    # close pairs with x != y probe the derivative at ctr +- t and ctr
-    grid = ops.cheb_grid(256, quartic_tmap.eq.interval)
-    x = grid.nodes
-    d = np.abs(x[:, None] - x[None, :])
-    close, off = int(np.sum(d < 1e-3)), int(np.sum((d < 1e-3) & (d > 0)))
-    assert (close, off) == (256 + 16, 16)
-    counted = CountingMap(quartic_tmap)
-    kmat = ops.kernel_matrix(counted, grid)
-    assert counted.derivative_points == close + 3 * off
-    z = ops.grid_values(quartic_tmap.interior_cheb, grid.n)
-    separate = oracles.log_ratio_kernel_separate_calls(
-        quartic_tmap, x[:, None], x[None, :], z[:, None], z[None, :]
-    )
-    assert np.array_equal(kmat, 0.5 * (separate + separate.T))
-    # the deformation identity's probe-by-rule grid: 46 close pairs, none on
-    # the diagonal
-    lam, _ = ops.gauss_inv_sqrt(ops._DEFORMATION_PROBES, ops.SIGMA)
-    mu, _ = ops.gauss_semicircle(ops._DEFORMATION_NODES, ops.SIGMA)
-    assert int(np.sum(np.abs(lam[:, None] - mu[None, :]) < 1e-3)) == 46
-    counted = CountingMap(quartic_tmap)
-    got = ops.log_ratio_kernel(counted, lam[:, None], mu[None, :])
-    assert counted.derivative_points == 4 * 46
-    want = oracles.log_ratio_kernel_separate_calls(quartic_tmap, lam[:, None], mu[None, :])
-    assert np.array_equal(got, want)
-
-
 def test_kernel_merges_map_calls(quartic_eq, quartic_tmap):
-    grid = ops.cheb_grid(256, quartic_tmap.eq.interval)
-    x = grid.nodes
-    counted = CountingMap(quartic_tmap)
-    kmat = ops.kernel_matrix(counted, grid)
-    # the images are a transform; the diagonal is a close pair, so the
-    # derivative runs, once
-    assert (counted.value_calls, counted.derivative_calls) == (0, 1)
-    z = ops.grid_values(quartic_tmap.interior_cheb, grid.n)
-    separate = oracles.log_ratio_kernel_separate_calls(
-        quartic_tmap, x[:, None], x[None, :], z[:, None], z[None, :]
-    )
-    assert np.array_equal(kmat, 0.5 * (separate + separate.T))
-    # off-grid points with close pairs away from the diagonal and near both window ends
+    # the close pairs read the map's series, never its derivative: the
+    # pointwise kernel maps both point sets in one value call, and the
+    # deformation identity its probes and its rule's nodes
     hi = quartic_tmap.eq.interval[1]
     pts = np.array([-hi, -hi + 4e-4, -1.3, -1.3 + 5e-4, 0.2, 1.9, hi - 3e-4, hi])
-    xs, ys = pts[:, None], pts[None, ::-1]
     counted = CountingMap(quartic_tmap)
-    got = ops.log_ratio_kernel(counted, xs, ys)
-    assert (counted.value_calls, counted.derivative_calls) == (1, 1)
-    assert np.array_equal(got, oracles.log_ratio_kernel_separate_calls(quartic_tmap, xs, ys))
+    ops.log_ratio_kernel(counted, pts[:, None], pts[None, ::-1])
+    assert (counted.value_calls, counted.points) == (1, 16)
     counted = CountingMap(quartic_tmap)
     ops.deformation_residual(quartic_eq, counted)
     assert counted.value_calls == 1
+
+
+# The close pairs' log divided difference against the long-double
+# oracle, in absolute log error: measured at most 6.4e-16, 1.3e-15 and
+# 1.6e-14 at g = -0.1, 0.3 and 0.8, where a midpoint derivative with a
+# finite-difference curvature term reads 1.2e-9, 1.2e-11 and 3.6e-11.
+# Just past the switch the quotient's rounding, about
+# eps max|zeta| / _CLOSE_PAIR relative, read at most 8.7e-13.
+QUOTIENT_TOL = 2e-12
+
+
+@pytest.mark.parametrize("g,bound", [(-0.1, 2e-15), (0.3, 4e-15), (0.8, 5e-14)])
+def test_close_pairs_are_the_exact_divided_difference(g, bound):
+    tmap = _transport_data("even-quartic", g)
+    hi = tmap.eq.interval[1]
+
+    def log_dd(x, y):
+        dd = oracles.divided_difference_longdouble(tmap.interior_cheb, tmap.eq.interval, x, y)
+        return np.log(np.abs(dd)).astype(float)
+
+    # the 256-node grid's close pairs, diagonal included, in the pointwise
+    # kernel and in the matrix; then the deformation identity's
+    # probe-by-rule close pairs
+    grid = ops.cheb_grid(256, tmap.eq.interval)
+    x = grid.nodes
+    i, j = np.nonzero(np.abs(x[:, None] - x[None, :]) < ops._CLOSE_PAIR)
+    assert i.size == 256 + 16
+    want = log_dd(x[i], x[j])
+    for got in (ops.log_ratio_kernel(tmap, x[i], x[j]), ops.kernel_matrix(tmap, grid)[i, j]):
+        assert np.max(np.abs(got - want)) <= bound
+    lam, _ = ops.gauss_inv_sqrt(ops._DEFORMATION_PROBES, ops.SIGMA)
+    nodes = max(ops._DEFORMATION_NODES, -(-ops.chop_coeffs(tmap.interior_cheb).size // 2))
+    mu, _ = ops.gauss_semicircle(nodes, ops.SIGMA)
+    i, j = np.nonzero(np.abs(lam[:, None] - mu[None, :]) < ops._CLOSE_PAIR)
+    assert np.max(np.abs(ops.log_ratio_kernel(tmap, lam[i], mu[j]) - log_dd(lam[i], mu[j]))) <= bound
+    # off-grid pairs: on both window ends, near them, and either side of
+    # the switch
+    x = np.array([-hi, hi, -hi, hi, -1.3, 0.2, -hi, hi, -1.3, 0.2])
+    y = x + ops._CLOSE_PAIR * np.array([0.0, 0.0, 0.4, -0.3, 0.999, -0.999, 1.001, -1.001, 1.001, -1.001])
+    err = np.abs(ops.log_ratio_kernel(tmap, x, y) - log_dd(x, y))
+    near = np.abs(x - y) < ops._CLOSE_PAIR
+    assert np.max(err[near]) <= bound
+    assert np.max(err[~near]) <= QUOTIENT_TOL
 
 
 def test_kernel_and_spectrum_working_set(quartic_tmap):
@@ -615,11 +608,11 @@ def _kernel_data(kind, g=None, nodes=256):
     return kmat, grid, ops.eigendecompose(kmat, grid)
 
 
-@pytest.mark.parametrize("g", [0.1, 0.3, 0.5, 0.7])
+@pytest.mark.parametrize("g", [-0.1, 0.1, 0.3, 0.5, 0.7])
 def test_truncation_follows_the_kernel_not_the_grid(g):
     # the kernel is resolved on 256 nodes up to g=0.7, so the count of
-    # genuine modes does not move with the grid; rounding-level eigenvalues
-    # would add modes that grow or shrink with it
+    # genuine modes does not move with the grid; rounding-level eigenvalues,
+    # or an error in the close pairs, would add modes that grow with it
     counts = set()
     for nodes in (256, 512, 1024):
         kmat, grid, spec = _kernel_data("even-quartic", g, nodes)
@@ -720,7 +713,9 @@ def test_sigma_coefficients_of_a_spectrum_on_sigma(quartic_tmap):
     # on a grid over SIGMA itself every node of the rule is a grid node,
     # so the modes' coefficients there are the transform of their values
     grid = ops.cheb_grid(128)
-    spec = ops.eigendecompose(ops.kernel_matrix(quartic_tmap, grid), grid)
+    x = grid.nodes
+    k = ops.log_ratio_kernel(quartic_tmap, x[:, None], x[None, :])
+    spec = ops.eigendecompose(0.5 * (k + k.T), grid)
     assert np.array_equal(spec.sigma_coeffs, ops.coeffs_from_values(spec.phi_values))
 
 
@@ -811,6 +806,21 @@ def test_deformation_identity_constancy(quartic_eq, quartic_tmap, gauss_eq, gaus
     dg = ops.deformation_residual(gauss_eq, gauss_tmap)
     assert dg.residual < 1e-6
     assert abs(dg.constant) < 1e-8
+
+
+@pytest.mark.parametrize("g", [0.8, 0.9])
+def test_deformation_rule_follows_the_map(g):
+    # the rule's nodes follow the map's chopped length (368 and 1038
+    # nodes), where a fixed 256 read 4.9e-11 and 7.3e-6. The probe rows
+    # go through in blocks of at most _PV_BLOCK entries: one block's
+    # differences and results beside the closed form's two buffers read
+    # 0.98 MiB at g=0.9, where one unblocked matrix is 1.5 MiB
+    tmap = _transport_data("even-quartic", g)
+    with traced_peak() as peak:
+        res = ops.deformation_residual(tmap.eq, tmap)
+    assert peak.bytes <= 5 * 8 * ops._PV_BLOCK
+    assert res.residual < 1e-12
+    assert abs(res.constant - (tmap.eq.robin_constant + 1.0)) < 1e-12
 
 
 def test_deformation_negative_control(quartic_eq, quartic_tmap):

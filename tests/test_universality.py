@@ -130,7 +130,7 @@ from betalab.transport import solve_transport
 
 pot = make_potential("even-quartic", g=0.1)
 eq = solve_equilibrium(pot)
-grid = ops.cheb_grid(64)
+grid = ops.cheb_grid(64, eq.interval)
 ops.eigendecompose(ops.kernel_matrix(solve_transport(eq), grid), grid)
 gauss_eq = solve_equilibrium(make_potential("gaussian"))
 ens.sample_gaussian(8, 2.0, 20, seed=3, window=(-2.05, 2.05))
@@ -318,8 +318,9 @@ def test_energy_identity_perturbed_map_control(quartic_eq, quartic_tmap, quartic
 
 def test_whole_series_recurrence_passes(monkeypatch, quartic_eq, quartic_spectrum):
     # each stage sums the map's whole series by one recurrence pass, its
-    # derivative's riding along; the kernel's images on the map's window
-    # are a transform, and only its close pairs sum the derivative
+    # derivative's riding along; the kernel on the map's window sums none:
+    # its images and its diagonal are transforms, and its other close
+    # pairs the closed-form divided difference
     passes = []
     cheb_val = ops.cheb_val
 
@@ -342,7 +343,7 @@ def test_whole_series_recurrence_passes(monkeypatch, quartic_eq, quartic_spectru
     uni.linearization_check(quartic_eq, tmap, quartic_spectrum, 2.0, lambda c: (c**2).sum(axis=1), n=2, modes=3)
     assert series_passes(tmap) == ["both"]
     ops.kernel_matrix(tmap, ops.cheb_grid(256, tmap.eq.interval))
-    assert series_passes(tmap) == ["derivative"]
+    assert series_passes(tmap) == []
 
 
 def test_energy_identity_guards(quartic_eq, quartic_tmap, quartic_spectrum):
