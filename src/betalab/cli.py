@@ -50,6 +50,22 @@ _DEFAULTS = {
     "output": {"dir": ".", "prefix": "run"},
 }
 
+# The command-line overrides, in help order: each flag sets the config key
+# of its own name, and the key's default type converts the flag's text.
+_OVERRIDES = [
+    ("prefix", "output", "output file prefix"),
+    ("kind", "potential", "potential kind: gaussian | even-quartic | polynomial"),
+    ("g", "potential", "quartic coupling"),
+    ("eps", "potential", "domain margin beyond the reference interval"),
+    ("beta", "ensemble", "inverse-temperature parameter"),
+    ("n", "ensemble", "eigenvalues per configuration"),
+    ("count", "ensemble", "number of configurations"),
+    ("seed", "ensemble", "sampler seed"),
+    ("sampler", "ensemble", "auto | gaussian | mcmc"),
+    ("center", "bulk", "bulk window center"),
+    ("halfwidth", "bulk", "bulk window half-width"),
+]
+
 
 def _load_config(path: str | None) -> dict:
     cfg = {sec: dict(keys) for sec, keys in _DEFAULTS.items()}
@@ -72,21 +88,7 @@ def _load_config(path: str | None) -> dict:
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
-    # each override flag sets the config key of its own name
-    pairs = [
-        ("ensemble", "beta"),
-        ("ensemble", "n"),
-        ("ensemble", "count"),
-        ("ensemble", "seed"),
-        ("ensemble", "sampler"),
-        ("potential", "g"),
-        ("potential", "kind"),
-        ("potential", "eps"),
-        ("output", "prefix"),
-        ("bulk", "center"),
-        ("bulk", "halfwidth"),
-    ]
-    for sec, key in pairs:
+    for key, sec, _ in _OVERRIDES:
         val = getattr(args, key, None)
         if val is not None:
             cfg[sec][key] = val
@@ -458,17 +460,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI config file (sections per module)")
     common.add_argument("-o", "--out", help="output directory (overrides config and BETALAB_OUT)")
-    common.add_argument("--prefix", help="output file prefix")
-    common.add_argument("--kind", help="potential kind: gaussian | even-quartic | polynomial")
-    common.add_argument("--g", type=float, help="quartic coupling")
-    common.add_argument("--eps", type=float, help="domain margin beyond the reference interval")
-    common.add_argument("--beta", type=float, help="inverse-temperature parameter")
-    common.add_argument("--n", type=int, help="eigenvalues per configuration")
-    common.add_argument("--count", type=int, help="number of configurations")
-    common.add_argument("--seed", type=int, help="sampler seed")
-    common.add_argument("--sampler", help="auto | gaussian | mcmc")
-    common.add_argument("--center", type=float, help="bulk window center")
-    common.add_argument("--halfwidth", type=float, help="bulk window half-width")
+    for key, sec, text in _OVERRIDES:
+        common.add_argument(f"--{key}", type=type(_DEFAULTS[sec][key]), help=text)
 
     parser = argparse.ArgumentParser(
         prog="betalab",

@@ -22,11 +22,7 @@ import numpy.ma  # np.median imports it on its first call; load it with the pack
 
 from . import operators as ops
 from .errors import NumericalError, UsageError
-from .potentials import Potential, make_potential
-from .potentials import _moment_residual
-
-# inverse square-root nodes of the recentering moments
-_RECENTERING_NODES = 256
+from .potentials import Potential, _arcsine_moments, _moment_residual, make_potential
 
 
 def _sqrt_branch(w):
@@ -247,6 +243,28 @@ def _cdf_modes_from_sigma(p_on_sigma_coeffs: np.ndarray) -> np.ndarray:
     return beta
 
 
+def _log_potential(beta: np.ndarray, x) -> np.ndarray:
+    """The integral of log|x - mu| rho(mu) for the measure with CDF modes
+    ``beta``, in closed form on the whole real line.
+
+    On the support it is the Clenshaw sum of
+    :func:`~betalab.operators._log_kernel_modes`. Off it, with x = w + 1/w
+    and |w| > 1, log|x - 2 cos t| = log|w| - 2 sum_k w^-k cos(kt) / k
+    (Saff and Totik, *Logarithmic Potentials with External Fields*,
+    ch. I) makes it pi (beta_0 log|w| - sum_k beta_k w^-k / k).
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    inside = np.abs(x) <= 2.0
+    out[inside] = ops.cheb_val(ops._log_kernel_modes(beta), x[inside])
+    log_w = np.arccosh(0.5 * np.abs(x[~inside]))
+    series = np.polynomial.polynomial.polyval(
+        np.sign(x[~inside]) * np.exp(-log_w), np.r_[0.0, beta[1:] / np.arange(1, beta.size)]
+    )
+    out[~inside] = np.pi * (beta[0] * log_w - series)
+    return out
+
+
 def solve_equilibrium(
     potential: Potential,
     eps: float | None = None,
@@ -355,22 +373,9 @@ def solve_equilibrium(
             "single normalized support interval",
         )
 
-    eq = EquilibriumData(
-        potential=potential,
-        eps=eps,
-        interval=interval,
-        p_cheb=p_cheb,
-        cdf_modes=cdf_modes,
-        genericity_margin=margin,
-        robin_constant=0.0,
-        v_residual=0.0,
-        mass=mass,
-    )
-
     # variational certificate: flat on the support ...
-    lk = ops.log_kernel_apply(eq.density)
     probe, _ = ops.gauss_inv_sqrt(512, ops.SIGMA)
-    veff = 2.0 * lk(probe) - np.asarray(potential.v(probe), dtype=float)
+    veff = 2.0 * _log_potential(cdf_modes, probe) - np.asarray(potential.v(probe), dtype=float)
     robin = float(np.median(veff))
     v_residual = float(np.max(np.abs(veff - robin)))
     if v_residual > 1e-7:
@@ -380,22 +385,26 @@ def solve_equilibrium(
         )
 
     # ... and dominated outside it
-    mu, wu = ops.gauss_semicircle(256, ops.SIGMA)
-    s_mu = ops.cheb_val(p_cheb, mu, interval) / (2.0 * np.pi)
-    for t in (0.25 * eps, 0.5 * eps, 0.9 * eps):
-        for lam_out in (-(2.0 + t), 2.0 + t):
-            l_out = float(np.sum(wu * np.log(np.abs(lam_out - mu)) * s_mu))
-            v_out = 2.0 * l_out - float(potential.v(lam_out))
-            if v_out > robin + 1e-6:
-                raise NumericalError(
-                    "variational-failure",
-                    f"effective potential exceeds its support level at {lam_out:.3f}; "
-                    "the one-interval ansatz is inconsistent for this potential",
-                )
+    outside = np.outer([-1.0, 1.0], 2.0 + np.array([0.25, 0.5, 0.9]) * eps).ravel()
+    v_out = 2.0 * _log_potential(cdf_modes, outside) - np.asarray(potential.v(outside), dtype=float)
+    if np.max(v_out) > robin + 1e-6:
+        raise NumericalError(
+            "variational-failure",
+            f"effective potential exceeds its support level at {outside[np.argmax(v_out)]:.3f}; "
+            "the one-interval ansatz is inconsistent for this potential",
+        )
 
-    eq.robin_constant = robin
-    eq.v_residual = v_residual
-    return eq
+    return EquilibriumData(
+        potential=potential,
+        eps=eps,
+        interval=interval,
+        p_cheb=p_cheb,
+        cdf_modes=cdf_modes,
+        genericity_margin=margin,
+        robin_constant=robin,
+        v_residual=v_residual,
+        mass=mass,
+    )
 
 
 @dataclass(frozen=True)
@@ -412,8 +421,4 @@ class RecenteringCoeffs:
 
 def recentering_coeffs(h, h_prime=None) -> RecenteringCoeffs:
     """Moments of h' against the inverse square-root weight on the support."""
-    x, _ = ops.gauss_inv_sqrt(_RECENTERING_NODES, ops.SIGMA)
-    hp = np.asarray(ops._derivative_callable(h, h_prime)(x), dtype=float)
-    c1 = float(np.mean(hp))
-    c2 = float(np.mean(x * hp)) / 2.0
-    return RecenteringCoeffs(c1=c1, c2=c2)
+    return RecenteringCoeffs(*_arcsine_moments(ops._derivative_callable(h, h_prime), -2.0, 2.0))

@@ -567,8 +567,9 @@ def kernel_matrix(tmap, grid: ChebGrid) -> np.ndarray:
     log-derivative at the nodes; both are transforms of the map's
     series and of its derivative's, :func:`grid_values`, so the map is
     not evaluated. The other close pairs take the closed form of
-    :func:`_divided_difference`. A grid over any other interval raises
-    "invalid-spec".
+    :func:`_divided_difference`; both are even in the pair's order, so
+    the matrix is symmetric bit for bit. A grid over any other interval
+    raises "invalid-spec".
     """
     if grid.interval != tuple(tmap.eq.interval):
         raise UsageError(
@@ -578,10 +579,7 @@ def kernel_matrix(tmap, grid: ChebGrid) -> np.ndarray:
     x = grid.nodes
     z = grid_values(tmap.interior_cheb, grid.n)
     dz = np.log(grid_values(tmap._der_cheb, grid.n))
-    k = _log_ratio(tmap, x[:, None], x[None, :], z[:, None], z[None, :], diagonal=dz)
-    out = np.add(k, k.T)
-    out *= 0.5
-    return out
+    return _log_ratio(tmap, x[:, None], x[None, :], z[:, None], z[None, :], diagonal=dz)
 
 
 @dataclass

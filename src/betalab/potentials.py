@@ -18,7 +18,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import NumericalError, UsageError
 
-# first-kind nodes of the two endpoint moment conditions
+# first-kind nodes of the arcsine moments (endpoint conditions, recentering)
 _MOMENT_NODES = 256
 # the endpoint Newton converges below this moment residual, and gives up
 # after this many steps
@@ -180,15 +180,20 @@ def make_potential(kind: str, eps: float = 0.2, **params) -> Potential:
     )
 
 
-def _moment_residual(pot: Potential, a: float, b: float):
-    """The two endpoint conditions: zero odd moment, unit even moment."""
+def _arcsine_moments(f, a: float, b: float):
+    """Means of f(x) and of x f(x) / 2 over the arcsine law of [a, b], by
+    the ``_MOMENT_NODES``-point first-kind rule."""
     j = np.arange(_MOMENT_NODES)
     theta = (2.0 * j + 1.0) * np.pi / (2.0 * _MOMENT_NODES)
     x = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)
-    dvx = np.asarray(pot.dv(x), dtype=float)
-    r1 = float(np.mean(dvx)) * np.pi
-    r2 = float(np.mean(x * dvx)) / 2.0 - 1.0
-    return np.array([r1, r2])
+    fx = np.asarray(f(x), dtype=float)
+    return float(np.mean(fx)), float(np.mean(x * fx)) / 2.0
+
+
+def _moment_residual(pot: Potential, a: float, b: float):
+    """The two endpoint conditions: zero odd moment, unit even moment."""
+    m1, m2 = _arcsine_moments(pot.dv, a, b)
+    return np.array([m1 * np.pi, m2 - 1.0])
 
 
 def support_endpoints(pot: Potential, guess=(-2.0, 2.0)):

@@ -416,7 +416,6 @@ def linearization_check(
     n: int = 2,
     modes: int | None = None,
     gh_nodes: int = 24,
-    jacobian_weight: bool = True,
 ) -> LinearizationResult:
     """Deterministic two-route expectation of a symmetric observable.
 
@@ -456,10 +455,7 @@ def linearization_check(
     proj = spectrum.semicircle_proj[:modes]
     q = spectrum.phi(nodes, range(modes))[where].sum(axis=1) - n * proj
     w_mode = np.prod(_gauss_hermite_factors(q, beta * eta, gh_nodes), axis=1)
-    # jacobian_weight=False drops the (beta/2 - 1) log-derivative factor,
-    # a deliberate corruption used as a negative control (inactive at beta=2)
-    jac = np.exp(-(0.5 * beta - 1.0) * logzp) if jacobian_weight else 1.0
-    wfull = wr * w_mode * jac
+    wfull = wr * w_mode * np.exp(-(0.5 * beta - 1.0) * logzp)
     right = float((wfull @ obs) / wfull.sum())
 
     scale = max(abs(left), abs(right), 1e-30)

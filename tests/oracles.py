@@ -24,18 +24,24 @@ def density_value_oracle(dv, z, nodes: int = 4000) -> float:
     return float(vals.mean())
 
 
-def log_potential_semicircle_oracle(lam: float) -> float:
-    """int log|lam - mu| rho_sc(mu) dmu by adaptive quadrature split at lam."""
+def log_potential_oracle(lam: float, p=None, nodes: int = 512) -> float:
+    """int log|lam - mu| p(mu) sqrt(4 - mu^2) / (2 pi) dmu, by quadrature.
 
-    def f(mu):
-        return np.log(np.abs(lam - mu)) * np.sqrt(4.0 - mu * mu) / (2.0 * np.pi)
-
-    if -2.0 < lam < 2.0:
-        a, _ = integrate.quad(f, -2.0, lam, points=[lam], limit=200)
-        b, _ = integrate.quad(f, lam, 2.0, points=[lam], limit=200)
-        return a + b
-    out, _ = integrate.quad(f, -2.0, 2.0, limit=200)
-    return out
+    ``p`` is the density factor, one (the semicircle) by default. Outside
+    the support the integrand is smooth and the second-kind Gauss rule in
+    the angle takes it; inside, the two halves split at lam go through
+    QUADPACK's algebraic-logarithmic endpoint weights (QAWS).
+    """
+    if p is None:
+        p = np.ones_like
+    if abs(lam) > 2.0:
+        t = np.arange(1, nodes + 1) * np.pi / (nodes + 1)
+        mu = 2.0 * np.cos(t)
+        w = (4.0 * np.pi / (nodes + 1)) * np.sin(t) ** 2
+        return float(w @ (p(mu) * np.log(np.abs(lam - mu)))) / (2.0 * np.pi)
+    a, _ = integrate.quad(lambda m: np.sqrt(2.0 - m) * p(m), -2.0, lam, weight="alg-logb", wvar=(0.5, 0.0))
+    b, _ = integrate.quad(lambda m: np.sqrt(2.0 + m) * p(m), lam, 2.0, weight="alg-loga", wvar=(0.0, 0.5))
+    return (a + b) / (2.0 * np.pi)
 
 
 def semicircle_cdf(t):
@@ -218,13 +224,17 @@ def ordered_grid_expectation(vfun, n, beta, observables, box, nodes):
     return np.array([wgt @ ob(configs) for ob in observables]) / wgt.sum()
 
 
-def linearization_right_tensor(eq, tmap, spectrum, beta, observable, n, modes, gh_nodes, gl_nodes=96):
+def linearization_right_tensor(
+    eq, tmap, spectrum, beta, observable, n, modes, gh_nodes, gl_nodes=96, jacobian=True
+):
     """Right route of the linearization check on the full tensor-product rule.
 
     Averages exp(q . s) over every point of the gh_nodes**modes
     Gauss-Hermite tensor grid instead of factorizing the rule per mode. The configuration quadrature and the reference density
     are the package's own, so the two routes differ only in the
     auxiliary-integral weight. Cost grows like gh_nodes**modes.
+    ``jacobian=False`` drops the (beta/2 - 1) log-derivative weight, a
+    wrong route for negative controls (it is exact at beta=2).
     """
     from betalab.ensembles import _log_density_ordered, _ordered_chunks
 
@@ -249,8 +259,9 @@ def linearization_right_tensor(eq, tmap, spectrum, beta, observable, n, modes, g
     uw /= uw.sum()
     w_mode = np.exp(qmat @ (u * coef[None, :]).T).real @ uw
 
-    logzp = np.log(tmap.derivative(configs)).sum(axis=1)
-    wfull = wr * w_mode * np.exp(-(0.5 * beta - 1.0) * logzp)
+    wfull = wr * w_mode
+    if jacobian:
+        wfull *= np.exp(-(0.5 * beta - 1.0) * np.log(tmap.derivative(configs)).sum(axis=1))
     return float((wfull @ obs) / wfull.sum())
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from betalab import operators as ops
-from betalab.equilibrium import EquilibriumData, recentering_coeffs, solve_equilibrium
+from betalab.equilibrium import EquilibriumData, _log_potential, recentering_coeffs, solve_equilibrium
 from betalab.errors import NumericalError, UsageError
 from betalab.potentials import make_potential
 
@@ -36,7 +36,7 @@ def test_quartic_density_factor_quadrature_oracle(quartic_eq):
 def test_robin_constant_gaussian_oracle(gauss_eq):
     # effective potential at an interior point, fully by quadrature
     lam = 0.37
-    want = 2.0 * oracles.log_potential_semicircle_oracle(lam) - 0.5 * lam * lam
+    want = 2.0 * oracles.log_potential_oracle(lam) - 0.5 * lam * lam
     assert abs(gauss_eq.robin_constant - want) < 1e-9
 
 
@@ -141,14 +141,48 @@ def test_recentering_coefficients():
 
 
 def test_exterior_effective_potential_dips_nowhere(quartic_eq):
-    # no singularity outside the support, so plain quadrature suffices
-    from betalab import operators as ops
-
     probe = 2.15
-    x, w = ops.gauss_semicircle(512)
-    logpot = float(w @ (quartic_eq.p_value(x) * np.log(np.abs(probe - x)))) / (2.0 * np.pi)
-    vout = 2.0 * logpot - quartic_eq.potential.v(probe)
+    vout = 2.0 * oracles.log_potential_oracle(probe, quartic_eq.p_value) - quartic_eq.potential.v(probe)
     assert vout <= quartic_eq.robin_constant + 1e-6
+
+
+@pytest.mark.parametrize("g", [-0.1, 0.1, 0.5, 0.9])
+def test_log_potential_matches_quadrature_oracle(g):
+    # the closed form of the CDF modes, inside the support and just past
+    # either end, where the oracle's Gauss rule agrees to 4.4e-16
+    eq = solve_equilibrium(make_potential("even-quartic", g=g))
+    xs = np.array([-1.5, -0.7, 0.0, 0.37, 1.3])
+    xs = np.concatenate((xs, [s * (2.0 + t) for s in (-1.0, 1.0) for t in (1e-3, 0.05, 0.18)]))
+    want = np.array([oracles.log_potential_oracle(x, eq.p_value) for x in xs])
+    assert np.max(np.abs(_log_potential(eq.cdf_modes, xs) - want)) < 1e-15
+    assert eq.v_residual <= 5e-15
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.5])
+def test_exterior_dip_raises(eps):
+    # g < 0 drives the effective potential above its support level just
+    # outside the support: the one-interval ansatz fails there
+    with pytest.raises(NumericalError) as err:
+        solve_equilibrium(make_potential("even-quartic", g=-0.3, eps=eps))
+    assert err.value.code == "variational-failure"
+    assert "exceeds its support level" in err.value.message
+
+
+def test_certificate_reads_only_the_modes(monkeypatch):
+    # the variational checks take the log potential from the CDF modes:
+    # no resampled density, log kernel or second quadrature
+    pot = make_potential("even-quartic", g=QUARTIC_G)
+    want = solve_equilibrium(pot)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate resampled the equilibrium")
+
+    monkeypatch.setattr(EquilibriumData, "density", refuse)
+    monkeypatch.setattr(ops, "log_kernel_apply", refuse)
+    monkeypatch.setattr(ops, "gauss_semicircle", refuse)
+    got = solve_equilibrium(pot)
+    assert np.array_equal(got.p_cheb, want.p_cheb) and np.array_equal(got.cdf_modes, want.cdf_modes)
+    assert got.robin_constant == want.robin_constant and got.v_residual == want.v_residual
 
 
 def test_contour_quadrature_working_set(monkeypatch):

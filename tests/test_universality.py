@@ -401,17 +401,17 @@ def test_linearization_truncation_control(quartic_eq, quartic_tmap, quartic_spec
 
 
 def test_linearization_jacobian_control(quartic_eq, quartic_tmap, quartic_spectrum):
-    # discarding the log-derivative reweighting must be loud away from beta=2
+    # the oracle's right route without the log-derivative reweighting must
+    # miss the left route loudly away from beta=2
     obs = lambda c: (c**2).sum(axis=1)
     full = uni.linearization_check(
         quartic_eq, quartic_tmap, quartic_spectrum, 1.0, obs, n=2, modes=3
     )
     assert full.rel_discrepancy < 1e-3
-    broken = uni.linearization_check(
-        quartic_eq, quartic_tmap, quartic_spectrum, 1.0, obs, n=2, modes=3,
-        jacobian_weight=False,
+    broken = oracles.linearization_right_tensor(
+        quartic_eq, quartic_tmap, quartic_spectrum, 1.0, obs, n=2, modes=3, gh_nodes=6, jacobian=False
     )
-    assert broken.rel_discrepancy > 1e-2
+    assert abs(full.left - broken) / abs(full.left) > 1e-2
 
 
 def test_linearization_gaussian_degenerate(gauss_eq, gauss_tmap, gauss_spectrum):
