@@ -4,8 +4,10 @@ The map is the strictly increasing change of variables with
 rho(zeta(x)) * zeta'(x) = rho_sc(x). It is the equilibrium quantile of the
 semicircle level, zeta = F_eq^-1(F_sc(x)), continued analytically past both
 support edges, and it is stored as one Chebyshev series on the working
-window. Its quality is judged by the pushforward residual and by how far
-the series departs from that pointwise construction between its nodes.
+window, in a variable t with x = c + eps sinh(A t + B) fitted to the map's
+nearest complex singularity c +- i eps. Its quality is judged by the
+pushforward residual and by how far the series departs from that pointwise
+construction between its nodes.
 """
 
 import numpy as np
@@ -16,7 +18,9 @@ g = 0.1
 eq = solve_equilibrium(make_potential("even-quartic", g=g))
 tmap = solve_transport(eq)
 
-print(f"one Chebyshev series on {eq.interval}: {tmap.interior_cheb.size} coefficients")
+var = tmap.variable
+print(f"one Chebyshev series on {eq.interval}: {tmap.interior_cheb.size} coefficients in t,")
+print(f"  x = {var.center:.3g} + {var.width:.4g} sinh({var.scale:.4g} t + {var.shift:.3g})")
 print(f"pushforward residual: {tmap.residual_max:.2e}")
 print(f"series vs construction between nodes: {tmap.overlap_max:.2e}")
 print()

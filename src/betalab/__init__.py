@@ -26,19 +26,17 @@ from .ensembles import (
     sample_mcmc,
     save_sample,
 )
-from .equilibrium import EquilibriumData, recentering_coeffs, solve_equilibrium
+from .equilibrium import EquilibriumData, solve_equilibrium
 from .errors import BetalabError, NumericalError, UsageError
 from .operators import (
     ChebGrid,
     KernelSpectrum,
-    apply_cov_op,
     cheb_grid,
     contraction_matrices,
     cov_form,
     deformation_residual,
     eigendecompose,
     kernel_matrix,
-    log_kernel_apply,
     log_ratio_kernel,
     mean_shift_pairing,
     semicircle_density,
@@ -84,7 +82,6 @@ __all__ = [
     "TransportMap",
     "UniversalityDistance",
     "UsageError",
-    "apply_cov_op",
     "cheb_grid",
     "clt_report",
     "contraction_matrices",
@@ -97,13 +94,11 @@ __all__ = [
     "linear_statistic",
     "linearization_check",
     "load_sample",
-    "log_kernel_apply",
     "log_ratio_kernel",
     "make_potential",
     "mean_shift_pairing",
     "normalize_support",
     "phi_estimate",
-    "recentering_coeffs",
     "sample_gaussian",
     "sample_mcmc",
     "save_sample",

@@ -22,7 +22,7 @@ import numpy.ma  # np.median imports it on its first call; load it with the pack
 
 from . import operators as ops
 from .errors import NumericalError, UsageError
-from .potentials import Potential, _arcsine_moments, _moment_residual, make_potential
+from .potentials import Potential, _moment_residual, make_potential
 
 
 def _sqrt_branch(w):
@@ -405,20 +405,3 @@ def solve_equilibrium(
         v_residual=v_residual,
         mass=mass,
     )
-
-
-@dataclass(frozen=True)
-class RecenteringCoeffs:
-    """First-order support response of a potential perturbation.
-
-    c1 is the shift rate of the support midpoint, c2 the dilation rate,
-    for the perturbation V + t h at small t after re-normalization.
-    """
-
-    c1: float
-    c2: float
-
-
-def recentering_coeffs(h, h_prime=None) -> RecenteringCoeffs:
-    """Moments of h' against the inverse square-root weight on the support."""
-    return RecenteringCoeffs(*_arcsine_moments(ops._derivative_callable(h, h_prime), -2.0, 2.0))

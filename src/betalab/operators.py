@@ -30,7 +30,7 @@ _PV_BLOCK = 1 << 15
 # grid.
 CHOP_REL = 1e-14
 MIN_DROPPED = 8
-# nodes of the principal-value rule and of the log-kernel transform
+# nodes of the principal-value rule
 _PV_NODES = 512
 # nodes of the inversion identity and of the mean-shift pairing on SIGMA
 _SIGMA_NODES = 256
@@ -95,6 +95,64 @@ def cheb_grid(n: int = 256, interval=SIGMA) -> ChebGrid:
     nodes = mid + half * np.cos(theta)
     weights = (np.pi / n) * half * np.sin(theta)
     return ChebGrid((lo, hi), nodes, weights)
+
+
+# the interval of a mapped Chebyshev variable
+UNIT = (-1.0, 1.0)
+# a width of 2^26 half-windows makes |A t + B| < 2^-26, where sinh is
+# linear to rounding: the affine limit of the map
+_AFFINE_WIDTH = 2.0**26
+
+
+@dataclass(frozen=True)
+class SinhVariable:
+    """The Chebyshev variable t in [-1, 1] of ``interval``, fitted to a
+    singularity at ``center`` +- i ``width``.
+
+    x = c + eps sinh(A t + B) with A and B fixing the interval's two
+    ends (Johnston and Elliott, Int. J. Numer. Methods Eng. 62, 2005;
+    Tee and Trefethen, SIAM J. Sci. Comput. 28, 2006). The sinh clusters
+    the Chebyshev points of t near c, and a function singular at c +- i
+    eps is singular at t about +-i pi / (2A) instead: a series in t
+    converges like one that is far from its singularity. A width past
+    ``_AFFINE_WIDTH`` half-intervals, infinity included, is that width:
+    there sinh is linear to rounding and t is the plain affine variable.
+    """
+
+    interval: tuple
+    center: float
+    width: float
+    scale: float = field(init=False)
+    shift: float = field(init=False)
+
+    def __post_init__(self):
+        lo, hi = self.interval
+        width = min(self.width, _AFFINE_WIDTH * 0.5 * (hi - lo))
+        a = np.arcsinh((lo - self.center) / width)
+        b = np.arcsinh((hi - self.center) / width)
+        object.__setattr__(self, "width", float(width))
+        object.__setattr__(self, "scale", float(0.5 * (b - a)))
+        object.__setattr__(self, "shift", float(0.5 * (b + a)))
+
+    def x(self, t):
+        return self.center + self.width * np.sinh(self.scale * np.asarray(t, dtype=float) + self.shift)
+
+    def t(self, x):
+        return (np.arcsinh((np.asarray(x, dtype=float) - self.center) / self.width) - self.shift) / self.scale
+
+    def dx(self, t):
+        """dx/dt."""
+        return self.width * self.scale * np.cosh(self.scale * np.asarray(t, dtype=float) + self.shift)
+
+    def divided_difference(self, t, s):
+        """(x(t) - x(s)) / (t - s), pairwise, and dx/dt where t = s:
+        2 eps cosh(A (t + s) / 2 + B) sinh(A (t - s) / 2) / (t - s), a
+        product with no cancellation."""
+        h = 0.5 * (t - s)
+        same = h == 0.0
+        ratio = np.sinh(self.scale * h) / np.where(same, 1.0, h)
+        ratio[same] = self.scale
+        return self.width * np.cosh(self.scale * 0.5 * (t + s) + self.shift) * ratio
 
 
 def coeffs_from_values(vals: np.ndarray) -> np.ndarray:
@@ -331,29 +389,6 @@ def _pv_transform_numer(h_prime, lam: np.ndarray) -> np.ndarray:
     return out + hp_l * np.pi * lam
 
 
-def apply_cov_op(h, lam, h_prime=None):
-    """Pointwise covariance-form transform of h at interior points.
-
-    This is the operator whose symmetrized quadratic form gives the
-    limiting variance of linear eigenvalue statistics. It acts on a test
-    function through its derivative and is computed here by
-    principal-value quadrature with the singularity subtracted, i.e. with
-    no reliance on the Chebyshev-diagonal shortcut (the two routes are
-    reconciled in :func:`cov_form`). ``lam`` may have any shape; a scalar
-    gives a float.
-    """
-    lam_arr = np.asarray(lam, dtype=float)
-    if np.any(np.abs(lam_arr) >= 2.0):
-        raise UsageError(
-            "out-of-domain",
-            "transform is defined on the open interval (-2, 2)",
-        )
-    flat = lam_arr.ravel()
-    s = _pv_transform_numer(_derivative_callable(h, h_prime), flat)
-    out = s / (np.pi**2 * np.sqrt(4.0 - flat * flat))
-    return out.reshape(lam_arr.shape) if lam_arr.ndim else float(out[0])
-
-
 @dataclass(frozen=True)
 class CovForm:
     """Both routes to the covariance quadratic form and their mismatch."""
@@ -411,24 +446,6 @@ def _log_kernel_modes(c: np.ndarray) -> np.ndarray:
     return d
 
 
-def log_kernel_apply(f):
-    """Return a callable for the integral of log|x - mu| f(mu) over SIGMA.
-
-    Works through the mode expansion of f against the inverse square-root
-    weight, by :func:`_log_kernel_modes`.
-    """
-    x = cheb_grid(_PV_NODES).nodes
-    d = _log_kernel_modes(coeffs_from_values(np.asarray(f(x), dtype=float) * np.sqrt(4.0 - x * x)))
-
-    def apply(y):
-        y_arr = np.asarray(y, dtype=float)
-        if np.any(np.abs(y_arr) > 2.0 + 1e-12):
-            raise UsageError("out-of-domain", "log kernel evaluated outside [-2, 2]")
-        return cheb_val(d, np.clip(y_arr, -2.0, 2.0), SIGMA)
-
-    return apply
-
-
 def rank_one_identity_residual(v) -> float:
     """Residual of the inversion identity tying L to D.
 
@@ -457,10 +474,11 @@ def log_ratio_kernel(tmap, x, y):
     """Pointwise smooth kernel log |(zeta(x) - zeta(y)) / (x - y)|.
 
     Safe on and near the diagonal: pairs closer than 1e-3
-    (``_CLOSE_PAIR``) take the divided difference of the map's series in
-    closed form,
-    :func:`_divided_difference`, in place of the difference quotient,
-    whose cancellation error grows like eps/|x - y|. The map is
+    (``_CLOSE_PAIR``) take the divided difference of the map in closed
+    form, that of its series in t (:func:`_divided_difference`) over its
+    variable's own (:meth:`SinhVariable.divided_difference`), in place of
+    the difference quotient, whose cancellation error grows like
+    eps/|x - y|. The map is
     evaluated on ``x`` and ``y`` as given, before broadcasting, in one
     :meth:`~betalab.transport.TransportMap.value` call, so an outer grid
     costs one evaluation per distinct node.
@@ -498,7 +516,10 @@ def _log_ratio(tmap, x, y, zx, zy, diagonal=None):
     if diagonal is not None:
         np.fill_diagonal(out, diagonal)
     if close:
-        dd = _divided_difference(tmap.interior_cheb, tmap.eq.interval, x_near, y_near)
+        # the series' divided difference in t over the map's own
+        var = tmap.variable
+        t, s = var.t(x_near), var.t(y_near)
+        dd = _divided_difference(tmap.interior_cheb, t, s) / var.divided_difference(t, s)
         out[near] = np.log(np.abs(dd))
     return out
 
@@ -516,25 +537,24 @@ def _sin_multiples(t: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
     return st
 
 
-def _divided_difference(coeffs, interval, x, y):
-    """(f(x) - f(y)) / (x - y) for the Chebyshev series f on ``interval``,
+def _divided_difference(coeffs, x, y):
+    """(f(x) - f(y)) / (x - y) for the Chebyshev series f on [-1, 1],
     pair by pair over the 1-D points x and y, and f'(x) where x = y.
 
-    Scaled to [-1, 1] with x = cos a and y = cos b, and with
-    s = (a + b) / 2 and d = (a - b) / 2,
+    With x = cos a and y = cos b, and with s = (a + b) / 2 and
+    d = (a - b) / 2,
     (T_k(x) - T_k(y)) / (x - y) = U_{k-1}(cos s) U_{k-1}(cos d), where
     U_{k-1}(cos t) = sin kt / sin t tends to k as t -> 0: a sum with no
     cancellation. A pair with s past pi/2 takes its angles from -x and
     -y, since U_{k-1}(-u) = (-1)^{k-1} U_{k-1}(u), so s keeps its
-    relative accuracy near either end of the window and x = y on an end
-    is exact. Points are clipped to the window. The whole series is
-    summed. The pairs go through in row blocks of two reused buffers of
-    at most ``_PV_BLOCK`` entries, and each row is reduced on its own, so
-    a pair's value does not depend on the other pairs.
+    relative accuracy near either end of [-1, 1] and x = y on an end is
+    exact. Points are clipped to [-1, 1]. The whole series is summed. The
+    pairs go through in row blocks of two reused buffers of at most
+    ``_PV_BLOCK`` entries, and each row is reduced on its own, so a
+    pair's value does not depend on the other pairs.
     """
-    lo, hi = interval
-    u = np.clip((2.0 * x - (lo + hi)) / (hi - lo), -1.0, 1.0)
-    v = np.clip((2.0 * y - (lo + hi)) / (hi - lo), -1.0, 1.0)
+    u = np.clip(x, -1.0, 1.0)
+    v = np.clip(y, -1.0, 1.0)
     fold = u + v < 0.0
     u[fold] *= -1.0
     v[fold] *= -1.0
@@ -555,7 +575,6 @@ def _divided_difference(coeffs, interval, x, y):
         np.negative(odd, out=odd, where=fold[j, None])
         us[:m] *= ud[:m]
         out[j] = np.vecdot(us[:m], c) / (sin_s * sin_d)
-    out *= 2.0 / (hi - lo)
     return out
 
 
@@ -564,9 +583,9 @@ def kernel_matrix(tmap, grid: ChebGrid) -> np.ndarray:
     over the map's window.
 
     The nodes' images serve both axes, and the diagonal is the
-    log-derivative at the nodes; both are transforms of the map's
-    series and of its derivative's, :func:`grid_values`, so the map is
-    not evaluated. The other close pairs take the closed form of
+    log-derivative at the nodes; both come from one
+    :meth:`~betalab.transport.TransportMap.value_and_derivative` pass.
+    The other close pairs take the closed form of
     :func:`_divided_difference`; both are even in the pair's order, so
     the matrix is symmetric bit for bit. A grid over any other interval
     raises "invalid-spec".
@@ -577,9 +596,8 @@ def kernel_matrix(tmap, grid: ChebGrid) -> np.ndarray:
             f"kernel grid on {grid.interval}, the transport map's window is {tuple(tmap.eq.interval)}",
         )
     x = grid.nodes
-    z = grid_values(tmap.interior_cheb, grid.n)
-    dz = np.log(grid_values(tmap._der_cheb, grid.n))
-    return _log_ratio(tmap, x[:, None], x[None, :], z[:, None], z[None, :], diagonal=dz)
+    z, dz = tmap.value_and_derivative(x)
+    return _log_ratio(tmap, x[:, None], x[None, :], z[:, None], z[None, :], diagonal=np.log(dz))
 
 
 @dataclass
@@ -868,6 +886,14 @@ def mean_shift_pairing(h, eq, beta: float) -> float:
     return (1.0 - beta / 2.0) * (t_edge - t_arcsine - 0.5 * t_logp)
 
 
+def _deformation_degree(var: SinhVariable) -> int:
+    """ln(1e16) / ln(rho) for the Bernstein parameter rho of the map's
+    singularity c + i eps on its window."""
+    lo, hi = var.interval
+    w = (complex(var.center, var.width) - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
+    return int(np.log(1e16) / np.log(abs(w + np.sqrt(w - 1.0) * np.sqrt(w + 1.0))))
+
+
 @dataclass(frozen=True)
 class DeformationResidual:
     residual: float
@@ -886,13 +912,16 @@ def deformation_residual(eq, tmap) -> DeformationResidual:
     the max deviation from it.
 
     The semicircle rule with N nodes is exact to degree 2N - 1, so N
-    follows the map: half its chopped length, and at least
-    ``_DEFORMATION_NODES``. The probes and the rule's nodes are mapped
-    in one :meth:`~betalab.transport.TransportMap.value` call, and the
-    kernel is taken in row blocks of at most ``_PV_BLOCK`` entries.
+    follows the map's singularity at c +- i eps: with rho its Bernstein
+    parameter on the window, a series singular there has decayed to
+    1e-16 of its largest term, past rounding, after ln(1e16) / ln(rho)
+    terms. N is half that, and at least ``_DEFORMATION_NODES``. The
+    probes and the rule's nodes are mapped in one
+    :meth:`~betalab.transport.TransportMap.value` call, and the kernel is
+    taken in row blocks of at most ``_PV_BLOCK`` entries.
     """
     lam, _ = gauss_inv_sqrt(_DEFORMATION_PROBES, SIGMA)
-    nodes = max(_DEFORMATION_NODES, -(-chop_coeffs(tmap.interior_cheb).size // 2))
+    nodes = max(_DEFORMATION_NODES, _deformation_degree(tmap.variable) // 2 + 1)
     mu, w = gauss_semicircle(nodes, SIGMA)
     z = np.asarray(tmap.value(np.concatenate((lam, mu))), dtype=float)
     z_lam, z_mu = z[: lam.size], z[lam.size :]

@@ -18,7 +18,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import NumericalError, UsageError
 
-# first-kind nodes of the arcsine moments (endpoint conditions, recentering)
+# first-kind nodes of the arcsine moments (endpoint conditions)
 _MOMENT_NODES = 256
 # the endpoint Newton converges below this moment residual, and gives up
 # after this many steps

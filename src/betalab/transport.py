@@ -7,11 +7,15 @@ that equation says the map carries semicircle quantiles to equilibrium
 quantiles, F_eq(zeta) = mass * F_sc. Both distribution functions are
 cosine-mode sums in the arccos angle, so the identity continues
 analytically past both edges, where the angle turns imaginary, and the map
-is analytic on the whole working window. It is stored as one Chebyshev
-series there: the identity is inverted at every Chebyshev node by one
-batched Newton solve, and the node count doubles until the fit is
-resolved. Its certificates are enforced here, at the ``betalab verify``
-tolerances.
+is analytic on the whole working window. Its nearest singularity is the
+zero of the density polynomial nearest the support, pulled back through
+the map; as the potential nears a critical point that zero nears the real
+axis. The map is stored as one Chebyshev series in a variable t whose sinh
+change of variables is fitted to that singularity
+(:class:`~betalab.operators.SinhVariable`): the identity is inverted at
+every Chebyshev node of t by one batched Newton solve, and the node count
+doubles until the fit is resolved. Its certificates are enforced here, at
+the ``betalab verify`` tolerances.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as ops
-from .equilibrium import SEMICIRCLE_MODES, EquilibriumData, _newton_decreasing
+from .equilibrium import SEMICIRCLE_MODES, EquilibriumData, _invert_cdf, _newton_decreasing
 from .errors import NumericalError, UsageError
 
 # Resolution: node counts double from the first to the last until the
@@ -37,8 +41,9 @@ OVERLAP_TOL = 1e-8
 class TransportMap:
     """The semicircle-to-equilibrium map as one Chebyshev series.
 
-    ``interior_cheb`` holds its coefficients on the working window
-    ``eq.interval``, edges included (the name dates from when the series
+    ``variable`` is the map's Chebyshev variable t on the working window
+    ``eq.interval``, x = c + eps sinh(A t + B), and ``interior_cheb``
+    holds the coefficients in t (the name dates from when the series
     covered the bulk only): the resolving grid's whole series, one
     coefficient per node, its rounding plateau included.
     ``anchor`` is the map's value at 0.
@@ -48,15 +53,17 @@ class TransportMap:
     ``overlap_max`` is the largest disagreement of the series with the
     pointwise construction between the fit nodes.
 
-    Off the Chebyshev points, :meth:`value` and :meth:`derivative` sum
-    their series by Clenshaw's recurrence (``ops.cheb_val``), and
-    :meth:`value_and_derivative` sums both in one pass, with the same
-    bits. At Chebyshev points of the window the values are transforms
-    of the series, ``ops.grid_values`` and ``ops.extrema_values``.
+    :meth:`value` and :meth:`derivative` sum their series in t by
+    Clenshaw's recurrence (``ops.cheb_val``), the derivative as
+    f'(t) / x'(t), and :meth:`value_and_derivative` sums both in one
+    pass, with the same bits. At Chebyshev points of t the values are
+    transforms of the series, ``ops.grid_values`` and
+    ``ops.extrema_values``.
     """
 
     eq: EquilibriumData
     interior_cheb: np.ndarray
+    variable: ops.SinhVariable
     anchor: float
     residual_max: float
     overlap_max: float
@@ -64,9 +71,9 @@ class TransportMap:
     _pair: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._der_cheb = ops.cheb_der(self.interior_cheb, self.eq.interval)
-        # the map's series and its derivative's, zero-padded, as the real
-        # and imaginary parts of one series
+        self._der_cheb = ops.cheb_der(self.interior_cheb, ops.UNIT)
+        # the map's series and its derivative's in t, zero-padded, as the
+        # real and imaginary parts of one series
         self._pair = self.interior_cheb.astype(complex)
         self._pair.imag[: self._der_cheb.size] = self._der_cheb
 
@@ -74,25 +81,29 @@ class TransportMap:
         lam = np.asarray(lam, dtype=float)
         if np.any(np.abs(lam) > 2.0 + self.eq.eps + 1e-9):
             raise UsageError("out-of-domain", "transport map evaluated outside the working window")
-        return ops.cheb_val(coeffs, lam, self.eq.interval)
+        t = self.variable.t(lam)
+        return ops.cheb_val(coeffs, t, ops.UNIT), t
 
     def value(self, lam):
-        return self._eval(self.interior_cheb, lam)
+        return self._eval(self.interior_cheb, lam)[0]
 
     def derivative(self, lam):
-        return self._eval(self._der_cheb, lam)
+        f, t = self._eval(self._der_cheb, lam)
+        return f / self.variable.dx(t)
 
     def value_and_derivative(self, lam):
         """:meth:`value` and :meth:`derivative` at the same points, by one
         recurrence pass over both series."""
-        z = self._eval(self._pair, lam)
-        return z.real, z.imag
+        z, t = self._eval(self._pair, lam)
+        return z.real, z.imag / self.variable.dx(t)
 
     # -- serialization -------------------------------------------------
 
     def to_dict(self) -> dict:
         return {
             "interval": list(self.eq.interval),
+            "center": self.variable.center,
+            "width": self.variable.width,
             "interior_cheb": [float(c) for c in self.interior_cheb],
             "anchor": self.anchor,
             "residual_max": self.residual_max,
@@ -101,11 +112,11 @@ class TransportMap:
 
     @classmethod
     def from_dict(cls, d: dict, eq: EquilibriumData) -> "TransportMap":
-        if "edges" in d or "delta_e" in d:
+        if "center" not in d or "width" not in d:
             raise UsageError(
                 "invalid-spec",
-                "transport data has the former interior-plus-edge-series layout; "
-                "rebuild it with solve_transport",
+                "transport data has no center and width of its Chebyshev variable: it is an "
+                "earlier layout; rebuild it with solve_transport",
             )
         if tuple(d["interval"]) != tuple(eq.interval):
             raise UsageError(
@@ -116,28 +127,66 @@ class TransportMap:
         return cls(
             eq=eq,
             interior_cheb=np.asarray(d["interior_cheb"], dtype=float),
+            variable=ops.SinhVariable(eq.interval, float(d["center"]), float(d["width"])),
             anchor=float(d["anchor"]),
             residual_max=float(d["residual_max"]),
             overlap_max=float(d["overlap_max"]),
         )
 
 
-def _pointwise(eq: EquilibriumData, t: np.ndarray) -> np.ndarray:
-    """The map at window points ``t`` from F_eq(zeta) = mass * F_sc(t).
+def _variable(eq: EquilibriumData) -> ops.SinhVariable:
+    """The map's Chebyshev variable, fitted to its nearest singularity.
+
+    That singularity is the non-real zero z0 of the density polynomial
+    nearest the support in the Bernstein sense, pulled back through the
+    map to first order: c = zeta^-1(Re z0), the semicircle quantile of
+    F_eq(Re z0), and eps = Im z0 / zeta'(c), with zeta'(c) the density
+    ratio mass rho_sc(c) / rho_eq(Re z0), or (mass / P(Re z0))^(2/3) on
+    an edge. Re z0 is clipped to the support. With no non-real zero the
+    width is infinite, the affine limit. A poor estimate costs nodes,
+    never accuracy: the chop and the certificates decide.
+    """
+    lo, hi = eq.interval
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    p = eq.p_cheb.copy()
+    p[0] *= 0.5
+    roots = mid + half * np.polynomial.chebyshev.chebroots(p).astype(complex)
+    roots = roots[roots.imag > 0.0]
+    if roots.size == 0:
+        return ops.SinhVariable(eq.interval, mid, np.inf)
+    u = 0.5 * roots
+    z0 = roots[np.argmin(np.abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0)))]
+    x = float(np.clip(z0.real, -2.0, 2.0))
+    if abs(x) < 2.0:
+        c = 2.0 * np.cos(_invert_cdf(SEMICIRCLE_MODES, np.array([eq.cdf(x) / eq.mass]))[0])
+        slope = eq.mass * ops.semicircle_density(c) / eq.density(x)
+    else:
+        c = x
+        slope = (eq.mass / float(eq.p_value(x))) ** (2.0 / 3.0)
+    return ops.SinhVariable(eq.interval, float(c), float(z0.imag / slope))
+
+
+def _pointwise(eq: EquilibriumData, lam: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The map at window points ``lam`` from F_eq(zeta) = mass * F_sc(lam).
 
     Both distribution functions are cosine-mode sums in the arccos angle
     (see :func:`equilibrium._cdf_angle`); the mass is the equilibrium
     sum's value beta0 * pi at the right edge, which ``eq.mass`` records.
     The equation is solved for the shift d of zeta's angle from the
-    semicircle angle of t: psi = arccos(t / 2) on the support, and i eta
-    beyond the right edge or pi + i eta beyond the left one, with
-    eta = arccosh(|t| / 2), where both sums continue analytically.
+    semicircle angle of lam: psi = arccos(lam / 2) on the support, and
+    i eta beyond the right edge or pi + i eta beyond the left one, with
+    eta = arccosh(|lam| / 2), where both sums continue analytically.
     Writing the equilibrium sum as mass times the semicircle sum plus the
     deviation modes leaves a residual whose semicircle part depends on d
     alone, so its rounding error scales with the deviation and with d,
-    not with the distribution function. Then zeta comes from t and d by
+    not with the distribution function. Then zeta comes from lam and d by
     the angle-addition formula, without rounding the angle itself, whose
     ulp would cost several ulps of zeta in the bulk.
+
+    Newton starts from the shift of ``start``, a guess of zeta at each
+    point (lam itself, or a coarser series), clipped to each point's
+    bracket; it stops on its own residual floor only, so the guess moves
+    the iteration count, not the root.
     """
     beta0 = eq.cdf_modes[0]
     dev = eq.cdf_modes.copy()
@@ -145,10 +194,10 @@ def _pointwise(eq: EquilibriumData, t: np.ndarray) -> np.ndarray:
     dev[0] = 0.0
     m = np.arange(1, dev.size)
     tol = 4.0 * np.finfo(float).eps
-    zeta = np.empty_like(t)
+    zeta = np.empty_like(lam)
 
-    inside = np.abs(t) <= 2.0
-    psi = np.arccos(t[inside] / 2.0)
+    inside = np.abs(lam) <= 2.0
+    psi = np.arccos(lam[inside] / 2.0)
 
     def on_support(d, todo):
         p = psi[todo]
@@ -160,13 +209,14 @@ def _pointwise(eq: EquilibriumData, t: np.ndarray) -> np.ndarray:
         floor = tol * (np.abs(terms).sum(axis=-1) + np.pi * np.abs(de) + 8.0 * beta0 * np.abs(d))
         return r, dr, floor
 
-    d = _newton_decreasing(on_support, np.zeros_like(psi), -psi, np.pi - psi, "transport inversion")
-    ti = t[inside]
-    zeta[inside] = ti * np.cos(d) - np.sqrt(4.0 - ti * ti) * np.sin(d)
+    d = np.arccos(np.clip(start[inside] / 2.0, -1.0, 1.0)) - psi
+    d = _newton_decreasing(on_support, d, -psi, np.pi - psi, "transport inversion")
+    li = lam[inside]
+    zeta[inside] = li * np.cos(d) - np.sqrt(4.0 - li * li) * np.sin(d)
 
     for sign in (1.0, -1.0):
-        beyond = sign * t > 2.0
-        eta = np.arccosh(sign * t[beyond] / 2.0)
+        beyond = sign * lam > 2.0
+        eta = np.arccosh(sign * lam[beyond] / 2.0)
         b = dev[1:] * sign**m
 
         def past_edge(d, todo):
@@ -197,28 +247,33 @@ def _pointwise(eq: EquilibriumData, t: np.ndarray) -> np.ndarray:
                     f"the map has no continuation past the {side} edge at {int(short.sum())} points: "
                     "the density polynomial vanishes beyond the edge",
                 )
-            d = _newton_decreasing(past_edge, np.zeros_like(eta), -eta, hi, "transport continuation")
-        tb = t[beyond]
-        zeta[beyond] = tb * np.cosh(d) + sign * np.sqrt(tb * tb - 4.0) * np.sinh(d)
+            d = np.clip(np.arccosh(np.maximum(sign * start[beyond] / 2.0, 1.0)) - eta, -eta, hi)
+            d = _newton_decreasing(past_edge, d, -eta, hi, "transport continuation")
+        lb = lam[beyond]
+        zeta[beyond] = lb * np.cosh(d) + sign * np.sqrt(lb * lb - 4.0) * np.sinh(d)
     return zeta
 
 
-def _fit(eq: EquilibriumData) -> np.ndarray:
-    """Resolved Chebyshev coefficients of the map on the working window.
+def _fit(eq: EquilibriumData, var: ops.SinhVariable) -> np.ndarray:
+    """Resolved Chebyshev coefficients of the map in the variable t.
 
     The chop decides resolution only: the first node count whose series
     has at least ``ops.MIN_DROPPED`` trailing coefficients below the chop
     threshold has reached the rounding plateau, and that grid's whole
     coefficient vector is returned, one coefficient per node. Nothing is
     cut at the threshold, so no coefficient can sit on it and the stored
-    series does not move with the last bits of the transform. Raises
-    "ode-failure" (the code the map has always used) if even the largest
-    grid does not resolve the map.
+    series does not move with the last bits of the transform. Each grid's
+    Newton starts from the previous grid's series at its nodes, one
+    ``ops.grid_values`` transform; the first starts from the identity.
+    Raises "ode-failure" (the code the map has always used) if even the
+    largest grid does not resolve the map.
     """
     n, n_max = _FIT_NODES
+    coeffs = None
     while n <= n_max:
-        t = ops.cheb_grid(n, eq.interval).nodes
-        coeffs = ops.coeffs_from_values(_pointwise(eq, t))
+        lam = var.x(ops.cheb_grid(n, ops.UNIT).nodes)
+        start = lam if coeffs is None else ops.grid_values(coeffs, n)
+        coeffs = ops.coeffs_from_values(_pointwise(eq, lam, start))
         if n - ops.chop_coeffs(coeffs).size >= ops.MIN_DROPPED:
             return coeffs
         n *= 2
@@ -237,31 +292,34 @@ def solve_transport(
     """Build the certified transport map for certified equilibrium data.
 
     The map is F_eq^-1(mass F_sc), continued past both edges, taken at
-    Chebyshev nodes of the working window (so the pushforward matches the
-    target distribution exactly, not just up to a constant) and refined
-    until resolved. ``delta_e`` and ``edge_count`` are ignored: they sized
-    the former edge series and remain only so existing callers still run.
-    Raises "series-divergence" if the map has no continuation across the
-    window because the density polynomial vanishes beyond an edge, and
-    "ode-failure" if the series is not resolved, is not strictly
-    increasing on the window, misses the density-matching equation by
-    ``RESIDUAL_TOL`` or more, or departs from the pointwise construction
-    between its nodes by ``OVERLAP_TOL`` or more.
+    Chebyshev nodes of its variable t (:func:`_variable`; so the
+    pushforward matches the target distribution exactly, not just up to a
+    constant) and refined until resolved. ``delta_e`` and ``edge_count``
+    are ignored: they sized the former edge series and remain only so
+    existing callers still run. Raises "series-divergence" if the map has
+    no continuation across the window because the density polynomial
+    vanishes beyond an edge, and "ode-failure" if the series is not
+    resolved, is not strictly increasing on the window, misses the
+    density-matching equation by ``RESIDUAL_TOL`` or more, or departs
+    from the pointwise construction between its nodes by ``OVERLAP_TOL``
+    or more.
 
-    Between the nodes means at the Chebyshev extreme points, where the
-    series and its derivative are one DCT-I each; the residual, the
-    monotonicity on the support and the anchor take both at the support
-    probes, and at 0, in one recurrence pass.
+    Between the nodes means at the Chebyshev extreme points of t, where
+    the series and its derivative are one DCT-I each, and where the
+    pointwise construction starts from the series' values; the residual,
+    the monotonicity on the support and the anchor take both at the
+    support probes, and at 0, in one recurrence pass.
     """
-    coeffs = _fit(eq)
+    var = _variable(eq)
+    coeffs = _fit(eq, var)
     n = coeffs.size
-    tmap = TransportMap(eq=eq, interior_cheb=coeffs, anchor=0.0, residual_max=0.0, overlap_max=0.0)
+    tmap = TransportMap(eq=eq, interior_cheb=coeffs, variable=var, anchor=0.0, residual_max=0.0, overlap_max=0.0)
 
     # the Chebyshev extreme points interlace the fit nodes and include
-    # both ends of the window; the series' values there are transforms
-    lo, hi = eq.interval
-    between = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(n, -1, -1) / n)
-    overlap = float(np.max(np.abs(ops.extrema_values(coeffs, n) - _pointwise(eq, between))))
+    # both ends of t's interval; the series' values there are transforms
+    series = ops.extrema_values(coeffs, n)
+    between = var.x(np.cos(np.pi * np.arange(n, -1, -1) / n))
+    overlap = float(np.max(np.abs(series - _pointwise(eq, between, series))))
     if not overlap < OVERLAP_TOL:
         raise NumericalError(
             "ode-failure",

@@ -6,9 +6,14 @@ the implementation cannot silently validate itself. Routines are slow and
 simple on purpose.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import fft, integrate, linalg, optimize, special
 
+from betalab import operators as ops
+from betalab.errors import UsageError
+from betalab.potentials import _arcsine_moments
 from betalab.transport import TransportMap
 
 
@@ -332,26 +337,37 @@ def pair_log_ratio_loop(lam, zeta):
     return pair
 
 
-def divided_difference_longdouble(coeffs, interval, x, y):
-    """(f(x) - f(y)) / (x - y) of a Chebyshev series f on ``interval``, in
-    long double, and f'(x) where x = y; halved-c0 convention, pairwise
-    over broadcast x and y.
+def divided_difference_longdouble(tmap, x, y):
+    """(zeta(x) - zeta(y)) / (x - y) of a transport map, in long double,
+    and zeta'(x) where x = y; pairwise over broadcast x and y.
 
-    With u and v the points scaled to [-1, 1], Clenshaw's recurrence
-    b_k = c_k + 2v b_{k+1} - b_{k+2} at v and its divided difference in
-    u and v, q_k = 2 b_{k+1} + 2u q_{k+1} - q_{k+2}, run side by side,
-    and f[u, v] = b_1 + u q_1 - q_2. Nothing cancels, so the closest
-    pairs keep their digits, which the difference of two long-double
-    sums loses (5e-14 at a distance of 5e-6).
+    The points go to the map's variable t = (asinh((x - c) / eps) - B) / A
+    in long double, with the map's own c, eps, A and B. The series f in
+    t gives f[t, s] by Clenshaw's recurrence b_k = c_k + 2s b_{k+1} -
+    b_{k+2} at s and its divided difference in t and s, q_k = 2 b_{k+1} +
+    2t q_{k+1} - q_{k+2}, run side by side, and f[t, s] = b_1 + t q_1 -
+    q_2. Nothing cancels, so the closest pairs keep their digits, which
+    the difference of two long-double sums loses (5e-14 at a distance of
+    5e-6). The variable's own divided difference is
+    (x - y) / (t - s) = eps A cosh(A (t + s) / 2 + B) sinh(A h) / (A h)
+    with h = (t - s) / 2, by the series of sinh(u) / u where |A h| is
+    below 1e-3, so it cancels nothing either.
     """
-    lo, hi = (np.longdouble(t) for t in interval)
-    c = np.asarray(coeffs, dtype=np.longdouble)
-    u = (2 * np.asarray(x, dtype=np.longdouble) - (lo + hi)) / (hi - lo)
-    v = (2 * np.asarray(y, dtype=np.longdouble) - (lo + hi)) / (hi - lo)
-    b1 = b2 = q1 = q2 = np.zeros(np.broadcast(u, v).shape, dtype=np.longdouble)
-    for ck in c[:0:-1]:
-        b1, b2, q1, q2 = ck + 2 * v * b1 - b2, b1, 2 * b1 + 2 * u * q1 - q2, q1
-    return (b1 + u * q1 - q2) * (2 / (hi - lo))
+    var = tmap.variable
+    ld = np.longdouble
+    c, w, a, b = (ld(v) for v in (var.center, var.width, var.scale, var.shift))
+    t = (np.arcsinh((np.asarray(x, dtype=ld) - c) / w) - b) / a
+    s = (np.arcsinh((np.asarray(y, dtype=ld) - c) / w) - b) / a
+    t, s = np.broadcast_arrays(t, s)
+    coeffs = np.asarray(tmap.interior_cheb, dtype=ld)
+    b1 = b2 = q1 = q2 = np.zeros(t.shape, dtype=ld)
+    for ck in coeffs[:0:-1]:
+        b1, b2, q1, q2 = ck + 2 * s * b1 - b2, b1, 2 * b1 + 2 * t * q1 - q2, q1
+    u = a * (t - s) / 2
+    small = np.abs(u) < ld(1e-3)
+    u2 = u * u
+    sinhc = np.where(small, 1 + u2 / 6 * (1 + u2 / 20 * (1 + u2 / 42)), np.sinh(u) / np.where(small, 1, u))
+    return (b1 + t * q1 - q2) / (w * a * np.cosh(a * (t + s) / 2 + b) * sinhc)
 
 
 def metropolis_sweeps_logsum(vfun, beta, lam, widths, window, z, logu):
@@ -465,19 +481,18 @@ def tridiagonal_eigvals_sturm(d, e):
 
 class PerturbedMap(TransportMap):
     """Monotone perturbation of a transport map (negative-control shim):
-    the map plus amplitude sin(pi lam / 2), added to its series, so that
-    every route through the map sees the same perturbed map."""
+    the map plus amplitude sin(pi lam / 2), interpolated in the map's
+    variable t and added to its series, so that every route through the
+    map sees the same perturbed map."""
 
     def __init__(self, tmap, amplitude: float = 0.03):
-        lo, hi = tmap.eq.interval
-        bump = np.polynomial.chebyshev.chebinterpolate(
-            lambda u: amplitude * np.sin(0.25 * np.pi * (lo + hi + (hi - lo) * u)), 40
-        )
+        var = tmap.variable
+        bump = np.polynomial.chebyshev.chebinterpolate(lambda t: amplitude * np.sin(0.5 * np.pi * var.x(t)), 40)
         bump[0] *= 2.0  # the halved-c0 convention
         coeffs = np.zeros(max(tmap.interior_cheb.size, bump.size))
         coeffs[: tmap.interior_cheb.size] = tmap.interior_cheb
         coeffs[: bump.size] += bump
-        super().__init__(tmap.eq, coeffs, tmap.anchor, tmap.residual_max, tmap.overlap_max)
+        super().__init__(tmap.eq, coeffs, var, tmap.anchor, tmap.residual_max, tmap.overlap_max)
 
 
 def contraction_blocks_dense(spectrum, n=256):
@@ -596,3 +611,58 @@ def eigendecompose_dense(kmat, grid, tail_tol=1e-12, recon_tol=1e-10):
         phi_values=vals,
         sigma_coeffs=fft.dct(on_sigma[::-1], type=2, axis=0) / n,
     )
+
+
+# ----------------------------------------------------------------------
+# operators that no library stage calls, moved here from the library with
+# their tests; unlike the oracles above they are built on the library's
+# private principal-value quadrature and log-kernel mode factors
+
+
+def apply_cov_op(h, lam, h_prime=None):
+    """Pointwise covariance-form transform of h at interior points.
+
+    The operator whose symmetrized quadratic form gives the limiting
+    variance of linear eigenvalue statistics, by the library's
+    principal-value quadrature with the singularity subtracted
+    (``ops._pv_transform_numer``), not by the Chebyshev-diagonal
+    shortcut. ``lam`` may have any shape; a scalar gives a float.
+    """
+    lam_arr = np.asarray(lam, dtype=float)
+    if np.any(np.abs(lam_arr) >= 2.0):
+        raise UsageError("out-of-domain", "transform is defined on the open interval (-2, 2)")
+    flat = lam_arr.ravel()
+    s = ops._pv_transform_numer(ops._derivative_callable(h, h_prime), flat)
+    out = s / (np.pi**2 * np.sqrt(4.0 - flat * flat))
+    return out.reshape(lam_arr.shape) if lam_arr.ndim else float(out[0])
+
+
+def log_kernel_apply(f):
+    """A callable for the integral of log|x - mu| f(mu) over SIGMA, through
+    the mode expansion of f against the inverse square-root weight
+    (``ops._log_kernel_modes``) on 512 first-kind nodes."""
+    x = ops.cheb_grid(512).nodes
+    d = ops._log_kernel_modes(ops.coeffs_from_values(np.asarray(f(x), dtype=float) * np.sqrt(4.0 - x * x)))
+
+    def apply(y):
+        y_arr = np.asarray(y, dtype=float)
+        if np.any(np.abs(y_arr) > 2.0 + 1e-12):
+            raise UsageError("out-of-domain", "log kernel evaluated outside [-2, 2]")
+        return ops.cheb_val(d, np.clip(y_arr, -2.0, 2.0), ops.SIGMA)
+
+    return apply
+
+
+@dataclass(frozen=True)
+class RecenteringCoeffs:
+    """First-order support response of a potential perturbation: c1 is
+    the shift rate of the support midpoint, c2 the dilation rate, for the
+    perturbation V + t h at small t after re-normalization."""
+
+    c1: float
+    c2: float
+
+
+def recentering_coeffs(h, h_prime=None) -> RecenteringCoeffs:
+    """Moments of h' against the inverse square-root weight on the support."""
+    return RecenteringCoeffs(*_arcsine_moments(ops._derivative_callable(h, h_prime), -2.0, 2.0))

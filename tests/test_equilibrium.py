@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from betalab import operators as ops
-from betalab.equilibrium import EquilibriumData, _log_potential, recentering_coeffs, solve_equilibrium
+from betalab.equilibrium import EquilibriumData, _log_potential, solve_equilibrium
 from betalab.errors import NumericalError, UsageError
 from betalab.potentials import make_potential
 
@@ -132,11 +132,11 @@ def test_serialization_user_potential_needs_closures(gauss_eq):
 
 
 def test_recentering_coefficients():
-    c = recentering_coeffs(lambda x: np.full_like(np.asarray(x, dtype=float), 3.0))
+    c = oracles.recentering_coeffs(lambda x: np.full_like(np.asarray(x, dtype=float), 3.0))
     assert abs(c.c1) < 1e-9 and abs(c.c2) < 1e-9
-    c = recentering_coeffs(lambda x: np.asarray(x, dtype=float))
+    c = oracles.recentering_coeffs(lambda x: np.asarray(x, dtype=float))
     assert abs(c.c1 - 1.0) < 1e-9 and abs(c.c2) < 1e-9
-    c = recentering_coeffs(lambda x: 0.5 * np.asarray(x, dtype=float) ** 2)
+    c = oracles.recentering_coeffs(lambda x: 0.5 * np.asarray(x, dtype=float) ** 2)
     assert abs(c.c1) < 1e-9 and abs(c.c2 - 1.0) < 1e-9
 
 
@@ -170,7 +170,8 @@ def test_exterior_dip_raises(eps):
 
 def test_certificate_reads_only_the_modes(monkeypatch):
     # the variational checks take the log potential from the CDF modes:
-    # no resampled density, log kernel or second quadrature
+    # no resampled density or second quadrature (the library keeps no
+    # resampling log-kernel route at all)
     pot = make_potential("even-quartic", g=QUARTIC_G)
     want = solve_equilibrium(pot)
 
@@ -178,7 +179,6 @@ def test_certificate_reads_only_the_modes(monkeypatch):
         raise AssertionError("the certificate resampled the equilibrium")
 
     monkeypatch.setattr(EquilibriumData, "density", refuse)
-    monkeypatch.setattr(ops, "log_kernel_apply", refuse)
     monkeypatch.setattr(ops, "gauss_semicircle", refuse)
     got = solve_equilibrium(pot)
     assert np.array_equal(got.p_cheb, want.p_cheb) and np.array_equal(got.cdf_modes, want.cdf_modes)

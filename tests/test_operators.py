@@ -5,6 +5,7 @@ import pytest
 from scipy import fft
 
 from betalab import operators as ops
+from betalab import transport
 from betalab.errors import UsageError
 
 import oracles
@@ -13,6 +14,23 @@ from conftest import traced_peak
 
 # ----------------------------------------------------------------------
 # Chebyshev plumbing
+
+
+@pytest.mark.parametrize("center,width", [(0.0, 2.7), (0.3, 0.05), (-0.1, 1e-3)])
+def test_sinh_variable(center, width):
+    # A and B fix the window's ends; t and x are inverse to rounding, and
+    # the closed-form divided difference agrees with the quotient where
+    # that is well conditioned and with dx/dt at t = s
+    var = ops.SinhVariable((-2.2, 2.2), center, width)
+    assert np.allclose(var.x(np.array([-1.0, 1.0])), [-2.2, 2.2], rtol=0, atol=1e-15)
+    t = np.linspace(-1.0, 1.0, 9)
+    assert np.max(np.abs(var.t(var.x(t)) - t)) < 1e-15
+    s = t[::-1].copy()
+    far = t != s
+    dd = var.divided_difference(t, s)
+    quotient = (var.x(t[far]) - var.x(s[far])) / (t[far] - s[far])
+    assert np.max(np.abs(dd[far] / quotient - 1.0)) < 1e-15
+    assert dd[~far] == var.dx(t[~far])
 
 
 def test_cheb_coeffs_low_monomials():
@@ -173,24 +191,24 @@ def test_chop_keeps_through_last_coefficient_above_threshold():
 def test_apply_cov_op_first_mode():
     # T_1(x/2) maps to (1/pi) T_1 / weight; closed form: x / (pi sqrt(4 - x^2))
     xs = np.linspace(-1.9, 1.9, 41)
-    got = ops.apply_cov_op(lambda t: np.asarray(t, dtype=float), xs)
+    got = oracles.apply_cov_op(lambda t: np.asarray(t, dtype=float), xs)
     want = xs / (np.pi * np.sqrt(4.0 - xs * xs))
     assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_apply_cov_op_is_pointwise_for_any_shape():
     lam = np.random.default_rng(4).uniform(-1.9, 1.9, (3, 5))
-    got = ops.apply_cov_op(np.cos, lam)
-    flat = ops.apply_cov_op(np.cos, lam.ravel())
+    got = oracles.apply_cov_op(np.cos, lam)
+    flat = oracles.apply_cov_op(np.cos, lam.ravel())
     assert got.shape == (3, 5)
     assert np.array_equal(got, flat.reshape(3, 5))
-    one = ops.apply_cov_op(np.cos, lam[1, 2])
+    one = oracles.apply_cov_op(np.cos, lam[1, 2])
     assert type(one) is float
     # each row of a quadrature block is reduced on its own, so a point
     # alone keeps the bits it has among others
-    assert all(ops.apply_cov_op(np.cos, v) == w for v, w in zip(lam.ravel(), flat))
+    assert all(oracles.apply_cov_op(np.cos, v) == w for v, w in zip(lam.ravel(), flat))
     with pytest.raises(UsageError) as err:
-        ops.apply_cov_op(np.cos, np.array([[0.1, 0.2], [-2.0, 0.3]]))
+        oracles.apply_cov_op(np.cos, np.array([[0.1, 0.2], [-2.0, 0.3]]))
     assert err.value.code == "out-of-domain"
 
 
@@ -261,13 +279,13 @@ def test_pv_transform_working_set():
 
 
 def test_log_kernel_semicircle_closed_form():
-    apply_log = ops.log_kernel_apply(ops.semicircle_density)
+    apply_log = oracles.log_kernel_apply(ops.semicircle_density)
     xs = np.linspace(-1.95, 1.95, 31)
     assert np.max(np.abs(apply_log(xs) - (xs * xs / 4.0 - 0.5))) < 1e-10
 
 
 def test_log_kernel_matches_quadrature_oracle():
-    apply_log = ops.log_kernel_apply(ops.semicircle_density)
+    apply_log = oracles.log_kernel_apply(ops.semicircle_density)
     for lam in (-1.3, 0.0, 0.7, 1.9, 2.0):
         assert abs(apply_log(np.array([lam]))[0] - oracles.log_potential_oracle(lam)) < 1e-9
 
@@ -359,33 +377,34 @@ def test_modal_double_sum_agreement(quartic_tmap, quartic_spectrum):
 
 
 class CountingMap:
-    """A transport map that counts the calls of ``value`` and the points
-    passed to it. It carries the map's series, which a kernel on the
-    map's window transforms without calling it, and has no
-    ``derivative``: a route that asks for one fails."""
+    """A transport map that records its evaluations, one entry per call
+    of ``value`` or ``value_and_derivative`` with its number of points.
+    It carries the map's series and variable, which the close pairs
+    read, and has no ``derivative``: a route that asks for one fails."""
 
     def __init__(self, tmap):
         self.base = tmap
         self.eq = tmap.eq
         self.interior_cheb = tmap.interior_cheb
-        self._der_cheb = tmap._der_cheb
-        self.points = 0
-        self.value_calls = 0
+        self.variable = tmap.variable
+        self.calls = []
 
     def value(self, lam):
-        self.points += np.size(lam)
-        self.value_calls += 1
+        self.calls.append(("value", np.size(lam)))
         return self.base.value(lam)
+
+    def value_and_derivative(self, lam):
+        self.calls.append(("both", np.size(lam)))
+        return self.base.value_and_derivative(lam)
 
 
 def test_kernel_evaluates_map_once_per_node(quartic_tmap):
-    # on the map's own window the nodes' images and the diagonal's
-    # derivative are transforms of the series, with no map call; a grid
-    # on any other interval is refused
+    # the nodes' images and the diagonal's derivative come from one pass
+    # over the grid's nodes; a grid on any other interval is refused
     grid = ops.cheb_grid(256, quartic_tmap.eq.interval)
     counted = CountingMap(quartic_tmap)
     ops.kernel_matrix(counted, grid)
-    assert counted.value_calls == 0
+    assert counted.calls == [("both", 256)]
     with pytest.raises(UsageError) as err:
         ops.kernel_matrix(counted, ops.cheb_grid(256))
     assert err.value.code == "invalid-spec"
@@ -395,34 +414,32 @@ def test_kernel_evaluates_map_once_per_node(quartic_tmap):
     assert np.array_equal(outer, full)
 
 
-# the images of the nodes of the map's window by grid_values, against
-# Clenshaw at the rounded nodes, in units of eps * sum |c|; measured at
-# most 2.0 on 256 nodes and 4.2 on 2048 for g = 0.1, 0.8 and 0.9
-IMAGE_TOL = 8.0
+# the map's images of a plain kernel grid, through its variable, against
+# the pointwise construction; measured at most 2.2e-15 on 256 nodes and
+# 2.7e-15 on 2048 for g = 0.1, 0.8 and 0.9
+IMAGE_TOL = 8e-15
 
 
 @pytest.mark.parametrize("g", [0.1, 0.8])
 def test_kernel_matrix_is_the_pointwise_kernel(g):
-    # the transform's images on the grid serve both axes, and off the
-    # diagonal the kernel keeps the bits of the pointwise arithmetic on
-    # them, symmetric with no averaging; the diagonal is the transform of
-    # the derivative's series
+    # one pass in t gives the images, which serve both axes, and the
+    # diagonal's log-derivative; off the diagonal the kernel keeps the
+    # bits of the pointwise arithmetic on them, symmetric with no
+    # averaging
     tmap = _transport_data("even-quartic", g)
     grid = ops.cheb_grid(256, tmap.eq.interval)
     x = grid.nodes
-    z = ops.grid_values(tmap.interior_cheb, grid.n)
-    scale = np.finfo(float).eps * np.abs(tmap.interior_cheb).sum()
-    assert np.max(np.abs(z - tmap.value(x))) <= IMAGE_TOL * scale
+    z, dz = tmap.value_and_derivative(x)
+    assert np.max(np.abs(z - transport._pointwise(tmap.eq, x, x))) <= IMAGE_TOL
     kmat = ops.kernel_matrix(tmap, grid)
-    assert np.array_equal(np.diag(kmat), np.log(ops.grid_values(tmap._der_cheb, grid.n)))
-    k = ops._log_ratio(tmap, x[:, None], x[None, :], z[:, None], z[None, :])
+    assert np.array_equal(np.diag(kmat), np.log(dz))
+    k = ops.log_ratio_kernel(tmap, x[:, None], x[None, :])
     off = ~np.eye(grid.n, dtype=bool)
     assert np.array_equal(kmat[off], k[off])
     assert np.array_equal(kmat, kmat.T)
-    # the pointwise kernel, which maps the grid by the recurrence, agrees
-    # to the rounding of the difference quotients (1.3e-12 at g = 0.8)
-    k = ops.log_ratio_kernel(tmap, x[:, None], x[None, :])
-    assert np.max(np.abs(kmat - k)) < 1e-11
+    # the pointwise kernel's diagonal is the closed form at t = s, which
+    # agrees with the pass's derivative to rounding
+    assert np.max(np.abs(np.diag(kmat) - np.diag(k))) < 1e-14
 
 
 def test_kernel_merges_map_calls(quartic_eq, quartic_tmap):
@@ -433,29 +450,28 @@ def test_kernel_merges_map_calls(quartic_eq, quartic_tmap):
     pts = np.array([-hi, -hi + 4e-4, -1.3, -1.3 + 5e-4, 0.2, 1.9, hi - 3e-4, hi])
     counted = CountingMap(quartic_tmap)
     ops.log_ratio_kernel(counted, pts[:, None], pts[None, ::-1])
-    assert (counted.value_calls, counted.points) == (1, 16)
+    assert counted.calls == [("value", 16)]
     counted = CountingMap(quartic_tmap)
     ops.deformation_residual(quartic_eq, counted)
-    assert counted.value_calls == 1
+    assert [name for name, _ in counted.calls] == ["value"]
 
 
 # The close pairs' log divided difference against the long-double
-# oracle, in absolute log error: measured at most 6.4e-16, 1.3e-15 and
-# 1.6e-14 at g = -0.1, 0.3 and 0.8, where a midpoint derivative with a
-# finite-difference curvature term reads 1.2e-9, 1.2e-11 and 3.6e-11.
-# Just past the switch the quotient's rounding, about
+# oracle through the map, in absolute log error: measured at most
+# 6.4e-16, 8.3e-16 and 8.9e-16 at g = -0.1, 0.3 and 0.8 (before the
+# series was taken in the mapped variable: 6.4e-16, 1.3e-15 and
+# 1.6e-14). Just past the switch the quotient's rounding, about
 # eps max|zeta| / _CLOSE_PAIR relative, read at most 8.7e-13.
 QUOTIENT_TOL = 2e-12
 
 
-@pytest.mark.parametrize("g,bound", [(-0.1, 2e-15), (0.3, 4e-15), (0.8, 5e-14)])
+@pytest.mark.parametrize("g,bound", [(-0.1, 2e-15), (0.3, 2e-15), (0.8, 2e-15)])
 def test_close_pairs_are_the_exact_divided_difference(g, bound):
     tmap = _transport_data("even-quartic", g)
     hi = tmap.eq.interval[1]
 
     def log_dd(x, y):
-        dd = oracles.divided_difference_longdouble(tmap.interior_cheb, tmap.eq.interval, x, y)
-        return np.log(np.abs(dd)).astype(float)
+        return np.log(np.abs(oracles.divided_difference_longdouble(tmap, x, y))).astype(float)
 
     # the 256-node grid's close pairs, diagonal included, in the pointwise
     # kernel and in the matrix; then the deformation identity's
@@ -468,7 +484,7 @@ def test_close_pairs_are_the_exact_divided_difference(g, bound):
     for got in (ops.log_ratio_kernel(tmap, x[i], x[j]), ops.kernel_matrix(tmap, grid)[i, j]):
         assert np.max(np.abs(got - want)) <= bound
     lam, _ = ops.gauss_inv_sqrt(ops._DEFORMATION_PROBES, ops.SIGMA)
-    nodes = max(ops._DEFORMATION_NODES, -(-ops.chop_coeffs(tmap.interior_cheb).size // 2))
+    nodes = max(ops._DEFORMATION_NODES, ops._deformation_degree(tmap.variable) // 2 + 1)
     mu, _ = ops.gauss_semicircle(nodes, ops.SIGMA)
     i, j = np.nonzero(np.abs(lam[:, None] - mu[None, :]) < ops._CLOSE_PAIR)
     assert np.max(np.abs(ops.log_ratio_kernel(tmap, lam[i], mu[j]) - log_dd(lam[i], mu[j]))) <= bound
@@ -480,6 +496,16 @@ def test_close_pairs_are_the_exact_divided_difference(g, bound):
     near = np.abs(x - y) < ops._CLOSE_PAIR
     assert np.max(err[near]) <= bound
     assert np.max(err[~near]) <= QUOTIENT_TOL
+
+
+def test_close_pairs_at_the_window_ends():
+    # g=0.9 on 256 nodes: the x = y pairs nearest the window ends read
+    # 2.3e-13 against the oracle when the series was 4096 coefficients
+    # in the plain variable; 3.3e-16 on its 256 in the mapped one
+    tmap = _transport_data("even-quartic", 0.9)
+    x = ops.cheb_grid(256, tmap.eq.interval).nodes[[0, 1, 254, 255]]
+    want = np.log(np.abs(oracles.divided_difference_longdouble(tmap, x, x))).astype(float)
+    assert np.max(np.abs(ops.log_ratio_kernel(tmap, x, x) - want)) <= 2e-15
 
 
 def test_kernel_and_spectrum_working_set(quartic_tmap):
@@ -833,4 +859,4 @@ def test_deformation_negative_control(quartic_eq, quartic_tmap):
 
 def test_out_of_domain_rejected():
     with pytest.raises(UsageError):
-        ops.apply_cov_op(np.cos, np.array([2.5]))
+        oracles.apply_cov_op(np.cos, np.array([2.5]))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from betalab import operators as ops
 from betalab import transport
 from betalab.equilibrium import solve_equilibrium
 from betalab.errors import BetalabError, NumericalError, UsageError
-from betalab.potentials import make_potential
+from betalab.potentials import make_potential, normalize_support, support_endpoints
 from betalab.transport import OVERLAP_TOL, RESIDUAL_TOL, TransportMap, solve_transport
 
 import oracles
@@ -50,11 +51,16 @@ def test_edge_series_first_coefficient(quartic_tmap):
     # zeta' = c and zeta'' = inward * 2 c s1 at the edge (inward = +1 at -2)
     c = (1.0 + 3 * 0.1) ** (-2.0 / 3.0)
     s1 = oracles.edge_slope_oracle(0.1)
-    window = quartic_tmap.eq.interval
-    second = ops.cheb_der(ops.cheb_der(quartic_tmap.interior_cheb, window), window)
+    # zeta(lam) = f(t(lam)) for the series f in the map's variable t, so
+    # zeta'' = (f'' - zeta' x'') / x'^2 with x(t) = c + eps sinh(A t + B)
+    var = quartic_tmap.variable
+    second = ops.cheb_der(ops.cheb_der(quartic_tmap.interior_cheb, ops.UNIT), ops.UNIT)
     for edge in (-2.0, 2.0):
-        assert abs(quartic_tmap.derivative(edge) - c) < 1e-12
-        zpp = ops.cheb_val(second, edge, window)
+        zp = quartic_tmap.derivative(edge)
+        assert abs(zp - c) < 1e-12
+        t = var.t(edge)
+        xpp = var.width * var.scale**2 * np.sinh(var.scale * t + var.shift)
+        zpp = (ops.cheb_val(second, t, ops.UNIT) - zp * xpp) / var.dx(t) ** 2
         assert abs(zpp - np.sign(edge) * -2.0 * c * s1) < 1e-10
 
 
@@ -93,11 +99,21 @@ def test_pushforward_of_semicircle_samples(quartic_tmap, quartic_eq):
 
 
 def test_serialization_roundtrip(quartic_tmap, quartic_eq):
-    data = quartic_tmap.to_dict()
+    # through JSON text, as a *.transport.json file holds it: the series,
+    # the variable's center and width and the certificates come back bit
+    # for bit, and so do the map's values
+    data = json.loads(json.dumps(quartic_tmap.to_dict()))
     back = TransportMap.from_dict(data, quartic_eq)
+    assert back.variable == quartic_tmap.variable
+    assert np.array_equal(back.interior_cheb, quartic_tmap.interior_cheb)
+    assert (back.anchor, back.residual_max, back.overlap_max) == (
+        quartic_tmap.anchor,
+        quartic_tmap.residual_max,
+        quartic_tmap.overlap_max,
+    )
     xs = np.linspace(-2.19, 2.19, 57)
-    assert np.allclose(back.value(xs), quartic_tmap.value(xs), atol=1e-14)
-    assert np.allclose(back.derivative(xs), quartic_tmap.derivative(xs), atol=1e-14)
+    for a, b in zip(back.value_and_derivative(xs), quartic_tmap.value_and_derivative(xs)):
+        assert np.array_equal(a, b)
 
 
 def test_out_of_window_rejected(quartic_tmap):
@@ -107,12 +123,15 @@ def test_out_of_window_rejected(quartic_tmap):
 
 def test_foreign_transport_data_refused(quartic_tmap, quartic_eq):
     data = quartic_tmap.to_dict()
-    # the former layout: an interior series on a shrunk interval plus edge series
-    old = {k: v for k, v in data.items() if k != "interval"}
-    old.update(delta_e=0.1, interior_interval=[-1.9, 1.9], edges={})
-    with pytest.raises(UsageError, match="former") as err:
-        TransportMap.from_dict(old, quartic_eq)
-    assert err.value.code == "invalid-spec"
+    # a series in the plain variable of the window, with no center and
+    # width, and the older interior-plus-edge-series layout: one refusal
+    plain = {k: v for k, v in data.items() if k not in ("center", "width")}
+    edges = {k: v for k, v in plain.items() if k != "interval"}
+    edges.update(delta_e=0.1, interior_interval=[-1.9, 1.9], edges={})
+    for old in (plain, edges):
+        with pytest.raises(UsageError, match="earlier layout") as err:
+            TransportMap.from_dict(old, quartic_eq)
+        assert err.value.code == "invalid-spec"
     with pytest.raises(UsageError, match="window") as err:
         TransportMap.from_dict({**data, "interval": [-2.3, 2.3]}, quartic_eq)
     assert err.value.code == "invalid-spec"
@@ -130,14 +149,58 @@ def test_interior_matches_ode_oracle(g):
     assert np.max(np.abs(tmap.value(t) - oracles.transport_interior_ode(eq, t))) < 1e-10
 
 
-# measured certified range of the quartic family: every g from -0.1 to 0.9
-REFUSED = {-0.2: "series-divergence", 0.95: "ode-failure"}
+@pytest.mark.parametrize("g", [0.1, 0.5, 0.9, 0.99])
+def test_variable_pulls_back_the_nearest_zero(g):
+    # the density polynomial g x^2 + 1 - g vanishes at +-i sqrt((1 - g)/g),
+    # and zeta'(0) = 1 / (1 - g) pulls the zeros back to +-i eps with
+    # eps = sqrt((1 - g)/g) (1 - g); measured to 1.2e-14 relative
+    var = transport._variable(_quartic_eq(g))
+    assert abs(var.center) < 1e-15
+    want = np.sqrt((1.0 - g) / g) * (1.0 - g)
+    assert abs(var.width / want - 1.0) < 1e-13
 
 
-@pytest.mark.parametrize("g", [-0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95])
+def test_zero_past_an_edge_pulls_back_to_the_edge():
+    # a sextic whose nearest non-real zero, -2.1957 + 2.3199i, lies past
+    # the left edge: the variable centres on that edge, where the map's
+    # slope is the edge limit (mass / P(-2))^(2/3), and the map certifies
+    pot = make_potential("polynomial", coeffs=[0.0, 0.0, 0.73, 0.11, 0.04, 0.015, 0.006])
+    pot, _ = normalize_support(pot, support_endpoints(pot))
+    eq = solve_equilibrium(pot)
+    tmap = solve_transport(eq)
+    var = tmap.variable
+    slope = (eq.mass / eq.p_value(-2.0)) ** (2.0 / 3.0)
+    assert var.center == -2.0
+    assert abs(tmap.derivative(-2.0) - slope) < 1e-12
+    assert abs(var.width * slope - 2.3199254) < 1e-6
+    assert tmap.residual_max < 1e-12 and tmap.overlap_max < 1e-13
+
+
+@pytest.mark.parametrize("g", [-0.1, 0.0])
+def test_no_nonreal_zero_is_the_affine_limit(g):
+    # the density polynomial has real zeros only (g < 0) or none: the
+    # same variable, at a width where sinh is linear to rounding
+    var = solve_transport(_quartic_eq(g)).variable
+    hi = var.interval[1]
+    t = np.linspace(-1.0, 1.0, 41)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(var.x(t) - hi * t)) <= 4 * eps
+    assert np.max(np.abs(var.dx(t) - hi)) <= 4 * eps
+    assert np.max(np.abs(var.t(hi * t) - t)) <= 4 * eps
+
+
+# measured certified range of the quartic family: every g from -0.1 to
+# 0.99. The first refusal past it is the equilibrium's: at g=1 the density
+# polynomial g x^2 + 1 - g vanishes at 0
+REFUSED = {-0.2: "series-divergence", 1.0: "not-generic"}
+
+
+@pytest.mark.parametrize(
+    "g", [-0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.97, 0.99, 1.0]
+)
 def test_quartic_family_certifies_or_refuses(g):
-    eq = _quartic_eq(g)
     try:
+        eq = _quartic_eq(g)
         tmap = solve_transport(eq)
     except BetalabError as err:
         assert err.code == REFUSED.get(g), err
@@ -151,7 +214,7 @@ def test_quartic_family_certifies_or_refuses(g):
     # ... and interpolates the quantile composition between its nodes
     t = np.random.default_rng(7).uniform(-1.9, 1.9, 200)
     want = eq.quantile(oracles.semicircle_cdf(t))
-    assert np.max(np.abs(ops.cheb_val(tmap.interior_cheb, t, tmap.eq.interval) - want)) < 1e-12
+    assert np.max(np.abs(tmap.value(t) - want)) < 1e-12
 
 
 @pytest.mark.parametrize("g", [0.1, 0.3, 0.5, 0.8])
@@ -201,8 +264,8 @@ def test_value_and_derivative_in_one_pass(g):
 
 
 def test_unresolved_or_uncertified_map_is_refused(monkeypatch):
-    eq = _quartic_eq(0.8)  # needs 1024 nodes
-    monkeypatch.setattr(transport, "_FIT_NODES", (64, 512))
+    eq = _quartic_eq(0.8)  # needs 256 nodes in the mapped variable
+    monkeypatch.setattr(transport, "_FIT_NODES", (64, 128))
     with pytest.raises(NumericalError, match="not resolved") as err:
         solve_transport(eq)
     assert err.value.code == "ode-failure"
