@@ -265,6 +265,44 @@ def _log_potential(beta: np.ndarray, x) -> np.ndarray:
     return out
 
 
+def _contour_density(potential: Potential, contour_nodes: int):
+    """The density polynomial at real points of the working window, as a
+    callable: the contour integral wrapping the support, by the trapezoid
+    rule on ``contour_nodes`` points of the circle of radius
+    2 + min(1, analyticity radius) / 2."""
+    radius = 2.0 + min(1.0, potential.analyticity_radius) / 2.0
+    theta_c = (np.arange(contour_nodes) + 0.5) * (2.0 * np.pi / contour_nodes)
+    w = radius * np.exp(1j * theta_c)
+    dvw = np.asarray(potential.dv(w), dtype=complex)
+    xw = _sqrt_branch(w)
+    dw = 1j * w * (2.0 * np.pi / contour_nodes)
+
+    def p_at(x_real: np.ndarray) -> np.ndarray:
+        # the quotients go through in row blocks of two reused buffers, each
+        # holding as many bytes as ops._PV_BLOCK floats
+        dvx = np.asarray(potential.dv(x_real), dtype=complex)
+        out = np.empty(x_real.size)
+        rows = max(1, min(x_real.size, ops._PV_BLOCK // (2 * contour_nodes)))
+        num = np.empty((rows, contour_nodes), dtype=complex)
+        den = np.empty_like(num)
+        for s in range(0, x_real.size, rows):
+            k = min(rows, x_real.size - s)
+            q, d = num[:k], den[:k]
+            np.subtract(dvx[s : s + k, None], dvw, out=q)
+            np.subtract(x_real[s : s + k, None], w, out=d)
+            d *= xw
+            q /= d
+            q *= dw
+            # the real part of the sum over 2 pi i: the terms cancel to as
+            # little as 1/3000 of their sum of moduli (g=0.99), so they are
+            # added pairwise along each row, which leaves a quarter of the
+            # rounding of a sequential (BLAS) dot product
+            out[s : s + k] = q.imag.sum(axis=1) / (2.0 * np.pi)
+        return out
+
+    return p_at
+
+
 def solve_equilibrium(
     potential: Potential,
     eps: float | None = None,
@@ -280,6 +318,19 @@ def solve_equilibrium(
         support_endpoints + normalize_support first otherwise.
     eps : float, optional
         Working-window margin. Defaults to the potential's own margin.
+    contour_nodes : int
+        Trapezoid nodes on the circle that wraps the support.
+    grid_nodes : int
+        The largest grid of window nodes that the density polynomial is
+        fitted on. The fit starts on min(``ops.FIT_START`` = 64,
+        ``grid_nodes``) first-kind nodes, the transport fit's first grid,
+        and doubles until the chop rule finds the series resolved
+        (``ops.MIN_DROPPED`` trailing coefficients at or below
+        ``ops.CHOP_REL`` of the largest). It stops at ``grid_nodes``,
+        where it is the fixed fit on ``grid_nodes``. A polynomial
+        potential has a polynomial density factor and resolves on the
+        first grid. The restriction to the support is resampled on
+        ``grid_nodes`` nodes.
 
     Raises
     ------
@@ -302,36 +353,16 @@ def solve_equilibrium(
             "run support_endpoints and normalize_support first",
         )
 
-    radius = 2.0 + min(1.0, potential.analyticity_radius) / 2.0
     interval = (-(2.0 + eps), 2.0 + eps)
+    p_at = _contour_density(potential, contour_nodes)
 
-    # density polynomial on the working window by the wrapped contour integral
-    theta_c = (np.arange(contour_nodes) + 0.5) * (2.0 * np.pi / contour_nodes)
-    w = radius * np.exp(1j * theta_c)
-    dvw = np.asarray(potential.dv(w), dtype=complex)
-    xw = _sqrt_branch(w)
-    dw = 1j * w * (2.0 * np.pi / contour_nodes)
-
-    def p_at(x_real: np.ndarray) -> np.ndarray:
-        # the quotients go through in row blocks of two reused buffers, each
-        # holding as many bytes as ops._PV_BLOCK floats
-        dvx = np.asarray(potential.dv(x_real), dtype=complex)
-        out = np.empty(x_real.size)
-        rows = max(1, min(x_real.size, ops._PV_BLOCK // (2 * contour_nodes)))
-        num = np.empty((rows, contour_nodes), dtype=complex)
-        den = np.empty_like(num)
-        for s in range(0, x_real.size, rows):
-            k = min(rows, x_real.size - s)
-            q, d = num[:k], den[:k]
-            np.subtract(dvx[s : s + k, None], dvw, out=q)
-            np.subtract(x_real[s : s + k, None], w, out=d)
-            d *= xw
-            q /= d
-            out[s : s + k] = np.real(q @ dw / (2.0j * np.pi))
-        return out
-
-    x_eps = ops.cheb_grid(grid_nodes, interval).nodes
-    p_cheb = ops.chop_coeffs(ops.coeffs_from_values(p_at(x_eps)))
+    # the first grid that the chop finds resolved, doubling up to grid_nodes
+    n = min(ops.FIT_START, grid_nodes)
+    while True:
+        p_cheb = ops.chop_coeffs(ops.coeffs_from_values(p_at(ops.cheb_grid(n, interval).nodes)))
+        if n - p_cheb.size >= ops.MIN_DROPPED or n == grid_nodes:
+            break
+        n = min(2 * n, grid_nodes)
 
     # genericity on the closed support: candidate minima are the endpoints
     # and the real critical points of the (chopped) Chebyshev series

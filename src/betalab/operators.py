@@ -25,13 +25,23 @@ SIGMA = (-2.0, 2.0)
 _PV_BLOCK = 1 << 15
 # The one chop rule: a series ends after its last coefficient above
 # CHOP_REL of its largest one, and it is resolved (on the rounding plateau)
-# when that drops at least MIN_DROPPED coefficients. The equilibrium
-# series and the transport fit use it; the transport fit only to pick its
-# grid.
+# when that drops at least MIN_DROPPED coefficients. Its users: the
+# density polynomial's fit (equilibrium) keeps the chopped series and
+# doubles its grid from FIT_START nodes until it is resolved; the
+# transport fit doubles from FIT_START too and uses the chop only to pick
+# its grid; cov_form sizes its principal-value rule by it. The density's
+# restriction to SIGMA (the CDF modes) and the derivative fitted for
+# cov_form without h_prime are chopped by it too.
 CHOP_REL = 1e-14
 MIN_DROPPED = 8
-# nodes of the principal-value rule
+FIT_START = 64
+# nodes of the principal-value rule for a series that is not resolved on
+# the samples of cov_form's Chebyshev route, and the fewest for one that is
 _PV_NODES = 512
+_PV_MIN_NODES = 64
+# cov_form's Chebyshev route: the first _COV_MODES coefficients of h, from
+# four times as many first-kind samples, alias-free when h is resolved there
+_COV_MODES = 65
 # nodes of the inversion identity and of the mean-shift pairing on SIGMA
 _SIGMA_NODES = 256
 # truncation: the eigenvalue tail, and the reconstruction error it bounds
@@ -297,23 +307,6 @@ def chop_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return c[: keep[-1] + 1].copy() if keep.size else c[:1].copy()
 
 
-def cheb_coeffs(h, count: int, interval=SIGMA) -> np.ndarray:
-    """First ``count + 1`` Chebyshev coefficients of a callable.
-
-    Samples h on a 4x oversampled grid so that the returned coefficients
-    are alias-free whenever h is resolved by the oversampled grid.
-
-    Returns
-    -------
-    ndarray, shape (count + 1,)
-        Coefficients c with h = c[0]/2 + sum c[k] T_k on ``interval``.
-    """
-    if count < 0:
-        raise UsageError("invalid-spec", "coefficient count must be >= 0")
-    x = cheb_grid(4 * max(count + 1, 8), interval).nodes
-    return coeffs_from_values(h(x))[: count + 1]
-
-
 # ----------------------------------------------------------------------
 # Gauss rules for the two edge weights
 
@@ -346,29 +339,32 @@ def semicircle_density(x):
 def _derivative_callable(h, h_prime):
     if h_prime is not None:
         return h_prime
-    d = cheb_der(coeffs_from_values(h(cheb_grid(_PV_NODES).nodes)), SIGMA)
+    # chopped, so that the rounding tail, which the derivative scales by
+    # its degree, does not reach a rule whose nodes are not the fit's
+    d = cheb_der(chop_coeffs(coeffs_from_values(h(cheb_grid(_PV_NODES).nodes))), SIGMA)
     return lambda x: cheb_val(d, x, SIGMA)
 
 
-def _pv_transform_numer(h_prime, lam: np.ndarray) -> np.ndarray:
+def _pv_transform_numer(h_prime, lam: np.ndarray, nodes: int = _PV_NODES) -> np.ndarray:
     """The principal-value integral sum w_j h'(mu_j) / (lam - mu_j) against
     the semicircle factor, with the singularity subtracted analytically.
 
     Returns the numerator s(lam) such that the transform equals
-    s(lam) / (pi^2 sqrt(4 - lam^2)). The rule has ``_PV_NODES`` nodes.
-    The points go through in row blocks of two reused buffers, the
-    differences and the quotients, each of at most ``_PV_BLOCK`` entries,
-    so memory is bounded for any number of points; a point within 1e-9 of
-    a node takes the central-difference limit of its quotient. Each row
-    is reduced on its own, so a point's value does not depend on the
-    other points in its block.
+    s(lam) / (pi^2 sqrt(4 - lam^2)). The rule has ``nodes`` nodes, and
+    integrates the subtracted quotient exactly when h' is a polynomial of
+    degree at most 2 ``nodes``. The points go through in row blocks of
+    two reused buffers, the differences and the quotients, each of at
+    most ``_PV_BLOCK`` entries, so memory is bounded for any number of
+    points; a point within 1e-9 of a node takes the central-difference
+    limit of its quotient. Each row is reduced on its own, so a point's
+    value does not depend on the other points in its block.
     """
-    mu, w = gauss_semicircle(_PV_NODES, SIGMA)
+    mu, w = gauss_semicircle(nodes, SIGMA)
     hp_mu = np.asarray(h_prime(mu), dtype=float)
     hp_l = np.asarray(h_prime(lam), dtype=float)
     out = np.empty(lam.size)
-    rows = max(1, min(lam.size, _PV_BLOCK // _PV_NODES))
-    diff = np.empty((rows, _PV_NODES))
+    rows = max(1, min(lam.size, _PV_BLOCK // nodes))
+    diff = np.empty((rows, nodes))
     quot = np.empty_like(diff)
     for s in range(0, lam.size, rows):
         k = min(rows, lam.size - s)
@@ -391,11 +387,18 @@ def _pv_transform_numer(h_prime, lam: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovForm:
-    """Both routes to the covariance quadratic form and their mismatch."""
+    """Both routes to the covariance quadratic form and their mismatch.
+
+    ``nodes`` is the size of the principal-value rule that gave ``pv``:
+    twice the chopped length of h's coefficients on the Chebyshev route's
+    samples, at least ``_PV_MIN_NODES``, or ``_PV_NODES`` when that
+    series is not resolved.
+    """
 
     pv: float
     cheb: float
     rel_discrepancy: float
+    nodes: int
 
 
 def _mode_form(a: np.ndarray, b: np.ndarray):
@@ -416,17 +419,28 @@ def cov_form(h, h_prime=None) -> CovForm:
 
     The principal-value route is the ground truth; the Chebyshev route is
     the mode sum (1/2) sum_k k h_k^2 of :func:`_mode_form`, over the first
-    65 coefficients. Their relative discrepancy is reported so callers can
-    assert consistency.
+    65 coefficients of h sampled on 260 first-kind nodes. Their relative
+    discrepancy is reported so callers can assert consistency.
+
+    The same samples size the principal-value rule by the chop rule: if
+    their series of chopped length L is resolved, the outer and the inner
+    rule take max(``_PV_MIN_NODES``, 2 L) nodes, and otherwise
+    ``_PV_NODES``. For a polynomial h of degree d the subtracted quotient
+    has degree d - 2 and s h degree at most 2 d, so d + 1 nodes make both
+    rules exact; 2 L leaves margin for an analytic h whose tail lies
+    under ``CHOP_REL``.
     """
-    x, scalar_w = gauss_inv_sqrt(_PV_NODES, SIGMA)
-    s = _pv_transform_numer(_derivative_callable(h, h_prime), x)
+    c = coeffs_from_values(h(cheb_grid(4 * _COV_MODES).nodes))
+    length = chop_coeffs(c).size
+    nodes = max(_PV_MIN_NODES, 2 * length) if c.size - length >= MIN_DROPPED else _PV_NODES
+    x, scalar_w = gauss_inv_sqrt(nodes, SIGMA)
+    s = _pv_transform_numer(_derivative_callable(h, h_prime), x, nodes)
     # the outer rule absorbs the 1/sqrt factor left in the transform
     pv = float(scalar_w * np.sum(s * np.asarray(h(x), dtype=float)) / np.pi**2)
-    c = cheb_coeffs(h, 64, SIGMA)
-    cheb = float(_mode_form(c, c))
+    head = c[:_COV_MODES]
+    cheb = float(_mode_form(head, head))
     rel = abs(pv - cheb) / max(abs(pv), 1e-300)
-    return CovForm(pv=pv, cheb=cheb, rel_discrepancy=rel)
+    return CovForm(pv=pv, cheb=cheb, rel_discrepancy=rel, nodes=nodes)
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .errors import NumericalError, UsageError
 # Resolution: node counts double from the first to the last until the
 # chop (ops.chop_coeffs) would drop at least ops.MIN_DROPPED trailing
 # coefficients, the library's plateau rule.
-_FIT_NODES = (64, 4096)
+_FIT_NODES = (ops.FIT_START, 4096)
 # certificate tolerances, the same as in `betalab verify`
 RESIDUAL_TOL = 1e-7
 OVERLAP_TOL = 1e-8

@@ -12,6 +12,7 @@ import numpy as np
 from scipy import fft, integrate, linalg, optimize, special
 
 from betalab import operators as ops
+from betalab.equilibrium import _contour_density
 from betalab.errors import UsageError
 from betalab.potentials import _arcsine_moments
 from betalab.transport import TransportMap
@@ -616,7 +617,30 @@ def eigendecompose_dense(kmat, grid, tail_tol=1e-12, recon_tol=1e-10):
 # ----------------------------------------------------------------------
 # operators that no library stage calls, moved here from the library with
 # their tests; unlike the oracles above they are built on the library's
-# private principal-value quadrature and log-kernel mode factors
+# transforms, its private principal-value quadrature and its log-kernel
+# mode factors
+
+
+def cheb_coeffs(h, count: int, interval=ops.SIGMA) -> np.ndarray:
+    """First ``count + 1`` Chebyshev coefficients of a callable.
+
+    Samples h on a 4x oversampled grid so that the returned coefficients
+    are alias-free whenever h is resolved by the oversampled grid. They
+    are c with h = c[0]/2 + sum c[k] T_k on ``interval``; ``cov_form``'s
+    Chebyshev route is their first 65 at ``count`` = 64.
+    """
+    x = ops.cheb_grid(4 * max(count + 1, 8), interval).nodes
+    return ops.coeffs_from_values(h(x))[: count + 1]
+
+
+def density_fit_fixed(potential, nodes: int = 256, contour_nodes: int = 512) -> np.ndarray:
+    """The chopped series of the density polynomial fitted on one fixed
+    grid of ``nodes`` first-kind nodes of the potential's window, by the
+    library's wrapped contour integral. It is the fit ``solve_equilibrium``
+    returns when ``nodes`` is its cap and no smaller grid resolves."""
+    eps = potential.domain[1] - 2.0
+    x = ops.cheb_grid(nodes, (-(2.0 + eps), 2.0 + eps)).nodes
+    return ops.chop_coeffs(ops.coeffs_from_values(_contour_density(potential, contour_nodes)(x)))
 
 
 def apply_cov_op(h, lam, h_prime=None):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from betalab import operators as ops
-from betalab.equilibrium import EquilibriumData, _log_potential, solve_equilibrium
+from betalab.equilibrium import EquilibriumData, _contour_density, _log_potential, solve_equilibrium
 from betalab.errors import NumericalError, UsageError
-from betalab.potentials import make_potential
+from betalab.potentials import make_potential, normalize_support, support_endpoints
 
 import oracles
 from conftest import QUARTIC_G, traced_peak
@@ -195,3 +195,96 @@ def test_contour_quadrature_working_set(monkeypatch):
     monkeypatch.setattr(ops, "_PV_BLOCK", 1 << 30)
     whole = solve_equilibrium(pot, contour_nodes=512, grid_nodes=256)
     assert np.array_equal(eq.p_cheb, whole.p_cheb)
+
+
+def test_contour_sum_where_its_terms_cancel():
+    # at g=0.99 the density polynomial g x^2 + 1 - g is 0.01 at 0, where
+    # the contour terms cancel to 1/3000 of their moduli; summed pairwise,
+    # the 64 values lie within 1.1e-15 of it (5.3e-15 by a BLAS dot)
+    g = 0.99
+    pot = make_potential("even-quartic", g=g)
+    half = pot.domain[1]
+    x = ops.cheb_grid(64, (-half, half)).nodes
+    exact = g * x.astype(np.longdouble) ** 2 + (1 - np.longdouble(g))
+    err = _contour_density(pot, 512)(x) - exact
+    assert np.max(np.abs(err)) <= 1.5e-15
+
+
+def _window_grids(monkeypatch, pot):
+    """Record the sizes of the first-kind grids built on the window of
+    ``pot``, the interval ``solve_equilibrium`` fits the density on."""
+    eps = pot.domain[1] - 2.0
+    interval = (-(2.0 + eps), 2.0 + eps)
+    sizes = []
+    build = ops.cheb_grid
+
+    def recording(n=256, interval_=ops.SIGMA):
+        if tuple(interval_) == tuple(interval):
+            sizes.append(n)
+        return build(n, interval_)
+
+    monkeypatch.setattr(ops, "cheb_grid", recording)
+    return sizes
+
+
+SWEEP_POLYNOMIAL = [0.0, 0.05, 0.55, 0.01, 0.02]
+
+
+@pytest.mark.parametrize("g", [-0.1, 0.0, 0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.99, "polynomial"])
+def test_polynomial_density_resolves_on_the_first_grid(monkeypatch, g):
+    # a polynomial V has a polynomial density factor: the first grid, of
+    # FIT_START = 64 nodes, drops at least MIN_DROPPED coefficients, and
+    # the fit is the fixed 256-node fit to rounding
+    if g == "polynomial":
+        pot = make_potential("polynomial", coeffs=SWEEP_POLYNOMIAL)
+        pot, _ = normalize_support(pot, support_endpoints(pot))
+    else:
+        pot = make_potential("even-quartic", g=g)
+    sizes = _window_grids(monkeypatch, pot)
+    eq = solve_equilibrium(pot)
+    assert sizes == [ops.FIT_START]
+    want = oracles.density_fit_fixed(pot, 256)
+    assert eq.p_cheb.size == want.size
+    assert np.max(np.abs(eq.p_cheb - want)) <= 2e-15
+    assert eq.v_residual <= (1e-14 if g == "polynomial" else 2e-15)
+
+
+def _log_potential_v():
+    # x^2/2 + log(1 + (x/2.6)^2), poles of V' at +-2.6i, normalized to the
+    # reference support; its density factor has 29 coefficients
+    a2 = 2.6**2
+    pot = make_potential(
+        "user-analytic",
+        v=lambda x: 0.5 * np.asarray(x) ** 2 + np.log1p(np.asarray(x) ** 2 / a2),
+        dv=lambda x: np.asarray(x) + 2.0 * np.asarray(x) / (a2 + np.asarray(x) ** 2),
+        d2v=lambda x: 1.0 + 2.0 * (a2 - np.asarray(x) ** 2) / (a2 + np.asarray(x) ** 2) ** 2,
+        analyticity_radius=2.6,
+        label="log-bump",
+    )
+    pot, _ = normalize_support(pot, support_endpoints(pot))
+    return pot
+
+
+def test_density_fit_doubles_to_its_plateau(monkeypatch):
+    pot = _log_potential_v()
+    sizes = _window_grids(monkeypatch, pot)
+    # the first grid resolves the 29 coefficients
+    eq = solve_equilibrium(pot)
+    assert sizes == [64]
+    assert eq.p_cheb.size == 29
+    assert np.array_equal(eq.p_cheb, oracles.density_fit_fixed(pot, 64))
+    # a 32-node cap is the first grid; the chop drops 3 < MIN_DROPPED
+    # coefficients there, and the fit is the fixed 32-node one, bit for bit
+    sizes.clear()
+    capped = solve_equilibrium(pot, grid_nodes=32)
+    assert sizes == [32]
+    assert np.array_equal(capped.p_cheb, oracles.density_fit_fixed(pot, 32))
+    assert capped.p_cheb.size == 29
+    # from 16 nodes it doubles to 64, the first grid on the plateau, and
+    # returns the direct 64-node fit
+    monkeypatch.setattr(ops, "FIT_START", 16)
+    sizes.clear()
+    doubled = solve_equilibrium(pot)
+    assert sizes == [16, 32, 64]
+    assert np.array_equal(doubled.p_cheb, eq.p_cheb)
+    assert doubled.v_residual <= 2e-15

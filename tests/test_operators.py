@@ -34,17 +34,17 @@ def test_sinh_variable(center, width):
 
 
 def test_cheb_coeffs_low_monomials():
-    c0 = ops.cheb_coeffs(lambda x: np.ones_like(np.asarray(x, dtype=float)), 4)
+    c0 = oracles.cheb_coeffs(lambda x: np.ones_like(np.asarray(x, dtype=float)), 4)
     assert np.allclose(c0, [2.0, 0, 0, 0, 0], atol=1e-13)
-    c1 = ops.cheb_coeffs(lambda x: np.asarray(x, dtype=float), 4)
+    c1 = oracles.cheb_coeffs(lambda x: np.asarray(x, dtype=float), 4)
     assert np.allclose(c1, [0, 2.0, 0, 0, 0], atol=1e-13)
-    c2 = ops.cheb_coeffs(lambda x: np.asarray(x, dtype=float) ** 2, 4)
+    c2 = oracles.cheb_coeffs(lambda x: np.asarray(x, dtype=float) ** 2, 4)
     assert np.allclose(c2, [4.0, 0, 2.0, 0, 0], atol=1e-12)
 
 
 def test_cheb_coeffs_match_quadrature_oracle():
     h = np.cos
-    mine = ops.cheb_coeffs(h, 8)
+    mine = oracles.cheb_coeffs(h, 8)
     for k in range(1, 9):
         assert abs(mine[k] - oracles.cheb_coeff_oracle(h, k)) < 1e-10
     # one call transforms every column, at odd and even node counts
@@ -91,7 +91,7 @@ def test_values_from_coeffs_inverts_coeffs_from_values():
 
 def test_cheb_roundtrip_and_derivative():
     h = lambda x: np.exp(0.3 * x) * np.sin(x)
-    c = ops.cheb_coeffs(h, 40)
+    c = oracles.cheb_coeffs(h, 40)
     xs = np.linspace(-2.0, 2.0, 23)
     assert np.max(np.abs(ops.cheb_val(c, xs, ops.SIGMA) - h(xs))) < 1e-12
     dc = ops.cheb_der(c, ops.SIGMA)
@@ -236,6 +236,58 @@ def test_cov_form_matches_mode_sum_oracle():
     assert abs(form.pv - want) < 1e-8
 
 
+def _pv_form(h, h_prime, nodes):
+    """The principal-value route of ``cov_form`` on a rule of ``nodes`` nodes."""
+    x, scalar_w = ops.gauss_inv_sqrt(nodes)
+    s = ops._pv_transform_numer(h_prime, x, nodes=nodes)
+    return float(scalar_w * np.sum(s * np.asarray(h(x), dtype=float)) / np.pi**2)
+
+
+def test_cov_form_rule_follows_polynomial_degree():
+    # degree <= 10: 64 nodes make both rules exact, and the 512-node rule
+    # agrees to rounding
+    rng = np.random.default_rng(7)
+    for deg in range(1, 11):
+        poly = np.polynomial.Polynomial(rng.standard_normal(deg + 1))
+        form = ops.cov_form(poly, h_prime=poly.deriv())
+        assert form.nodes == 64
+        want = _pv_form(poly, poly.deriv(), 512)
+        assert abs(form.pv - want) <= 1e-14 * abs(want)
+
+
+def test_cov_form_rule_follows_a_narrow_bump():
+    # exp(-(x/0.1)^2) chops to 229 coefficients of the 260 samples: the rule
+    # takes 458 nodes and agrees with 512 to 3e-15; 64 nodes miss by 5e-2
+    h = lambda x: np.exp(-((np.asarray(x, dtype=float) / 0.1) ** 2))
+    hp = lambda x: -200.0 * np.asarray(x, dtype=float) * h(x)
+    form = ops.cov_form(h, h_prime=hp)
+    assert form.nodes == 458
+    want = _pv_form(h, hp, 512)
+    assert abs(form.pv - want) <= 1e-14 * abs(want)
+    assert abs(_pv_form(h, hp, 64) - want) > 1e-2 * abs(want)
+
+
+@pytest.mark.parametrize("h", [np.sin, np.exp, lambda x: 1.0 / (1.0 + x * x)], ids=["sin", "exp", "runge"])
+def test_cov_form_fitted_derivative_on_a_smaller_rule(h):
+    # without h_prime, h' is the derivative of h's chopped 512-node series;
+    # unchopped, its rounding tail put up to 4.5e-14 into these forms on
+    # rules off the fit's nodes
+    form = ops.cov_form(h)
+    assert form.nodes < 512
+    c = oracles.cheb_coeffs(h, 511)
+    want = 0.5 * np.sum(np.arange(c.size) * c * c)
+    assert abs(form.pv - want) <= 2e-15 * want
+
+
+def test_cov_form_unresolved_keeps_the_full_rule():
+    # |x|^3 is not resolved on 260 samples: the 512-node rule, bit for bit
+    h = lambda x: np.abs(np.asarray(x, dtype=float)) ** 3
+    hp = lambda x: 3.0 * np.asarray(x, dtype=float) * np.abs(np.asarray(x, dtype=float))
+    form = ops.cov_form(h, h_prime=hp)
+    assert form.nodes == 512
+    assert form.pv == _pv_form(h, hp, 512)
+
+
 # rows of one principal-value block on the default 512-node rule
 PV_ROWS = ops._PV_BLOCK // 512
 
@@ -268,9 +320,14 @@ def test_pv_transform_points_on_the_nodes():
 
 def test_pv_transform_working_set():
     # two reused block buffers of 256 KiB each, beside the 512-point arrays
+    # of an unresolved h; a cubic's 64-node rule holds far less
     cubic = np.polynomial.Polynomial([0.2, -1.0, 0.3, 0.5])
     with traced_peak() as peak:
         ops.cov_form(cubic, h_prime=cubic.deriv())
+    assert peak.bytes <= 0.25 * 2**20
+    h = lambda x: np.abs(np.asarray(x, dtype=float)) ** 3
+    with traced_peak() as peak:
+        assert ops.cov_form(h, h_prime=lambda x: 3.0 * x * np.abs(x)).nodes == 512
     assert peak.bytes <= 0.75 * 2**20
 
 
