@@ -199,9 +199,9 @@ def _sample(cfg: dict, eq):
 
 
 _H_BANK = {
-    "lambda": (lambda x: x, lambda x: np.ones_like(x)),
-    "lambda2": (lambda x: x * x, lambda x: 2.0 * x),
-    "cos": (np.cos, lambda x: -np.sin(x)),
+    "lambda": lambda x: x,
+    "lambda2": lambda x: x * x,
+    "cos": np.cos,
 }
 
 
@@ -296,8 +296,7 @@ def cmd_clt(cfg: dict) -> int:
             raise UsageError(
                 "invalid-spec", f"unknown test function {name!r} (have {sorted(_H_BANK)})"
             )
-        h, hp = _H_BANK[name]
-        reports.append(uni.clt_report(sample, h, eq, name=name, h_prime=hp))
+        reports.append(uni.clt_report(sample, _H_BANK[name], eq, name=name))
     payload = {
         "header": _header(cfg),
         "reports": [

@@ -321,16 +321,11 @@ def solve_equilibrium(
     contour_nodes : int
         Trapezoid nodes on the circle that wraps the support.
     grid_nodes : int
-        The largest grid of window nodes that the density polynomial is
-        fitted on. The fit starts on min(``ops.FIT_START`` = 64,
-        ``grid_nodes``) first-kind nodes, the transport fit's first grid,
-        and doubles until the chop rule finds the series resolved
-        (``ops.MIN_DROPPED`` trailing coefficients at or below
-        ``ops.CHOP_REL`` of the largest). It stops at ``grid_nodes``,
-        where it is the fixed fit on ``grid_nodes``. A polynomial
-        potential has a polynomial density factor and resolves on the
-        first grid. The restriction to the support is resampled on
-        ``grid_nodes`` nodes.
+        The cap of ``ops.fit_resolved`` for the density polynomial's fit
+        on the window, where an unresolved fit stops as the fixed fit on
+        ``grid_nodes``; a polynomial potential has a polynomial density
+        factor and resolves on the first grid. The restriction to the
+        support is resampled on ``grid_nodes`` nodes.
 
     Raises
     ------
@@ -357,12 +352,8 @@ def solve_equilibrium(
     p_at = _contour_density(potential, contour_nodes)
 
     # the first grid that the chop finds resolved, doubling up to grid_nodes
-    n = min(ops.FIT_START, grid_nodes)
-    while True:
-        p_cheb = ops.chop_coeffs(ops.coeffs_from_values(p_at(ops.cheb_grid(n, interval).nodes)))
-        if n - p_cheb.size >= ops.MIN_DROPPED or n == grid_nodes:
-            break
-        n = min(2 * n, grid_nodes)
+    fit, _ = ops.fit_resolved(lambda n, _: p_at(ops.cheb_grid(n, interval).nodes), grid_nodes)
+    p_cheb = ops.chop_coeffs(fit)
 
     # genericity on the closed support: candidate minima are the endpoints
     # and the real critical points of the (chopped) Chebyshev series

@@ -25,24 +25,18 @@ SIGMA = (-2.0, 2.0)
 _PV_BLOCK = 1 << 15
 # The one chop rule: a series ends after its last coefficient above
 # CHOP_REL of its largest one, and it is resolved (on the rounding plateau)
-# when that drops at least MIN_DROPPED coefficients. Its users: the
-# density polynomial's fit (equilibrium) keeps the chopped series and
-# doubles its grid from FIT_START nodes until it is resolved; the
-# transport fit doubles from FIT_START too and uses the chop only to pick
-# its grid; cov_form sizes its principal-value rule by it. The density's
-# restriction to SIGMA (the CDF modes) and the derivative fitted for
-# cov_form without h_prime are chopped by it too.
+# when that drops at least MIN_DROPPED coefficients. fit_resolved doubles
+# its grid from FIT_START nodes until then, up to a cap, FIT_MAX by
+# default. Its callers: the density polynomial's fit (equilibrium), the
+# transport map's fit, cov_form's h, and the CLT's h and log p.
 CHOP_REL = 1e-14
 MIN_DROPPED = 8
 FIT_START = 64
-# nodes of the principal-value rule for a series that is not resolved on
-# the samples of cov_form's Chebyshev route, and the fewest for one that is
+FIT_MAX = 4096
+# the most and the fewest nodes of cov_form's principal-value rule
 _PV_NODES = 512
 _PV_MIN_NODES = 64
-# cov_form's Chebyshev route: the first _COV_MODES coefficients of h, from
-# four times as many first-kind samples, alias-free when h is resolved there
-_COV_MODES = 65
-# nodes of the inversion identity and of the mean-shift pairing on SIGMA
+# nodes of the inversion identity on SIGMA
 _SIGMA_NODES = 256
 # truncation: the eigenvalue tail, and the reconstruction error it bounds
 _TAIL_TOL = 1e-12
@@ -307,6 +301,35 @@ def chop_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return c[: keep[-1] + 1].copy() if keep.size else c[:1].copy()
 
 
+def fit_resolved(sample, cap: int | None = None):
+    """The whole coefficient vector of the first grid that resolves a
+    function, and whether it is resolved (at the cap it may not be).
+
+    ``sample(n, prev)`` returns the values at the n :func:`cheb_grid`
+    nodes of the caller's interval; ``prev`` holds the previous grid's
+    coefficients (None at first), a warm start. The grid has
+    min(``FIT_START``, ``cap``) nodes and doubles up to ``cap``.
+    """
+    cap = FIT_MAX if cap is None else cap
+    n = min(FIT_START, cap)
+    coeffs = None
+    while True:
+        coeffs = coeffs_from_values(sample(n, coeffs))
+        resolved = n - chop_coeffs(coeffs).size >= MIN_DROPPED
+        if resolved or n >= cap:
+            return coeffs, resolved
+        n = min(2 * n, cap)
+
+
+def _sigma_series(f, name: str = "h") -> np.ndarray:
+    """f's chopped Chebyshev series on SIGMA by :func:`fit_resolved`;
+    raises "unresolved-function" if ``FIT_MAX`` nodes do not resolve it."""
+    c, resolved = fit_resolved(lambda n, _: f(cheb_grid(n).nodes))
+    if not resolved:
+        raise NumericalError("unresolved-function", f"{name} is not resolved by {FIT_MAX} nodes on [-2, 2]")
+    return chop_coeffs(c)
+
+
 # ----------------------------------------------------------------------
 # Gauss rules for the two edge weights
 
@@ -334,15 +357,6 @@ def semicircle_density(x):
 
 # ----------------------------------------------------------------------
 # the principal-value transform
-
-
-def _derivative_callable(h, h_prime):
-    if h_prime is not None:
-        return h_prime
-    # chopped, so that the rounding tail, which the derivative scales by
-    # its degree, does not reach a rule whose nodes are not the fit's
-    d = cheb_der(chop_coeffs(coeffs_from_values(h(cheb_grid(_PV_NODES).nodes))), SIGMA)
-    return lambda x: cheb_val(d, x, SIGMA)
 
 
 def _pv_transform_numer(h_prime, lam: np.ndarray, nodes: int = _PV_NODES) -> np.ndarray:
@@ -390,9 +404,8 @@ class CovForm:
     """Both routes to the covariance quadratic form and their mismatch.
 
     ``nodes`` is the size of the principal-value rule that gave ``pv``:
-    twice the chopped length of h's coefficients on the Chebyshev route's
-    samples, at least ``_PV_MIN_NODES``, or ``_PV_NODES`` when that
-    series is not resolved.
+    twice the chopped length of h's series on SIGMA, at least
+    ``_PV_MIN_NODES`` and at most ``_PV_NODES``.
     """
 
     pv: float
@@ -417,28 +430,28 @@ def _mode_form(a: np.ndarray, b: np.ndarray):
 def cov_form(h, h_prime=None) -> CovForm:
     """Quadratic form of the symmetrized covariance operator, both routes.
 
-    The principal-value route is the ground truth; the Chebyshev route is
-    the mode sum (1/2) sum_k k h_k^2 of :func:`_mode_form`, over the first
-    65 coefficients of h sampled on 260 first-kind nodes. Their relative
-    discrepancy is reported so callers can assert consistency.
-
-    The same samples size the principal-value rule by the chop rule: if
-    their series of chopped length L is resolved, the outer and the inner
-    rule take max(``_PV_MIN_NODES``, 2 L) nodes, and otherwise
-    ``_PV_NODES``. For a polynomial h of degree d the subtracted quotient
-    has degree d - 2 and s h degree at most 2 d, so d + 1 nodes make both
-    rules exact; 2 L leaves margin for an analytic h whose tail lies
-    under ``CHOP_REL``.
+    h is fitted once on SIGMA by :func:`fit_resolved`, resolved or not,
+    and chopped to length L. The Chebyshev route is the mode sum
+    (1/2) sum_k k h_k^2 of :func:`_mode_form` over that series; the
+    principal-value route, its independent certificate, takes
+    min(``_PV_NODES``, max(``_PV_MIN_NODES``, 2 L)) nodes for its outer
+    and inner rules, and h' from the same series without ``h_prime``.
+    For a polynomial h of degree d the subtracted quotient has degree
+    d - 2 and s h degree at most 2 d, so d + 1 nodes make both rules
+    exact; 2 L leaves margin for an analytic h whose tail lies under
+    ``CHOP_REL``. Their relative discrepancy is reported so callers can
+    assert consistency.
     """
-    c = coeffs_from_values(h(cheb_grid(4 * _COV_MODES).nodes))
-    length = chop_coeffs(c).size
-    nodes = max(_PV_MIN_NODES, 2 * length) if c.size - length >= MIN_DROPPED else _PV_NODES
+    c = chop_coeffs(fit_resolved(lambda n, _: h(cheb_grid(n).nodes))[0])
+    nodes = min(_PV_NODES, max(_PV_MIN_NODES, 2 * c.size))
+    if h_prime is None:
+        d = cheb_der(c, SIGMA)
+        h_prime = lambda x: cheb_val(d, x, SIGMA)
     x, scalar_w = gauss_inv_sqrt(nodes, SIGMA)
-    s = _pv_transform_numer(_derivative_callable(h, h_prime), x, nodes)
+    s = _pv_transform_numer(h_prime, x, nodes)
     # the outer rule absorbs the 1/sqrt factor left in the transform
     pv = float(scalar_w * np.sum(s * np.asarray(h(x), dtype=float)) / np.pi**2)
-    head = c[:_COV_MODES]
-    cheb = float(_mode_form(head, head))
+    cheb = float(_mode_form(c, c))
     rel = abs(pv - cheb) / max(abs(pv), 1e-300)
     return CovForm(pv=pv, cheb=cheb, rel_discrepancy=rel, nodes=nodes)
 
@@ -885,19 +898,27 @@ def mean_shift_pairing(h, eq, beta: float) -> float:
     linear statistic. The measure combines endpoint masses, the
     inverse square-root arcsine component, and a term driven by the
     logarithmic derivative of the density polynomial; it vanishes
-    identically at beta = 2.
+    identically at beta = 2. It is :func:`_mean_shift` of h's series.
     """
     if beta <= 0:
         raise UsageError("invalid-spec", f"beta must be positive, got {beta}")
-    x = cheb_grid(_SIGMA_NODES).nodes
-    edge_vals = np.asarray(h(np.array([-2.0, 2.0])), dtype=float)
-    t_edge = 0.25 * float(edge_vals.sum())
-    # coefficients of log p and of h: the arcsine mean of h is c_0 / 2 of
-    # its own, and the log-derivative term is their covariance form
-    c = coeffs_from_values(np.column_stack((np.log(eq.p_value(x)), np.asarray(h(x), dtype=float))))
-    t_arcsine = 0.25 * float(c[0, 1])
-    t_logp = float(_mode_form(c[:, 0], c[:, 1]))
-    return (1.0 - beta / 2.0) * (t_edge - t_arcsine - 0.5 * t_logp)
+    return _mean_shift(_sigma_series(h), eq, beta)
+
+
+def _mean_shift(c: np.ndarray, eq, beta: float) -> float:
+    """:func:`mean_shift_pairing` from h's coefficients ``c`` on SIGMA.
+
+    As T_k(+-1) = (+-1)^k, the edge term (h(-2) + h(2)) / 4 minus the
+    arcsine term c_0 / 4 is half the even modes past the constant. The
+    log-derivative term is the mode form of h and log p, fitted as
+    1 + log p: the form ignores the constant, which sets the chop's scale
+    at a logarithm's rounding, so a nearly constant p (small g) resolves.
+    """
+    edge_minus_arcsine = 0.5 * float(c[2::2].sum())
+    log_p = _sigma_series(lambda x: 1.0 + np.log(eq.p_value(x)), "log p")
+    m = min(c.size, log_p.size)
+    t_logp = float(_mode_form(log_p[:m], c[:m]))
+    return (1.0 - beta / 2.0) * (edge_minus_arcsine - 0.5 * t_logp)
 
 
 def _deformation_degree(var: SinhVariable) -> int:

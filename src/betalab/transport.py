@@ -28,10 +28,6 @@ from . import operators as ops
 from .equilibrium import SEMICIRCLE_MODES, EquilibriumData, _invert_cdf, _newton_decreasing
 from .errors import NumericalError, UsageError
 
-# Resolution: node counts double from the first to the last until the
-# chop (ops.chop_coeffs) would drop at least ops.MIN_DROPPED trailing
-# coefficients, the library's plateau rule.
-_FIT_NODES = (ops.FIT_START, 4096)
 # certificate tolerances, the same as in `betalab verify`
 RESIDUAL_TOL = 1e-7
 OVERLAP_TOL = 1e-8
@@ -254,36 +250,6 @@ def _pointwise(eq: EquilibriumData, lam: np.ndarray, start: np.ndarray) -> np.nd
     return zeta
 
 
-def _fit(eq: EquilibriumData, var: ops.SinhVariable) -> np.ndarray:
-    """Resolved Chebyshev coefficients of the map in the variable t.
-
-    The chop decides resolution only: the first node count whose series
-    has at least ``ops.MIN_DROPPED`` trailing coefficients below the chop
-    threshold has reached the rounding plateau, and that grid's whole
-    coefficient vector is returned, one coefficient per node. Nothing is
-    cut at the threshold, so no coefficient can sit on it and the stored
-    series does not move with the last bits of the transform. Each grid's
-    Newton starts from the previous grid's series at its nodes, one
-    ``ops.grid_values`` transform; the first starts from the identity.
-    Raises "ode-failure" (the code the map has always used) if even the
-    largest grid does not resolve the map.
-    """
-    n, n_max = _FIT_NODES
-    coeffs = None
-    while n <= n_max:
-        lam = var.x(ops.cheb_grid(n, ops.UNIT).nodes)
-        start = lam if coeffs is None else ops.grid_values(coeffs, n)
-        coeffs = ops.coeffs_from_values(_pointwise(eq, lam, start))
-        if n - ops.chop_coeffs(coeffs).size >= ops.MIN_DROPPED:
-            return coeffs
-        n *= 2
-    raise NumericalError(
-        "ode-failure",
-        f"transport map is not resolved by {n_max} Chebyshev nodes; "
-        "the potential is too close to losing genericity",
-    )
-
-
 def solve_transport(
     eq: EquilibriumData,
     delta_e: float = 0.1,
@@ -311,7 +277,21 @@ def solve_transport(
     support probes, and at 0, in one recurrence pass.
     """
     var = _variable(eq)
-    coeffs = _fit(eq, var)
+
+    def sample(n, prev):
+        # Newton starts from the previous grid's series at the nodes
+        lam = var.x(ops.cheb_grid(n, ops.UNIT).nodes)
+        return _pointwise(eq, lam, lam if prev is None else ops.grid_values(prev, n))
+
+    # the whole coefficient vector of the resolving grid: the chop decides
+    # resolution only, so the series does not move with its last bits
+    coeffs, resolved = ops.fit_resolved(sample)
+    if not resolved:
+        raise NumericalError(
+            "ode-failure",
+            f"transport map is not resolved by {ops.FIT_MAX} Chebyshev nodes; "
+            "the potential is too close to losing genericity",
+        )
     n = coeffs.size
     tmap = TransportMap(eq=eq, interior_cheb=coeffs, variable=var, anchor=0.0, residual_max=0.0, overlap_max=0.0)
 

@@ -103,19 +103,23 @@ def clt_report(sample: EnsembleSample, h, eq, name: str = "h", h_prime=None) -> 
 
     The statistic is centered by n times the equilibrium average of h; the
     limiting mean and variance come from the deterministic functionals of
-    the equilibrium data, never from the sample itself. Standard errors
-    use the sample count, inflated by residual autocorrelation when the
-    sample came from a chain.
+    the equilibrium data, never from the sample itself, as coefficient
+    algebra on h's one series c on [-2, 2] (``ops._sigma_series``): the
+    average is (pi/2) sum_m c_m beta_m for beta = ``eq.cdf_modes``, the
+    variance (1/2) sum_k k c_k^2 / beta (Johansson, Duke Math. J. 91,
+    1998). ``h_prime`` is ignored. Standard errors use the sample count,
+    inflated by residual autocorrelation when the sample came from a chain.
     """
+    c = ops._sigma_series(h, name)
     values = linear_statistic(sample, h)
     count = len(values)
-    xs, ws = ops.gauss_semicircle(512)
-    centering = sample.n * float(ws @ (np.asarray(h(xs), dtype=float) * eq.p_value(xs))) / (2.0 * np.pi)
+    m = min(c.size, eq.cdf_modes.size)
+    centering = sample.n * 0.5 * np.pi * float(c[:m] @ eq.cdf_modes[:m])
     centered = values - centering
     emp_mean = float(centered.mean())
     emp_var = float(centered.var(ddof=1))
-    pred_mean = (2.0 / sample.beta) * ops.mean_shift_pairing(h, eq, sample.beta)
-    pred_var = ops.cov_form(h, h_prime=h_prime).pv / sample.beta
+    pred_mean = (2.0 / sample.beta) * ops._mean_shift(c, eq, sample.beta)
+    pred_var = float(ops._mode_form(c, c)) / sample.beta
     infl = _autocorr_factor(values) if sample.kind == "metropolis-log-gas" else 1.0
     se_mean = float(np.sqrt(emp_var / count * infl))
     se_var = float(emp_var * np.sqrt(2.0 / max(count - 1, 1) * infl))

@@ -152,6 +152,17 @@ def mean_shift_square_oracle(beta: float) -> float:
     return 2.0 / beta - 1.0
 
 
+def mean_shift_on_nodes(h, eq, beta: float, nodes: int = 4096) -> float:
+    """``ops.mean_shift_pairing`` with h and log p read on one fixed grid
+    of ``nodes`` first-kind nodes of [-2, 2]: the edge term from h(+-2),
+    the arcsine term c_0 / 4 and the log-derivative term the mode form of
+    the two unchopped series."""
+    x = ops.cheb_grid(nodes).nodes
+    edge = 0.25 * float(np.sum(h(np.array([-2.0, 2.0]))))
+    c = ops.coeffs_from_values(np.column_stack((np.log(eq.p_value(x)), np.asarray(h(x), dtype=float))))
+    return (1.0 - beta / 2.0) * (edge - 0.25 * c[0, 1] - 0.5 * float(ops._mode_form(c[:, 0], c[:, 1])))
+
+
 def mean_shift_cos_oracle(beta: float) -> float:
     """Mean shift of sum cos(lambda_i) in the reference ensemble.
 
@@ -643,6 +654,15 @@ def density_fit_fixed(potential, nodes: int = 256, contour_nodes: int = 512) -> 
     return ops.chop_coeffs(ops.coeffs_from_values(_contour_density(potential, contour_nodes)(x)))
 
 
+def _derivative(h, h_prime):
+    """``h_prime``, or else the derivative of h's chopped series on SIGMA
+    by ``ops.fit_resolved``, the series that ``cov_form`` differentiates."""
+    if h_prime is not None:
+        return h_prime
+    d = ops.cheb_der(ops.chop_coeffs(ops.fit_resolved(lambda n, _: h(ops.cheb_grid(n).nodes))[0]), ops.SIGMA)
+    return lambda x: ops.cheb_val(d, x, ops.SIGMA)
+
+
 def apply_cov_op(h, lam, h_prime=None):
     """Pointwise covariance-form transform of h at interior points.
 
@@ -656,7 +676,7 @@ def apply_cov_op(h, lam, h_prime=None):
     if np.any(np.abs(lam_arr) >= 2.0):
         raise UsageError("out-of-domain", "transform is defined on the open interval (-2, 2)")
     flat = lam_arr.ravel()
-    s = ops._pv_transform_numer(ops._derivative_callable(h, h_prime), flat)
+    s = ops._pv_transform_numer(_derivative(h, h_prime), flat)
     out = s / (np.pi**2 * np.sqrt(4.0 - flat * flat))
     return out.reshape(lam_arr.shape) if lam_arr.ndim else float(out[0])
 
@@ -689,4 +709,4 @@ class RecenteringCoeffs:
 
 def recentering_coeffs(h, h_prime=None) -> RecenteringCoeffs:
     """Moments of h' against the inverse square-root weight on the support."""
-    return RecenteringCoeffs(*_arcsine_moments(ops._derivative_callable(h, h_prime), -2.0, 2.0))
+    return RecenteringCoeffs(*_arcsine_moments(_derivative(h, h_prime), -2.0, 2.0))

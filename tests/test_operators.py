@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from scipy import fft
 
+from betalab import ensembles as ens
 from betalab import operators as ops
 from betalab import transport
-from betalab.errors import UsageError
+from betalab import universality as uni
+from betalab.equilibrium import solve_equilibrium
+from betalab.errors import NumericalError, UsageError
+from betalab.potentials import make_potential
 
 import oracles
 from conftest import traced_peak
@@ -256,22 +260,29 @@ def test_cov_form_rule_follows_polynomial_degree():
 
 
 def test_cov_form_rule_follows_a_narrow_bump():
-    # exp(-(x/0.1)^2) chops to 229 coefficients of the 260 samples: the rule
-    # takes 458 nodes and agrees with 512 to 3e-15; 64 nodes miss by 5e-2
+    # exp(-(x/0.1)^2) chops to 229 coefficients on its 256-node fit: the
+    # rule takes 458 nodes and agrees with 512 to 3e-15; 64 nodes miss by
+    # 5e-2. The Chebyshev route sums the whole resolved series, so the two
+    # routes agree to rounding (a 65-coefficient head missed by 5.1e-3)
     h = lambda x: np.exp(-((np.asarray(x, dtype=float) / 0.1) ** 2))
     hp = lambda x: -200.0 * np.asarray(x, dtype=float) * h(x)
     form = ops.cov_form(h, h_prime=hp)
     assert form.nodes == 458
+    assert form.rel_discrepancy < 1e-13
     want = _pv_form(h, hp, 512)
     assert abs(form.pv - want) <= 1e-14 * abs(want)
     assert abs(_pv_form(h, hp, 64) - want) > 1e-2 * abs(want)
+    # 1/(1 + 25x^2) takes the full rule; a 65-coefficient head missed by 3.3e-5
+    runge = lambda x: 1.0 / (1.0 + 25.0 * np.asarray(x, dtype=float) ** 2)
+    runge_p = lambda x: -50.0 * np.asarray(x, dtype=float) * runge(x) ** 2
+    assert ops.cov_form(runge, h_prime=runge_p).rel_discrepancy < 1e-13
 
 
 @pytest.mark.parametrize("h", [np.sin, np.exp, lambda x: 1.0 / (1.0 + x * x)], ids=["sin", "exp", "runge"])
 def test_cov_form_fitted_derivative_on_a_smaller_rule(h):
-    # without h_prime, h' is the derivative of h's chopped 512-node series;
-    # unchopped, its rounding tail put up to 4.5e-14 into these forms on
-    # rules off the fit's nodes
+    # without h_prime, h' is the derivative of the chopped series that the
+    # Chebyshev route sums; unchopped, a rounding tail scaled by the degree
+    # put up to 4.5e-14 into these forms on rules off the fit's nodes
     form = ops.cov_form(h)
     assert form.nodes < 512
     c = oracles.cheb_coeffs(h, 511)
@@ -279,13 +290,30 @@ def test_cov_form_fitted_derivative_on_a_smaller_rule(h):
     assert abs(form.pv - want) <= 2e-15 * want
 
 
-def test_cov_form_unresolved_keeps_the_full_rule():
-    # |x|^3 is not resolved on 260 samples: the 512-node rule, bit for bit
+def test_cov_form_rule_is_capped_at_the_full_rule():
+    # |x|^3 resolves only on the 4096-node fit (3937 coefficients): the
+    # rule stops at its 512-node cap, bit for bit
     h = lambda x: np.abs(np.asarray(x, dtype=float)) ** 3
     hp = lambda x: 3.0 * np.asarray(x, dtype=float) * np.abs(np.asarray(x, dtype=float))
     form = ops.cov_form(h, h_prime=hp)
     assert form.nodes == 512
     assert form.pv == _pv_form(h, hp, 512)
+
+
+def test_unresolved_function_is_refused(gauss_eq):
+    # |x| keeps 4095 of its 4096 coefficients: the CLT predictions refuse
+    # it, while cov_form still reports both routes on the full rule
+    h = lambda x: np.abs(np.asarray(x, dtype=float))
+    assert not ops.fit_resolved(lambda n, _: h(ops.cheb_grid(n).nodes))[1]
+    with pytest.raises(NumericalError) as err:
+        ops.mean_shift_pairing(h, gauss_eq, 1.0)
+    assert err.value.code == "unresolved-function"
+    sample = ens.sample_gaussian(20, 1.0, 30, seed=3)
+    with pytest.raises(NumericalError) as err:
+        uni.clt_report(sample, h, gauss_eq)
+    assert err.value.code == "unresolved-function"
+    form = ops.cov_form(h)
+    assert form.nodes == 512 and np.isfinite(form.pv)
 
 
 # rows of one principal-value block on the default 512-node rule
@@ -877,6 +905,16 @@ def test_mean_shift_quartic_moment_anchor(gauss_eq):
     for beta in (1.0, 4.0):
         got = (2.0 / beta) * ops.mean_shift_pairing(h, gauss_eq, beta)
         assert abs(got - 5.0 * (2.0 / beta - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("h", [lambda x: np.asarray(x, dtype=float) ** 2, np.cos], ids=["square", "cos"])
+def test_mean_shift_near_the_critical_point(h):
+    # at g=0.99 log p resolves on 1024 nodes (529 coefficients); a fixed
+    # 256-node fit missed the 4096-node oracle by 5.3e-14 (square) and
+    # 2.3e-14 (cos)
+    eq = solve_equilibrium(make_potential("even-quartic", g=0.99))
+    want = oracles.mean_shift_on_nodes(h, eq, 1.0)
+    assert abs(ops.mean_shift_pairing(h, eq, 1.0) - want) < 1e-15
 
 
 def test_mean_shift_vanishes_at_beta_two(quartic_eq):

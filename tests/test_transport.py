@@ -266,7 +266,7 @@ def test_value_and_derivative_in_one_pass(g):
 
 def test_unresolved_or_uncertified_map_is_refused(monkeypatch):
     eq = _quartic_eq(0.8)  # needs 256 nodes in the mapped variable
-    monkeypatch.setattr(transport, "_FIT_NODES", (64, 128))
+    monkeypatch.setattr(ops, "FIT_MAX", 128)
     with pytest.raises(NumericalError, match="not resolved") as err:
         solve_transport(eq)
     assert err.value.code == "ode-failure"

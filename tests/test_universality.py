@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from betalab import cli
 from betalab import ensembles as ens
 from betalab import operators as ops
 from betalab import universality as uni
@@ -26,7 +27,7 @@ def test_clt_predictions_match_oracles(gauss_eq, sample_cache):
     h = lambda x: np.asarray(x, dtype=float) ** 2
     for beta, seed in ((1.0, 21), (2.0, 22), (4.0, 23)):
         s = sample_cache("gaussian", n=150, beta=beta, count=1500, seed=seed)
-        rep = uni.clt_report(s, h, gauss_eq, name="square", h_prime=lambda x: 2.0 * x)
+        rep = uni.clt_report(s, h, gauss_eq, name="square")
         assert abs(rep.pred_mean - oracles.mean_shift_square_oracle(beta)) < 1e-9
         want_var = oracles.variance_form_oracle(h) / beta
         assert abs(rep.pred_var - want_var) < 1e-7
@@ -36,7 +37,7 @@ def test_clt_predictions_match_oracles(gauss_eq, sample_cache):
 
 def test_clt_cos_prediction(gauss_eq, sample_cache):
     s = sample_cache("gaussian", n=150, beta=1.0, count=1500, seed=21)
-    rep = uni.clt_report(s, np.cos, gauss_eq, name="cos", h_prime=lambda x: -np.sin(x))
+    rep = uni.clt_report(s, np.cos, gauss_eq, name="cos")
     assert abs(rep.pred_mean - oracles.mean_shift_cos_oracle(1.0)) < 1e-9
     assert rep.passed(z_max=3.5)
 
@@ -48,6 +49,26 @@ def test_clt_exact_variance_anchor(gauss_eq, sample_cache):
     assert abs(rep.pred_var - 1.0) < 1e-10
     assert abs(rep.pred_mean) < 1e-12
     assert rep.passed(z_max=3.5)
+
+
+@pytest.mark.parametrize("which", ["gaussian", "quartic"])
+def test_clt_predictions_read_only_coefficients(monkeypatch, which, gauss_eq, quartic_eq, sample_cache):
+    # the centering, the variance and the mean shift are coefficient
+    # algebra on h's one resolved series: no principal-value quadrature
+    # and no semicircle rule
+    eq = gauss_eq if which == "gaussian" else quartic_eq
+    s = sample_cache("gaussian", n=150, beta=1.0, count=1500, seed=21)
+    want = {name: uni.clt_report(s, h, eq, name=name) for name, h in cli._H_BANK.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLT prediction took a quadrature")
+
+    monkeypatch.setattr(ops, "_pv_transform_numer", refuse)
+    monkeypatch.setattr(ops, "gauss_semicircle", refuse)
+    for name, h in cli._H_BANK.items():
+        got = uni.clt_report(s, h, eq, name=name)
+        w = want[name]
+        assert (got.centering, got.pred_mean, got.pred_var) == (w.centering, w.pred_mean, w.pred_var)
 
 
 def _skewed_sample(n, seed):
