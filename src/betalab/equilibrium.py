@@ -16,6 +16,7 @@ result through :class:`EquilibriumData`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import numpy.ma  # np.median imports it on its first call; load it with the package instead
@@ -95,6 +96,13 @@ class EquilibriumData:
         out = np.where(q_arr >= 1.0, 2.0, -2.0)
         out[inner] = 2.0 * np.cos(_invert_cdf(self.cdf_modes, q_arr[inner]))
         return out if np.ndim(q) else float(out)
+
+    @cached_property
+    def log_p_series(self) -> np.ndarray:
+        """1 + log p's chopped series on SIGMA, fitted once for the mean
+        shift (its mode form ignores the constant, which keeps the chop's
+        scale above a logarithm's rounding when p is nearly constant)."""
+        return ops._sigma_series(lambda x: 1.0 + np.log(self.p_value(x)), "log p")
 
     # -- serialization ---------------------------------------------------
 
@@ -279,10 +287,10 @@ def _contour_density(potential: Potential, contour_nodes: int):
 
     def p_at(x_real: np.ndarray) -> np.ndarray:
         # the quotients go through in row blocks of two reused buffers, each
-        # holding as many bytes as ops._PV_BLOCK floats
+        # holding as many bytes as ops._BLOCK floats
         dvx = np.asarray(potential.dv(x_real), dtype=complex)
         out = np.empty(x_real.size)
-        rows = max(1, min(x_real.size, ops._PV_BLOCK // (2 * contour_nodes)))
+        rows = max(1, min(x_real.size, ops._BLOCK // (2 * contour_nodes)))
         num = np.empty((rows, contour_nodes), dtype=complex)
         den = np.empty_like(num)
         for s in range(0, x_real.size, rows):

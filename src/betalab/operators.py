@@ -20,9 +20,10 @@ import numpy.fft  # numpy loads it lazily; load it with the package instead
 from .errors import NumericalError, UsageError
 
 SIGMA = (-2.0, 2.0)
-# entries of one row block of principal-value difference quotients or of
-# barycentric weights (256 KiB of floats)
-_PV_BLOCK = 1 << 15
+# entries of one row block of a pairwise array: cov_form's quotients,
+# barycentric weights, divided differences, contour quotients and the
+# phi_estimate chunks (256 KiB of floats)
+_BLOCK = 1 << 15
 # The one chop rule: a series ends after its last coefficient above
 # CHOP_REL of its largest one, and it is resolved (on the rounding plateau)
 # when that drops at least MIN_DROPPED coefficients. fit_resolved doubles
@@ -33,9 +34,9 @@ CHOP_REL = 1e-14
 MIN_DROPPED = 8
 FIT_START = 64
 FIT_MAX = 4096
-# the most and the fewest nodes of cov_form's principal-value rule
-_PV_NODES = 512
-_PV_MIN_NODES = 64
+# the most and the fewest nodes of cov_form's double-integral rule
+_COV_NODES = 512
+_COV_MIN_NODES = 64
 # nodes of the inversion identity on SIGMA
 _SIGMA_NODES = 256
 # truncation: the eigenvalue tail, and the reconstruction error it bounds
@@ -356,59 +357,19 @@ def semicircle_density(x):
 
 
 # ----------------------------------------------------------------------
-# the principal-value transform
-
-
-def _pv_transform_numer(h_prime, lam: np.ndarray, nodes: int = _PV_NODES) -> np.ndarray:
-    """The principal-value integral sum w_j h'(mu_j) / (lam - mu_j) against
-    the semicircle factor, with the singularity subtracted analytically.
-
-    Returns the numerator s(lam) such that the transform equals
-    s(lam) / (pi^2 sqrt(4 - lam^2)). The rule has ``nodes`` nodes, and
-    integrates the subtracted quotient exactly when h' is a polynomial of
-    degree at most 2 ``nodes``. The points go through in row blocks of
-    two reused buffers, the differences and the quotients, each of at
-    most ``_PV_BLOCK`` entries, so memory is bounded for any number of
-    points; a point within 1e-9 of a node takes the central-difference
-    limit of its quotient. Each row is reduced on its own, so a point's
-    value does not depend on the other points in its block.
-    """
-    mu, w = gauss_semicircle(nodes, SIGMA)
-    hp_mu = np.asarray(h_prime(mu), dtype=float)
-    hp_l = np.asarray(h_prime(lam), dtype=float)
-    out = np.empty(lam.size)
-    rows = max(1, min(lam.size, _PV_BLOCK // nodes))
-    diff = np.empty((rows, nodes))
-    quot = np.empty_like(diff)
-    for s in range(0, lam.size, rows):
-        k = min(rows, lam.size - s)
-        lb, d, q = lam[s : s + k], diff[:k], quot[:k]
-        np.subtract(lb[:, None], mu, out=d)
-        np.subtract(hp_mu, hp_l[s : s + k, None], out=q)
-        small = (d > -1e-9) & (d < 1e-9)
-        if np.any(small):
-            t = 1e-5
-            h2 = (np.asarray(h_prime(lb + t)) - np.asarray(h_prime(lb - t))) / (2.0 * t)
-            d[small] = 1.0
-            q /= d
-            q[small] = np.broadcast_to(-h2[:, None], small.shape)[small]
-        else:
-            q /= d
-        out[s : s + k] = np.vecdot(q, w)
-    # PV of the semicircle factor alone: integral sqrt(4-mu^2)/(lam-mu) = pi*lam
-    return out + hp_l * np.pi * lam
+# the covariance form
 
 
 @dataclass(frozen=True)
 class CovForm:
     """Both routes to the covariance quadratic form and their mismatch.
 
-    ``nodes`` is the size of the principal-value rule that gave ``pv``:
-    twice the chopped length of h's series on SIGMA, at least
-    ``_PV_MIN_NODES`` and at most ``_PV_NODES``.
+    ``nodes`` is the size n of the double-integral rule that gave
+    ``double_integral``: twice the chopped length of h's series on SIGMA,
+    at least ``_COV_MIN_NODES`` and at most ``_COV_NODES``.
     """
 
-    pv: float
+    double_integral: float
     cheb: float
     rel_discrepancy: float
     nodes: int
@@ -427,33 +388,57 @@ def _mode_form(a: np.ndarray, b: np.ndarray):
     return 0.5 * (a.T * k) @ b
 
 
+def _double_integral(h, nodes: int) -> float:
+    """The covariance form as (1 / 2 pi^2) int int ((h(x) - h(y)) / (x - y))^2
+    (4 - x y) / (sqrt(4 - x^2) sqrt(4 - y^2)) dx dy on SIGMA (Johansson,
+    Duke Math. J. 91, 1998), by first-kind rules of n = ``nodes`` nodes
+    in x and n + 1 in y: sum_ij q_ij^2 (4 - x_i y_j) / (2 n (n + 1)).
+
+    The two grids' angles differ by odd multiples of pi / 2n(n + 1), so
+    they share no node and each q_ij is a plain difference quotient of
+    h's values; n >= d makes both rules exact for a polynomial of degree
+    d. The x rows go through in row blocks of two reused buffers of at
+    most ``_BLOCK`` entries, each row reduced on its own, so the value
+    does not depend on the block size.
+    """
+    x, y = cheb_grid(nodes).nodes, cheb_grid(nodes + 1).nodes
+    hx, hy = np.asarray(h(x), dtype=float), np.asarray(h(y), dtype=float)
+    rows = max(1, min(nodes, _BLOCK // y.size))
+    quot = np.empty((rows, y.size))
+    wts = np.empty_like(quot)
+    sums = np.empty(nodes)
+    for s in range(0, nodes, rows):
+        k = min(rows, nodes - s)
+        q, w = quot[:k], wts[:k]
+        np.subtract(hx[s : s + k, None], hy, out=q)
+        np.subtract(x[s : s + k, None], y, out=w)
+        q /= w
+        q *= q
+        np.multiply.outer(x[s : s + k], y, out=w)
+        np.subtract(4.0, w, out=w)
+        sums[s : s + k] = np.vecdot(q, w)
+    return float(sums.sum() / (2.0 * nodes * (nodes + 1)))
+
+
 def cov_form(h, h_prime=None) -> CovForm:
     """Quadratic form of the symmetrized covariance operator, both routes.
 
     h is fitted once on SIGMA by :func:`fit_resolved`, resolved or not,
     and chopped to length L. The Chebyshev route is the mode sum
-    (1/2) sum_k k h_k^2 of :func:`_mode_form` over that series; the
-    principal-value route, its independent certificate, takes
-    min(``_PV_NODES``, max(``_PV_MIN_NODES``, 2 L)) nodes for its outer
-    and inner rules, and h' from the same series without ``h_prime``.
-    For a polynomial h of degree d the subtracted quotient has degree
-    d - 2 and s h degree at most 2 d, so d + 1 nodes make both rules
-    exact; 2 L leaves margin for an analytic h whose tail lies under
-    ``CHOP_REL``. Their relative discrepancy is reported so callers can
-    assert consistency.
+    (1/2) sum_k k h_k^2 of :func:`_mode_form` over that series; its
+    independent certificate is :func:`_double_integral`, which reads h's
+    values alone on min(``_COV_NODES``, max(``_COV_MIN_NODES``, 2 L))
+    nodes. A polynomial h of degree d needs d nodes; 2 L leaves margin
+    for an analytic h whose tail lies under ``CHOP_REL``. Their relative
+    discrepancy is reported so callers can assert consistency.
+    ``h_prime`` is ignored.
     """
     c = chop_coeffs(fit_resolved(lambda n, _: h(cheb_grid(n).nodes))[0])
-    nodes = min(_PV_NODES, max(_PV_MIN_NODES, 2 * c.size))
-    if h_prime is None:
-        d = cheb_der(c, SIGMA)
-        h_prime = lambda x: cheb_val(d, x, SIGMA)
-    x, scalar_w = gauss_inv_sqrt(nodes, SIGMA)
-    s = _pv_transform_numer(h_prime, x, nodes)
-    # the outer rule absorbs the 1/sqrt factor left in the transform
-    pv = float(scalar_w * np.sum(s * np.asarray(h(x), dtype=float)) / np.pi**2)
+    nodes = min(_COV_NODES, max(_COV_MIN_NODES, 2 * c.size))
+    double = _double_integral(h, nodes)
     cheb = float(_mode_form(c, c))
-    rel = abs(pv - cheb) / max(abs(pv), 1e-300)
-    return CovForm(pv=pv, cheb=cheb, rel_discrepancy=rel, nodes=nodes)
+    rel = abs(double - cheb) / max(abs(double), 1e-300)
+    return CovForm(double_integral=double, cheb=cheb, rel_discrepancy=rel, nodes=nodes)
 
 
 # ----------------------------------------------------------------------
@@ -577,7 +562,7 @@ def _divided_difference(coeffs, x, y):
     relative accuracy near either end of [-1, 1] and x = y on an end is
     exact. Points are clipped to [-1, 1]. The whole series is summed. The
     pairs go through in row blocks of two reused buffers of at most
-    ``_PV_BLOCK`` entries, and each row is reduced on its own, so a
+    ``_BLOCK`` entries, and each row is reduced on its own, so a
     pair's value does not depend on the other pairs.
     """
     u = np.clip(x, -1.0, 1.0)
@@ -589,7 +574,7 @@ def _divided_difference(coeffs, x, y):
     s, d = 0.5 * (a + b), 0.5 * (a - b)
     c = np.asarray(coeffs, dtype=float)[1:]
     k = np.arange(1.0, c.size + 1.0)
-    rows = max(1, min(s.size, _PV_BLOCK // k.size))
+    rows = max(1, min(s.size, _BLOCK // k.size))
     us = np.empty((rows, k.size))
     ud = np.empty_like(us)
     out = np.empty(s.size)
@@ -685,7 +670,7 @@ def _barycentric(grid: ChebGrid, vals: np.ndarray, y: np.ndarray) -> np.ndarray:
     first-kind nodes alternate in sign with magnitudes proportional to
     the grid weights; it is forward stable at Chebyshev points (Higham,
     IMA J. Numer. Anal. 2004). The points go through in row blocks of
-    one reused buffer of at most ``_PV_BLOCK`` entries, and each row is
+    one reused buffer of at most ``_BLOCK`` entries, and each row is
     reduced on its own, so a point's value does not depend on the other
     points in its call. A point on a node divides by zero; its row is
     then the node's values.
@@ -693,7 +678,7 @@ def _barycentric(grid: ChebGrid, vals: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = grid.nodes
     lam = grid.weights.copy()
     lam[1::2] *= -1.0
-    rows = max(1, min(y.size, _PV_BLOCK // x.size))
+    rows = max(1, min(y.size, _BLOCK // x.size))
     buf = np.empty((rows, x.size))
     out = np.empty((y.size, vals.shape[1]))
     for i in range(0, y.size, rows):
@@ -750,10 +735,10 @@ def _ritz_pairs(kmat: np.ndarray, s: np.ndarray):
 
 def _missed_part(kmat: np.ndarray, s: np.ndarray, theta: np.ndarray, psi: np.ndarray) -> float:
     """Largest entry of A - Q T Q^T, the part of A = S K S that the
-    Ritz pairs (theta, psi) miss, in row blocks of at most ``_PV_BLOCK``
+    Ritz pairs (theta, psi) miss, in row blocks of at most ``_BLOCK``
     entries."""
     n = s.size
-    rows = max(1, _PV_BLOCK // n)
+    rows = max(1, _BLOCK // n)
     worst = 0.0
     for i in range(0, n, rows):
         blk = np.multiply(kmat[i : i + rows], s)
@@ -910,12 +895,11 @@ def _mean_shift(c: np.ndarray, eq, beta: float) -> float:
 
     As T_k(+-1) = (+-1)^k, the edge term (h(-2) + h(2)) / 4 minus the
     arcsine term c_0 / 4 is half the even modes past the constant. The
-    log-derivative term is the mode form of h and log p, fitted as
-    1 + log p: the form ignores the constant, which sets the chop's scale
-    at a logarithm's rounding, so a nearly constant p (small g) resolves.
+    log-derivative term is the mode form of h and log p, whose series
+    the equilibrium fits once (``eq.log_p_series``).
     """
     edge_minus_arcsine = 0.5 * float(c[2::2].sum())
-    log_p = _sigma_series(lambda x: 1.0 + np.log(eq.p_value(x)), "log p")
+    log_p = eq.log_p_series
     m = min(c.size, log_p.size)
     t_logp = float(_mode_form(log_p[:m], c[:m]))
     return (1.0 - beta / 2.0) * (edge_minus_arcsine - 0.5 * t_logp)
@@ -953,7 +937,7 @@ def deformation_residual(eq, tmap) -> DeformationResidual:
     terms. N is half that, and at least ``_DEFORMATION_NODES``. The
     probes and the rule's nodes are mapped in one
     :meth:`~betalab.transport.TransportMap.value` call, and the kernel is
-    taken in row blocks of at most ``_PV_BLOCK`` entries.
+    taken in row blocks of at most ``_BLOCK`` entries.
     """
     lam, _ = gauss_inv_sqrt(_DEFORMATION_PROBES, SIGMA)
     nodes = max(_DEFORMATION_NODES, _deformation_degree(tmap.variable) // 2 + 1)
@@ -961,7 +945,7 @@ def deformation_residual(eq, tmap) -> DeformationResidual:
     z = np.asarray(tmap.value(np.concatenate((lam, mu))), dtype=float)
     z_lam, z_mu = z[: lam.size], z[lam.size :]
     inner = np.empty(lam.size)
-    rows = max(1, _PV_BLOCK // nodes)
+    rows = max(1, _BLOCK // nodes)
     for i in range(0, lam.size, rows):
         j = slice(i, i + rows)
         inner[j] = _log_ratio(tmap, lam[j, None], mu[None, :], z_lam[j, None], z_mu[None, :]) @ w

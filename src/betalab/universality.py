@@ -201,14 +201,14 @@ def phi_estimate(sample: EnsembleSample, eq, center: float, test) -> PhiEstimate
 
     u is the locally unfolded coordinate n * density(center) * (lambda -
     center); the test function should decay within a few unit spacings.
-    Configurations go through in row chunks of at most ``ops._PV_BLOCK``
+    Configurations go through in row chunks of at most ``ops._BLOCK``
     entries, so the temporaries of ``test`` stay bounded at any sample size.
     """
     scale = sample.n * eq.density(center)
     if scale <= 0:
         raise UsageError("invalid-spec", f"density vanishes at center {center}")
     configs = sample.configs
-    rows = max(1, ops._PV_BLOCK // configs.shape[1])
+    rows = max(1, ops._BLOCK // configs.shape[1])
     vals = np.empty(len(configs))
     for s in range(0, len(configs), rows):
         u = scale * (configs[s : s + rows] - center)

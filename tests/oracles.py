@@ -300,7 +300,8 @@ def pv_transform_numer_single_block(h_prime, lam, quad_nodes=512):
     lam^2)): the semicircle-weighted sum of (h'(mu_j) - h'(lam)) / (lam -
     mu_j) on the quad_nodes-point second-kind rule, plus h'(lam) pi lam.
     A point within 1e-9 of a node takes the central difference -h''(lam).
-    Memory grows like len(lam) * quad_nodes.
+    Each row is reduced on its own, so a point's value does not depend on
+    the other points. Memory grows like len(lam) * quad_nodes.
     """
     j = np.arange(1, quad_nodes + 1)
     mu = 2.0 * np.cos(j * np.pi / (quad_nodes + 1))[::-1]
@@ -319,7 +320,7 @@ def pv_transform_numer_single_block(h_prime, lam, quad_nodes=512):
         )
     else:
         quot = (hp_mu[None, :] - hp_l[:, None]) / diff
-    return quot @ w + hp_l * np.pi * lam
+    return np.vecdot(quot, w) + hp_l * np.pi * lam
 
 
 def config_gaps_per_row(sample, eq, center, halfwidth):
@@ -628,8 +629,7 @@ def eigendecompose_dense(kmat, grid, tail_tol=1e-12, recon_tol=1e-10):
 # ----------------------------------------------------------------------
 # operators that no library stage calls, moved here from the library with
 # their tests; unlike the oracles above they are built on the library's
-# transforms, its private principal-value quadrature and its log-kernel
-# mode factors
+# transforms, its fit and its log-kernel mode factors
 
 
 def cheb_coeffs(h, count: int, interval=ops.SIGMA) -> np.ndarray:
@@ -637,8 +637,7 @@ def cheb_coeffs(h, count: int, interval=ops.SIGMA) -> np.ndarray:
 
     Samples h on a 4x oversampled grid so that the returned coefficients
     are alias-free whenever h is resolved by the oversampled grid. They
-    are c with h = c[0]/2 + sum c[k] T_k on ``interval``; ``cov_form``'s
-    Chebyshev route is their first 65 at ``count`` = 64.
+    are c with h = c[0]/2 + sum c[k] T_k on ``interval``.
     """
     x = ops.cheb_grid(4 * max(count + 1, 8), interval).nodes
     return ops.coeffs_from_values(h(x))[: count + 1]
@@ -656,7 +655,7 @@ def density_fit_fixed(potential, nodes: int = 256, contour_nodes: int = 512) -> 
 
 def _derivative(h, h_prime):
     """``h_prime``, or else the derivative of h's chopped series on SIGMA
-    by ``ops.fit_resolved``, the series that ``cov_form`` differentiates."""
+    by ``ops.fit_resolved``, the series that ``cov_form`` sums."""
     if h_prime is not None:
         return h_prime
     d = ops.cheb_der(ops.chop_coeffs(ops.fit_resolved(lambda n, _: h(ops.cheb_grid(n).nodes))[0]), ops.SIGMA)
@@ -667,16 +666,17 @@ def apply_cov_op(h, lam, h_prime=None):
     """Pointwise covariance-form transform of h at interior points.
 
     The operator whose symmetrized quadratic form gives the limiting
-    variance of linear eigenvalue statistics, by the library's
-    principal-value quadrature with the singularity subtracted
-    (``ops._pv_transform_numer``), not by the Chebyshev-diagonal
-    shortcut. ``lam`` may have any shape; a scalar gives a float.
+    variance of linear eigenvalue statistics, by the principal-value
+    quadrature with the singularity subtracted
+    (:func:`pv_transform_numer_single_block`), not by the
+    Chebyshev-diagonal shortcut. ``lam`` may have any shape; a scalar
+    gives a float.
     """
     lam_arr = np.asarray(lam, dtype=float)
     if np.any(np.abs(lam_arr) >= 2.0):
         raise UsageError("out-of-domain", "transform is defined on the open interval (-2, 2)")
     flat = lam_arr.ravel()
-    s = ops._pv_transform_numer(_derivative(h, h_prime), flat)
+    s = pv_transform_numer_single_block(_derivative(h, h_prime), flat)
     out = s / (np.pi**2 * np.sqrt(4.0 - flat * flat))
     return out.reshape(lam_arr.shape) if lam_arr.ndim else float(out[0])
 

@@ -112,7 +112,7 @@ def test_criterion_3_operator_identities():
     for _ in range(20):
         deg = int(rng.integers(1, 11))
         poly = np.polynomial.Polynomial(rng.standard_normal(deg + 1) / np.arange(1.0, deg + 2.0))
-        route_worst = max(route_worst, ops.cov_form(poly, h_prime=poly.deriv()).rel_discrepancy)
+        route_worst = max(route_worst, ops.cov_form(poly).rel_discrepancy)
 
     norm_worst = 0.0
     decay_min = np.inf

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -290,6 +291,23 @@ def test_verify_quartic_passes_every_check(tmp_path, capsys):
     assert len(lines) == 10
     assert all(ln.startswith("PASS") for ln in lines), lines
     assert json.loads((tmp_path / "run.verify.json").read_text())["passed"] is True
+
+
+def test_verify_checks_match_the_benchmark_gate(tmp_path, capsys, monkeypatch):
+    # the benchmark gates each verify certificate by its own copy of the
+    # tolerance table; the CLI must list exactly those checks, with those
+    # tolerances
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    code, _, err = run_cli(["verify", "--g", "0.1", "-o", str(tmp_path)], capsys)
+    assert code == 0, err
+    checks = json.loads((tmp_path / "run.verify.json").read_text())["checks"]
+    assert {c["name"]: c["tolerance"] for c in checks} == workloads.TOLERANCES
+    assert len(checks) == 10 and all(c["passed"] for c in checks)
 
 
 def test_module_entry_point_runs_verify(tmp_path):

@@ -192,7 +192,7 @@ def test_contour_quadrature_working_set(monkeypatch):
         eq = solve_equilibrium(pot, contour_nodes=512, grid_nodes=256)
     assert peak.bytes <= 1 << 20
     # the row blocks do not change a bit of the density polynomial
-    monkeypatch.setattr(ops, "_PV_BLOCK", 1 << 30)
+    monkeypatch.setattr(ops, "_BLOCK", 1 << 30)
     whole = solve_equilibrium(pot, contour_nodes=512, grid_nodes=256)
     assert np.array_equal(eq.p_cheb, whole.p_cheb)
 

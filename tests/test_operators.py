@@ -218,9 +218,9 @@ def test_apply_cov_op_is_pointwise_for_any_shape():
 
 def test_cov_form_anchor_values():
     lin = ops.cov_form(lambda x: np.asarray(x, dtype=float))
-    assert abs(lin.pv - 2.0) < 1e-10
+    assert abs(lin.double_integral - 2.0) < 1e-10
     sq = ops.cov_form(lambda x: np.asarray(x, dtype=float) ** 2)
-    assert abs(sq.pv - 4.0) < 1e-10
+    assert abs(sq.double_integral - 4.0) < 1e-10
 
 
 def test_cov_form_route_agreement_random_polynomials():
@@ -229,75 +229,93 @@ def test_cov_form_route_agreement_random_polynomials():
         deg = int(rng.integers(1, 11))
         coeffs = rng.standard_normal(deg + 1) / np.arange(1.0, deg + 2.0)
         poly = np.polynomial.Polynomial(coeffs)
-        form = ops.cov_form(poly, h_prime=poly.deriv())
+        form = ops.cov_form(poly)
         assert form.rel_discrepancy < 1e-6
 
 
 def test_cov_form_matches_mode_sum_oracle():
     h = np.cos
-    form = ops.cov_form(h, h_prime=lambda x: -np.sin(x))
+    form = ops.cov_form(h)
     want = oracles.variance_form_oracle(h)
-    assert abs(form.pv - want) < 1e-8
+    assert abs(form.double_integral - want) < 1e-8
+
+
+def test_cov_form_reads_no_derivative(monkeypatch):
+    # the double integral reads h's values alone: a wrong h_prime changes
+    # no bit, and no derivative series is built
+    want = ops.cov_form(np.sin)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cov_form differentiated h")
+
+    monkeypatch.setattr(ops, "cheb_der", refuse)
+    assert ops.cov_form(np.sin, h_prime=np.sin) == want
+    assert ops.cov_form(np.sin) == want
 
 
 def _pv_form(h, h_prime, nodes):
-    """The principal-value route of ``cov_form`` on a rule of ``nodes`` nodes."""
+    """The principal-value route to the covariance form on a rule of
+    ``nodes`` nodes, by the oracle's quadrature: a third route, beside
+    the mode sum and the double integral."""
     x, scalar_w = ops.gauss_inv_sqrt(nodes)
-    s = ops._pv_transform_numer(h_prime, x, nodes=nodes)
+    s = oracles.pv_transform_numer_single_block(h_prime, x, quad_nodes=nodes)
     return float(scalar_w * np.sum(s * np.asarray(h(x), dtype=float)) / np.pi**2)
 
 
 def test_cov_form_rule_follows_polynomial_degree():
-    # degree <= 10: 64 nodes make both rules exact, and the 512-node rule
-    # agrees to rounding
+    # degree <= 10: the 64-node rule is exact, and agrees with the
+    # principal-value route on 512 nodes to rounding
     rng = np.random.default_rng(7)
     for deg in range(1, 11):
         poly = np.polynomial.Polynomial(rng.standard_normal(deg + 1))
-        form = ops.cov_form(poly, h_prime=poly.deriv())
+        form = ops.cov_form(poly)
         assert form.nodes == 64
         want = _pv_form(poly, poly.deriv(), 512)
-        assert abs(form.pv - want) <= 1e-14 * abs(want)
+        assert abs(form.double_integral - want) <= 1e-14 * abs(want)
 
 
 def test_cov_form_rule_follows_a_narrow_bump():
     # exp(-(x/0.1)^2) chops to 229 coefficients on its 256-node fit: the
-    # rule takes 458 nodes and agrees with 512 to 3e-15; 64 nodes miss by
-    # 5e-2. The Chebyshev route sums the whole resolved series, so the two
-    # routes agree to rounding (a 65-coefficient head missed by 5.1e-3)
+    # rule takes 458 nodes and agrees with the principal-value route on
+    # 512 to rounding; a 64-node double integral misses by 1.7e-6. The
+    # Chebyshev route sums the whole resolved series, so the two routes
+    # agree to rounding (a 65-coefficient head missed by 5.1e-3)
     h = lambda x: np.exp(-((np.asarray(x, dtype=float) / 0.1) ** 2))
     hp = lambda x: -200.0 * np.asarray(x, dtype=float) * h(x)
-    form = ops.cov_form(h, h_prime=hp)
+    form = ops.cov_form(h)
     assert form.nodes == 458
     assert form.rel_discrepancy < 1e-13
     want = _pv_form(h, hp, 512)
-    assert abs(form.pv - want) <= 1e-14 * abs(want)
-    assert abs(_pv_form(h, hp, 64) - want) > 1e-2 * abs(want)
+    assert abs(form.double_integral - want) <= 1e-14 * abs(want)
+    assert abs(ops._double_integral(h, 64) - want) > 1e-7 * abs(want)
     # 1/(1 + 25x^2) takes the full rule; a 65-coefficient head missed by 3.3e-5
     runge = lambda x: 1.0 / (1.0 + 25.0 * np.asarray(x, dtype=float) ** 2)
-    runge_p = lambda x: -50.0 * np.asarray(x, dtype=float) * runge(x) ** 2
-    assert ops.cov_form(runge, h_prime=runge_p).rel_discrepancy < 1e-13
+    assert ops.cov_form(runge).rel_discrepancy < 1e-13
 
 
 @pytest.mark.parametrize("h", [np.sin, np.exp, lambda x: 1.0 / (1.0 + x * x)], ids=["sin", "exp", "runge"])
 def test_cov_form_fitted_derivative_on_a_smaller_rule(h):
-    # without h_prime, h' is the derivative of the chopped series that the
-    # Chebyshev route sums; unchopped, a rounding tail scaled by the degree
-    # put up to 4.5e-14 into these forms on rules off the fit's nodes
+    # cov_form's rule, below the full one, against a 512-term mode sum;
+    # the principal-value route on that rule, with h' the derivative of
+    # the chopped series, agrees too (unchopped, a rounding tail scaled by
+    # the degree put up to 4.5e-14 into these forms)
     form = ops.cov_form(h)
     assert form.nodes < 512
     c = oracles.cheb_coeffs(h, 511)
     want = 0.5 * np.sum(np.arange(c.size) * c * c)
-    assert abs(form.pv - want) <= 2e-15 * want
+    assert abs(form.double_integral - want) <= 2e-15 * want
+    pv = _pv_form(h, oracles._derivative(h, None), form.nodes)
+    assert abs(pv - want) <= 2e-15 * want
 
 
 def test_cov_form_rule_is_capped_at_the_full_rule():
     # |x|^3 resolves only on the 4096-node fit (3937 coefficients): the
-    # rule stops at its 512-node cap, bit for bit
+    # rule stops at its 512-node cap, where the two routes agree to 2.1e-12
     h = lambda x: np.abs(np.asarray(x, dtype=float)) ** 3
-    hp = lambda x: 3.0 * np.asarray(x, dtype=float) * np.abs(np.asarray(x, dtype=float))
-    form = ops.cov_form(h, h_prime=hp)
+    form = ops.cov_form(h)
     assert form.nodes == 512
-    assert form.pv == _pv_form(h, hp, 512)
+    assert form.double_integral == ops._double_integral(h, 512)
+    assert form.rel_discrepancy < 1e-11
 
 
 def test_unresolved_function_is_refused(gauss_eq):
@@ -313,49 +331,31 @@ def test_unresolved_function_is_refused(gauss_eq):
         uni.clt_report(sample, h, gauss_eq)
     assert err.value.code == "unresolved-function"
     form = ops.cov_form(h)
-    assert form.nodes == 512 and np.isfinite(form.pv)
+    assert form.nodes == 512 and np.isfinite(form.double_integral)
 
 
-# rows of one principal-value block on the default 512-node rule
-PV_ROWS = ops._PV_BLOCK // 512
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 199])
+def test_cov_form_row_blocks_match_single_block(monkeypatch, rows):
+    # blocks of `rows` x rows of the full rule (63 under the default
+    # budget) against one block: each row is reduced on its own, so the
+    # form keeps its bits
+    h = lambda x: np.abs(np.asarray(x, dtype=float)) ** 3
+    monkeypatch.setattr(ops, "_BLOCK", 1 << 30)
+    want = ops._double_integral(h, 512)
+    monkeypatch.setattr(ops, "_BLOCK", rows * 513)
+    assert ops._double_integral(h, 512) == want
 
 
-@pytest.mark.parametrize("count", [1, PV_ROWS - 1, PV_ROWS, PV_ROWS + 1, 3 * PV_ROWS + 7])
-def test_pv_transform_row_blocks_match_single_block(count):
-    lam = np.random.default_rng(count).uniform(-1.99, 1.99, count)
-    hp = np.polynomial.Polynomial([0.3, -1.0, 0.5, 2.0, -0.7]).deriv()
-    got = ops._pv_transform_numer(hp, lam)
-    want = oracles.pv_transform_numer_single_block(hp, lam)
-    assert got.shape == (count,)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_pv_transform_points_on_the_nodes():
-    # every point sits exactly on a node of the 512-node semicircle rule,
-    # so each row takes the central-difference branch; the points fill
-    # several blocks and part of one more
-    mu, _ = ops.gauss_semicircle(512)
-    lam = np.concatenate([mu, mu[::-1], mu[::7]])
-    assert lam.size > 2 * PV_ROWS and lam.size % PV_ROWS
-    hp = lambda x: -np.sin(x)
-    got = ops._pv_transform_numer(hp, lam)
-    want = oracles.pv_transform_numer_single_block(hp, lam)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    # on-node points agree with the transform at points 1e-6 away
-    near = ops._pv_transform_numer(hp, mu[100:110] + 1e-6)
-    assert np.max(np.abs(got[100:110] - near)) < 1e-4
-
-
-def test_pv_transform_working_set():
-    # two reused block buffers of 256 KiB each, beside the 512-point arrays
-    # of an unresolved h; a cubic's 64-node rule holds far less
+def test_cov_form_working_set():
+    # two reused block buffers of 256 KiB each, beside the 4096-node fit
+    # of |x|^3; a cubic's 64-node rule holds far less
     cubic = np.polynomial.Polynomial([0.2, -1.0, 0.3, 0.5])
     with traced_peak() as peak:
-        ops.cov_form(cubic, h_prime=cubic.deriv())
+        ops.cov_form(cubic)
     assert peak.bytes <= 0.25 * 2**20
     h = lambda x: np.abs(np.asarray(x, dtype=float)) ** 3
     with traced_peak() as peak:
-        assert ops.cov_form(h, h_prime=lambda x: 3.0 * x * np.abs(x)).nodes == 512
+        assert ops.cov_form(h).nodes == 512
     assert peak.bytes <= 0.75 * 2**20
 
 
@@ -596,7 +596,7 @@ def test_close_pairs_at_the_window_ends():
 def test_kernel_and_spectrum_working_set(quartic_tmap):
     # the kernel: one n x n scratch beside the result. The spectrum forms
     # no n x n array: its Ritz data are n x r, and its row blocks at most
-    # _PV_BLOCK entries; it read 1.53 MiB, where the dense eigh held 16.1
+    # _BLOCK entries; it read 1.53 MiB, where the dense eigh held 16.1
     n = 1024
     grid = ops.cheb_grid(n, quartic_tmap.eq.interval)
     with traced_peak() as peak:
@@ -665,13 +665,13 @@ def test_kept_modes_match_their_whole_series(g, bound):
 
 
 def test_mode_working_set():
-    # beside its output, phi holds one buffer of at most _PV_BLOCK
+    # beside its output, phi holds one buffer of at most _BLOCK
     # barycentric weights and a block's products and denominators
     spec = _kernel_data("even-quartic", 0.1)[2]
     x = np.linspace(*spec.grid.interval, 100_000)
     with traced_peak() as peak:
         out = spec.phi(x, range(spec.stored))
-    assert peak.bytes <= out.nbytes + 3 * 8 * ops._PV_BLOCK
+    assert peak.bytes <= out.nbytes + 3 * 8 * ops._BLOCK
 
 
 @pytest.mark.parametrize("g,nplus,nminus", [
@@ -935,13 +935,13 @@ def test_deformation_identity_constancy(quartic_eq, quartic_tmap, gauss_eq, gaus
 def test_deformation_rule_follows_the_map(g):
     # the rule's nodes follow the map's chopped length (368 and 1038
     # nodes), where a fixed 256 read 4.9e-11 and 7.3e-6. The probe rows
-    # go through in blocks of at most _PV_BLOCK entries: one block's
+    # go through in blocks of at most _BLOCK entries: one block's
     # differences and results beside the closed form's two buffers read
     # 0.98 MiB at g=0.9, where one unblocked matrix is 1.5 MiB
     tmap = _transport_data("even-quartic", g)
     with traced_peak() as peak:
         res = ops.deformation_residual(tmap.eq, tmap)
-    assert peak.bytes <= 5 * 8 * ops._PV_BLOCK
+    assert peak.bytes <= 5 * 8 * ops._BLOCK
     assert res.residual < 1e-12
     assert abs(res.constant - (tmap.eq.robin_constant + 1.0)) < 1e-12
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -54,8 +55,7 @@ def test_clt_exact_variance_anchor(gauss_eq, sample_cache):
 @pytest.mark.parametrize("which", ["gaussian", "quartic"])
 def test_clt_predictions_read_only_coefficients(monkeypatch, which, gauss_eq, quartic_eq, sample_cache):
     # the centering, the variance and the mean shift are coefficient
-    # algebra on h's one resolved series: no principal-value quadrature
-    # and no semicircle rule
+    # algebra on h's one resolved series: no semicircle rule
     eq = gauss_eq if which == "gaussian" else quartic_eq
     s = sample_cache("gaussian", n=150, beta=1.0, count=1500, seed=21)
     want = {name: uni.clt_report(s, h, eq, name=name) for name, h in cli._H_BANK.items()}
@@ -63,12 +63,29 @@ def test_clt_predictions_read_only_coefficients(monkeypatch, which, gauss_eq, qu
     def refuse(*args, **kwargs):
         raise AssertionError("the CLT prediction took a quadrature")
 
-    monkeypatch.setattr(ops, "_pv_transform_numer", refuse)
     monkeypatch.setattr(ops, "gauss_semicircle", refuse)
     for name, h in cli._H_BANK.items():
         got = uni.clt_report(s, h, eq, name=name)
         w = want[name]
         assert (got.centering, got.pred_mean, got.pred_var) == (w.centering, w.pred_mean, w.pred_var)
+
+
+def test_log_p_is_fitted_once_per_equilibrium(monkeypatch, quartic_eq, sample_cache):
+    # three reports on one equilibrium fit each h once and log p once,
+    # and the cached series changes no bit: each report matches one made
+    # on a fresh copy, which fits log p itself
+    s = sample_cache("gaussian", n=150, beta=1.0, count=1500, seed=21)
+    assert len(cli._H_BANK) == 3
+    want = {name: uni.clt_report(s, h, dataclasses.replace(quartic_eq), name=name) for name, h in cli._H_BANK.items()}
+    calls = []
+    fit = ops.fit_resolved
+    monkeypatch.setattr(ops, "fit_resolved", lambda *a, **k: calls.append(1) or fit(*a, **k))
+    eq = dataclasses.replace(quartic_eq)
+    for name, h in cli._H_BANK.items():
+        got = uni.clt_report(s, h, eq, name=name)
+        w = want[name]
+        assert (got.centering, got.pred_mean, got.pred_var) == (w.centering, w.pred_mean, w.pred_var)
+    assert len(calls) == 4
 
 
 def _skewed_sample(n, seed):
@@ -258,11 +275,11 @@ def test_blocked_layouts_match_unblocked(monkeypatch, gauss_eq, quartic_eq):
     pot = make_potential("even-quartic", g=0.1)
     main = ens.sample_mcmc(pot, 12, 2.0, 100, seed=4, eq=quartic_eq)
     ref = ens.sample_gaussian(12, 2.0, 3000, seed=7)
-    assert ens._DRAW_CAP // (14 * 64) < 120 and ops._PV_BLOCK // 12 < ref.count
+    assert ens._DRAW_CAP // (14 * 64) < 120 and ops._BLOCK // 12 < ref.count
     dist = uni.universality_distance(main, quartic_eq, 0.0, ref, gauss_eq, 0.0, 0.3)
 
     monkeypatch.setattr(ens, "_run_sweeps", _run_sweeps_stacked)
-    monkeypatch.setattr(ops, "_PV_BLOCK", 1 << 30)
+    monkeypatch.setattr(ops, "_BLOCK", 1 << 30)
     want = ens.sample_mcmc(pot, 12, 2.0, 100, seed=4, eq=quartic_eq)
     assert np.array_equal(main.configs, want.configs)
     assert main.diagnostics == want.diagnostics
