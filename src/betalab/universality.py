@@ -9,6 +9,7 @@ linearization of a deformed ensemble around the reference one).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,13 @@ from .ensembles import (
 )
 from .errors import NumericalError, UsageError
 
-# Gauss-Legendre nodes per level of the linearization check's ordered grid
-_LINEARIZATION_GL_NODES = 96
+# Gauss-Legendre nodes per level of the linearization rule, tried in turn
+_LINEARIZATION_LADDER = (16, 24, 32, 48, 64, 96, 128, 192, 256)
+# the left route's relative move between rungs that marks the rule resolved
+_LINEARIZATION_TOL = 1e-12
+# largest ordered rule, in configurations: nodes**n rows, one per node of
+# each level, since each level is scaled into the interval below the next
+_LINEARIZATION_BUDGET = 2**20
 
 
 # ----------------------------------------------------------------------
@@ -379,6 +385,19 @@ def hamiltonian_identity_residual(
     )
 
 
+@functools.cache
+def _gh_rule(gh_nodes: int):
+    """The gh_nodes-point rule for a standard normal, folded on its symmetry:
+    the positive nodes, their doubled weights and the zero node's weight.
+    Computed once per node count, read-only."""
+    x, w = np.polynomial.hermite_e.hermegauss(gh_nodes)
+    w = w / w.sum()
+    pos = x > 0
+    xp, wp = x[pos], 2.0 * w[pos]
+    xp.flags.writeable = wp.flags.writeable = False
+    return xp, wp, float(w[x == 0].sum())
+
+
 def _gauss_hermite_factors(q: np.ndarray, c2: np.ndarray, gh_nodes: int) -> np.ndarray:
     """E exp(q[:, k] sqrt(c2[k]) X), X standard normal, by the gh_nodes-point rule.
 
@@ -388,17 +407,31 @@ def _gauss_hermite_factors(q: np.ndarray, c2: np.ndarray, gh_nodes: int) -> np.n
     weight alone. Real arithmetic throughout. Shape of ``q``: (configs,
     modes).
     """
-    x, w = np.polynomial.hermite_e.hermegauss(gh_nodes)
-    w = w / w.sum()
-    pos = x > 0
-    xp, wp = x[pos], 2.0 * w[pos]
-    w0 = float(w[x == 0].sum())
+    xp, wp, w0 = _gh_rule(gh_nodes)
     a = np.sqrt(np.abs(c2))
     out = np.empty(q.shape)
     for k in range(q.shape[1]):
         f = np.cosh if c2[k] > 0 else np.cos
         out[:, k] = f(np.multiply.outer(q[:, k], a[k] * xp)) @ wp + w0
     return out
+
+
+def _linearization_rule(eq, tmap, n: int, nodes: int):
+    """The linearization check's ordered Gauss-Legendre rule, in the map's variable.
+
+    The rule is ``nodes`` points per level in t = ``tmap.variable.t``
+    over the box |lambda| < 2 + eps / 2; x(t) is increasing, so the
+    ordered region in t is the ordered region in lambda. Returns the
+    distinct coordinates lambda = x(t), the (configs, n) index array
+    into them, and the log weights, the Jacobian sum of log x'(t)
+    included. For an affine variable this is the plain rule in lambda.
+    """
+    var = tmap.variable
+    box = var.t(np.array([-(2.0 + 0.5 * eq.eps), 2.0 + 0.5 * eq.eps]))
+    tc, logw = map(np.concatenate, zip(*_ordered_chunks(n, box, nodes)))
+    ts, where = np.unique(tc, return_inverse=True)
+    where = where.reshape(tc.shape)
+    return var.x(ts), where, logw + np.log(var.dx(ts))[where].sum(axis=1)
 
 
 @dataclass
@@ -409,6 +442,8 @@ class LinearizationResult:
     n: int
     beta: float
     modes: int
+    gl_nodes: int
+    quadrature_change: float
 
 
 def linearization_check(
@@ -432,27 +467,52 @@ def linearization_check(
     Agreement validates the entire decomposition chain end to end at
     small n, with no sampling noise involved. ``modes`` defaults to the
     spectrum's truncation, every mode it keeps.
+
+    Both routes share one ordered Gauss-Legendre rule in the map's
+    Chebyshev variable (:func:`_linearization_rule`), whose sinh change
+    of variables resolves the integrand's near-real singularity, the
+    map's, with few nodes (Tee and Trefethen, SIAM J. Sci. Comput. 28,
+    2006). The node count climbs ``_LINEARIZATION_LADDER`` until the
+    left route moves by at most ``_LINEARIZATION_TOL`` relative from the
+    previous rung; ``gl_nodes`` and ``quadrature_change`` record the rung
+    and that move. The right route is evaluated once, on that rule: the
+    identity holds pointwise, so the rule's error cancels between the
+    routes. Raises "unresolved-quadrature" if no rung within
+    ``_LINEARIZATION_BUDGET`` configurations resolves the left route,
+    and "dimension-too-large" outside 1 <= n <= 4.
     """
-    box = (-(2.0 + 0.5 * eq.eps), 2.0 + 0.5 * eq.eps)
+    n = int(n)
+    if not 1 <= n <= 4:
+        raise UsageError("dimension-too-large", f"the linearization check supports 1 <= n <= 4, got {n}")
     if modes is None:
         modes = spectrum.truncation
     modes = int(min(modes, len(spectrum.eigenvalues)))
 
-    configs, logw = map(np.concatenate, zip(*_ordered_chunks(int(n), box, _LINEARIZATION_GL_NODES)))
-    obs = np.asarray(observable(configs), dtype=float)
-    # configurations share their Gauss-Legendre coordinates: evaluate the
-    # map and the modes once per distinct coordinate
-    nodes, where = np.unique(configs, return_inverse=True)
-    where = where.reshape(configs.shape)
-    zeta, zp = tmap.value_and_derivative(nodes)
-    zeta = zeta[where]
-    logzp = np.log(zp)[where].sum(axis=1)
+    prev, change = None, np.inf
+    for m in (m for m in _LINEARIZATION_LADDER if m**n <= _LINEARIZATION_BUDGET):
+        # configurations share their coordinates: evaluate the map and the
+        # modes once per distinct coordinate
+        nodes, where, logw = _linearization_rule(eq, tmap, n, m)
+        configs = nodes[where]
+        obs = np.asarray(observable(configs), dtype=float)
+        zeta, zp = tmap.value_and_derivative(nodes)
+        logzp = np.log(zp)[where].sum(axis=1)
+        log_exact = _log_density_ordered(eq.potential.v, beta, n, zeta[where]) + logzp + logw
+        we = np.exp(log_exact - log_exact.max())
+        left = float((we @ obs) / we.sum())
+        if prev is not None:
+            change = abs(left - prev) / max(abs(left), 1e-30)
+            if change <= _LINEARIZATION_TOL:
+                break
+        prev = left
+    else:
+        raise NumericalError(
+            "unresolved-quadrature",
+            f"the linearization check's left route still moves by {change:.3g} relative at "
+            f"{m} nodes per level, the largest rule within {_LINEARIZATION_BUDGET} configurations",
+        )
 
-    log_exact = _log_density_ordered(eq.potential.v, beta, int(n), zeta) + logzp + logw
-    we = np.exp(log_exact - log_exact.max())
-    left = float((we @ obs) / we.sum())
-
-    log_ref = _log_density_ordered(lambda x: 0.5 * x * x, beta, int(n), configs) + logw
+    log_ref = _log_density_ordered(lambda x: 0.5 * x * x, beta, n, configs) + logw
     wr = np.exp(log_ref - log_ref.max())
 
     eta = spectrum.eigenvalues[:modes]
@@ -467,7 +527,9 @@ def linearization_check(
         left=left,
         right=right,
         rel_discrepancy=abs(left - right) / scale,
-        n=int(n),
+        n=n,
         beta=float(beta),
         modes=modes,
+        gl_nodes=m,
+        quadrature_change=change,
     )

@@ -241,22 +241,58 @@ def ordered_grid_expectation(vfun, n, beta, observables, box, nodes):
     return np.array([wgt @ ob(configs) for ob in observables]) / wgt.sum()
 
 
+def linearization_plain(eq, tmap, spectrum, beta, observable, n, modes, gh_nodes, nodes):
+    """Both routes of the linearization check on a fixed plain rule in lambda.
+
+    The ordered Gauss-Legendre rule takes ``nodes`` points per level in
+    lambda itself, with no change of variables, and both routes are
+    evaluated once on it, with the package's densities and Gauss-Hermite
+    factors. Returns (left, right). Near a critical potential the map's
+    near-real singularity needs far more nodes here than in the map's
+    variable.
+    """
+    from betalab.ensembles import _log_density_ordered, _ordered_chunks
+    from betalab.universality import _gauss_hermite_factors
+
+    box = (-(2.0 + 0.5 * eq.eps), 2.0 + 0.5 * eq.eps)
+    configs, logw = map(np.concatenate, zip(*_ordered_chunks(n, box, nodes)))
+    obs = np.asarray(observable(configs), dtype=float)
+    zeta, zp = tmap.value_and_derivative(configs)
+    logzp = np.log(zp).sum(axis=1)
+
+    log_exact = _log_density_ordered(eq.potential.v, beta, n, zeta) + logzp + logw
+    we = np.exp(log_exact - log_exact.max())
+    log_ref = _log_density_ordered(lambda x: 0.5 * x * x, beta, n, configs) + logw
+    wr = np.exp(log_ref - log_ref.max())
+
+    eta = spectrum.eigenvalues[:modes]
+    proj = spectrum.semicircle_proj[:modes]
+    q = spectrum.phi(configs.ravel(), range(modes)).reshape(len(configs), n, modes).sum(axis=1) - n * proj
+    w_mode = np.prod(_gauss_hermite_factors(q, beta * eta, gh_nodes), axis=1)
+    wfull = wr * w_mode * np.exp(-(0.5 * beta - 1.0) * logzp)
+    return float((we @ obs) / we.sum()), float((wfull @ obs) / wfull.sum())
+
+
 def linearization_right_tensor(
-    eq, tmap, spectrum, beta, observable, n, modes, gh_nodes, gl_nodes=96, jacobian=True
+    eq, tmap, spectrum, beta, observable, n, modes, gh_nodes, gl_nodes, jacobian=True
 ):
     """Right route of the linearization check on the full tensor-product rule.
 
     Averages exp(q . s) over every point of the gh_nodes**modes
-    Gauss-Hermite tensor grid instead of factorizing the rule per mode. The configuration quadrature and the reference density
-    are the package's own, so the two routes differ only in the
-    auxiliary-integral weight. Cost grows like gh_nodes**modes.
-    ``jacobian=False`` drops the (beta/2 - 1) log-derivative weight, a
-    wrong route for negative controls (it is exact at beta=2).
+    Gauss-Hermite tensor grid instead of factorizing the rule per mode.
+    The configuration quadrature is the package's own rule in the map's
+    variable at ``gl_nodes`` nodes per level (pass the result's
+    ``gl_nodes``), and the reference density is the package's too, so
+    the two routes differ only in the auxiliary-integral weight. Cost
+    grows like gh_nodes**modes. ``jacobian=False`` drops the
+    (beta/2 - 1) log-derivative weight, a wrong route for negative
+    controls (it is exact at beta=2).
     """
-    from betalab.ensembles import _log_density_ordered, _ordered_chunks
+    from betalab.ensembles import _log_density_ordered
+    from betalab.universality import _linearization_rule
 
-    box = (-(2.0 + 0.5 * eq.eps), 2.0 + 0.5 * eq.eps)
-    configs, logw = map(np.concatenate, zip(*_ordered_chunks(n, box, gl_nodes)))
+    nodes, where, logw = _linearization_rule(eq, tmap, n, gl_nodes)
+    configs = nodes[where]
     obs = np.asarray(observable(configs), dtype=float)
     log_ref = _log_density_ordered(lambda x: 0.5 * x * x, beta, n, configs) + logw
     wr = np.exp(log_ref - log_ref.max())

@@ -13,6 +13,7 @@ from betalab import cli
 from betalab import ensembles as ens
 from betalab import operators as ops
 from betalab import universality as uni
+from betalab.equilibrium import solve_equilibrium
 from betalab.errors import NumericalError, UsageError
 from betalab.potentials import make_potential
 from betalab.transport import solve_transport
@@ -378,8 +379,9 @@ def test_whole_series_recurrence_passes(monkeypatch, quartic_eq, quartic_spectru
     assert series_passes(tmap) == ["both"]
     uni.hamiltonian_identity_residual(quartic_eq, tmap, quartic_spectrum, 2.0, _probe_configs(50, 8, seed=5))
     assert series_passes(tmap) == ["both"]
-    uni.linearization_check(quartic_eq, tmap, quartic_spectrum, 2.0, lambda c: (c**2).sum(axis=1), n=2, modes=3)
-    assert series_passes(tmap) == ["both"]
+    # one pass per rung of the linearization rule's ladder
+    out = uni.linearization_check(quartic_eq, tmap, quartic_spectrum, 2.0, lambda c: (c**2).sum(axis=1), n=2, modes=3)
+    assert series_passes(tmap) == ["both"] * (uni._LINEARIZATION_LADDER.index(out.gl_nodes) + 1)
     ops.kernel_matrix(tmap, ops.cheb_grid(256, tmap.eq.interval))
     assert series_passes(tmap) == ["both"]
 
@@ -413,7 +415,7 @@ def test_linearization_factorized_weight_matches_tensor_grid(quartic_eq, quartic
         quartic_eq, quartic_tmap, quartic_spectrum, 1.0, obs, n=2, modes=3, gh_nodes=6
     )
     want = oracles.linearization_right_tensor(
-        quartic_eq, quartic_tmap, quartic_spectrum, 1.0, obs, n=2, modes=3, gh_nodes=6
+        quartic_eq, quartic_tmap, quartic_spectrum, 1.0, obs, n=2, modes=3, gh_nodes=6, gl_nodes=out.gl_nodes
     )
     assert abs(out.right - want) < 1e-12 * abs(want)
 
@@ -427,6 +429,10 @@ def test_gauss_hermite_factors_match_complex_form(gh_nodes):
     got = uni._gauss_hermite_factors(q, c2, gh_nodes)
     want = oracles.gauss_hermite_factors_complex(q, c2, gh_nodes)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
+    # the rule is built once per node count and shared read-only
+    rule = uni._gh_rule(gh_nodes)
+    assert uni._gh_rule(gh_nodes) is rule
+    assert not any(a.flags.writeable for a in rule[:2])
 
 
 def test_linearization_truncation_control(quartic_eq, quartic_tmap, quartic_spectrum):
@@ -447,7 +453,8 @@ def test_linearization_jacobian_control(quartic_eq, quartic_tmap, quartic_spectr
     )
     assert full.rel_discrepancy < 1e-3
     broken = oracles.linearization_right_tensor(
-        quartic_eq, quartic_tmap, quartic_spectrum, 1.0, obs, n=2, modes=3, gh_nodes=6, jacobian=False
+        quartic_eq, quartic_tmap, quartic_spectrum, 1.0, obs, n=2, modes=3, gh_nodes=6,
+        gl_nodes=full.gl_nodes, jacobian=False,
     )
     assert abs(full.left - broken) / abs(full.left) > 1e-2
 
@@ -458,6 +465,48 @@ def test_linearization_gaussian_degenerate(gauss_eq, gauss_tmap, gauss_spectrum)
         gauss_eq, gauss_tmap, gauss_spectrum, 2.0, obs, n=2, modes=0
     )
     assert out.rel_discrepancy < 1e-10
+
+
+def _quartic_chain(g):
+    eq = solve_equilibrium(make_potential("even-quartic", g=g))
+    tmap = solve_transport(eq)
+    grid = ops.cheb_grid(256, eq.interval)
+    return eq, tmap, ops.eigendecompose(ops.kernel_matrix(tmap, grid), grid)
+
+
+def test_linearization_rule_follows_the_integrand(quartic_eq, quartic_tmap, quartic_spectrum):
+    # g=0.1 resolves on a small rule in the map's variable; both routes
+    # agree with the plain rule in lambda at 96 nodes, which is resolved there
+    obs = lambda c: (c**2).sum(axis=1)
+    out = uni.linearization_check(quartic_eq, quartic_tmap, quartic_spectrum, 2.0, obs, n=2, modes=3, gh_nodes=12)
+    assert out.gl_nodes <= 32
+    assert out.quadrature_change <= uni._LINEARIZATION_TOL
+    left, right = oracles.linearization_plain(
+        quartic_eq, quartic_tmap, quartic_spectrum, 2.0, obs, n=2, modes=3, gh_nodes=12, nodes=96
+    )
+    assert abs(out.left - left) < 1e-10 * abs(left)
+    assert abs(out.right - right) < 1e-10 * abs(right)
+
+    # g=0.8: the map's near-real singularity; the plain rule needs 384
+    # nodes where the mapped one stops by 128, and misses at 96 (1.2e-5);
+    # a rule stopped at a looser move misses by 1.7e-11 (48 nodes)
+    eq, tmap, spec = _quartic_chain(0.8)
+    out = uni.linearization_check(eq, tmap, spec, 2.0, obs, n=2)
+    assert out.gl_nodes <= 128
+    want = oracles.linearization_plain(eq, tmap, spec, 2.0, obs, n=2, modes=0, gh_nodes=24, nodes=384)[0]
+    assert abs(out.left - want) < 1e-12 * abs(want)
+    coarse = oracles.linearization_plain(eq, tmap, spec, 2.0, obs, n=2, modes=0, gh_nodes=24, nodes=96)[0]
+    assert abs(coarse - want) > 1e-6 * abs(want)
+    # every kept mode: the routes agree to the kernel's accuracy, not the rule's
+    assert out.rel_discrepancy < 2e-8
+
+
+def test_linearization_unresolved_raises(monkeypatch):
+    eq, tmap, spec = _quartic_chain(0.5)
+    monkeypatch.setattr(uni, "_LINEARIZATION_LADDER", uni._LINEARIZATION_LADDER[:2])
+    with pytest.raises(NumericalError) as err:
+        uni.linearization_check(eq, tmap, spec, 2.0, lambda c: (c**2).sum(axis=1), n=2, modes=3)
+    assert err.value.code == "unresolved-quadrature"
 
 
 def test_linearization_dimension_guard(quartic_eq, quartic_tmap, quartic_spectrum):
