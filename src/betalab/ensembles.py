@@ -618,27 +618,32 @@ def save_sample(sample: EnsembleSample, path) -> None:
 
 
 def load_sample(path) -> EnsembleSample:
+    """Read a container written by :func:`save_sample`. A malformed one
+    (bad magic, cut short, or a header that is not its JSON with every
+    key) raises "invalid-spec"."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _MAGIC:
             raise UsageError("invalid-spec", f"not a sample container: bad magic {magic!r}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        raw = fh.read()
-    count, n = int(header["count"]), int(header["n"])
+        try:
+            (hlen,) = struct.unpack("<I", fh.read(4))
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+            raw = fh.read()
+            count, n = int(header["count"]), int(header["n"])
+            fields = dict(
+                beta=float(header["beta"]),
+                window=tuple(header["window"]),
+                kind=str(header["kind"]),
+                potential_label=str(header["potential_label"]),
+                seed=int(header["seed"]),
+                diagnostics=dict(header["diagnostics"]),
+            )
+        except (struct.error, ValueError, KeyError, TypeError) as err:
+            raise UsageError("invalid-spec", f"malformed sample container header: {err!r}") from err
     expect = count * n * 8
     if len(raw) != expect:
         raise UsageError(
             "invalid-spec", f"payload size {len(raw)} does not match header ({expect})"
         )
     configs = np.frombuffer(raw, dtype="<f8").reshape(count, n).copy()
-    return EnsembleSample(
-        configs=configs,
-        beta=float(header["beta"]),
-        n=n,
-        window=tuple(header["window"]),
-        kind=str(header["kind"]),
-        potential_label=str(header["potential_label"]),
-        seed=int(header["seed"]),
-        diagnostics=dict(header["diagnostics"]),
-    )
+    return EnsembleSample(configs=configs, n=n, **fields)

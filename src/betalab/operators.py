@@ -49,7 +49,8 @@ _RECON_TOL = 1e-10
 _SUBSPACE_RANK = 48
 _POWER_STEPS = 2
 _SUBSPACE_SEED = 0
-# the deformation identity's inverse square-root probes and semicircle rule
+# the deformation identity's inverse square-root probes, and its semicircle
+# rule's nodes in the map's variable, one count for every potential
 _DEFORMATION_PROBES = 192
 _DEFORMATION_NODES = 256
 # pairs of the log-ratio kernel closer than this take the divided
@@ -341,14 +342,19 @@ def gauss_inv_sqrt(n: int, interval=SIGMA):
     return cheb_grid(n, interval).nodes, np.pi / n
 
 
-def gauss_semicircle(n: int, interval=SIGMA):
-    """Nodes and weights for integrals of g(x) * sqrt((b-x)(x-a))."""
-    lo, hi = interval
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    j = np.arange(1, n + 1)
-    u = np.cos(j * np.pi / (n + 1))[::-1]
+def gauss_semicircle(n: int, var: SinhVariable):
+    """Nodes and weights for integrals of g(x) * sqrt((b-x)(x-a)) over
+    ``var.interval`` (a, b): the n-point second-kind Gauss rule in the
+    variable t, transplanted (Hale and Trefethen, SIAM J. Numer. Anal. 46,
+    2008). As x(1) = b and x(-1) = a, the factor is sqrt(1 - t^2) times
+    sqrt(dd(1, t) dd(t, -1)) for dd the variable's divided difference,
+    formed without cancellation at the ends; the weights carry it and
+    x'(t). An affine ``var`` gives the plain rule."""
+    j = np.arange(n, 0, -1)
+    t = np.cos(j * np.pi / (n + 1))
     w = (np.pi / (n + 1)) * np.sin(j * np.pi / (n + 1)) ** 2
-    return mid + half * u, (half * half) * w[::-1]
+    edge = var.divided_difference(1.0, t) * var.divided_difference(t, -1.0)
+    return var.x(t), w * var.dx(t) * np.sqrt(edge)
 
 
 def semicircle_density(x):
@@ -905,14 +911,6 @@ def _mean_shift(c: np.ndarray, eq, beta: float) -> float:
     return (1.0 - beta / 2.0) * (edge_minus_arcsine - 0.5 * t_logp)
 
 
-def _deformation_degree(var: SinhVariable) -> int:
-    """ln(1e16) / ln(rho) for the Bernstein parameter rho of the map's
-    singularity c + i eps on its window."""
-    lo, hi = var.interval
-    w = (complex(var.center, var.width) - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
-    return int(np.log(1e16) / np.log(abs(w + np.sqrt(w - 1.0) * np.sqrt(w + 1.0))))
-
-
 @dataclass(frozen=True)
 class DeformationResidual:
     residual: float
@@ -930,22 +928,21 @@ def deformation_residual(eq, tmap) -> DeformationResidual:
     Robin constant offset between target and reference; the residual is
     the max deviation from it.
 
-    The semicircle rule with N nodes is exact to degree 2N - 1, so N
-    follows the map's singularity at c +- i eps: with rho its Bernstein
-    parameter on the window, a series singular there has decayed to
-    1e-16 of its largest term, past rounding, after ln(1e16) / ln(rho)
-    terms. N is half that, and at least ``_DEFORMATION_NODES``. The
-    probes and the rule's nodes are mapped in one
+    The semicircle rule is :func:`gauss_semicircle` in a sinh variable
+    on ``SIGMA`` with the map's center and width, so its
+    ``_DEFORMATION_NODES`` nodes cluster at the map's singularity c +- i
+    eps as the map's own series does, and one node count serves every
+    potential. The probes and the rule's nodes are mapped in one
     :meth:`~betalab.transport.TransportMap.value` call, and the kernel is
     taken in row blocks of at most ``_BLOCK`` entries.
     """
     lam, _ = gauss_inv_sqrt(_DEFORMATION_PROBES, SIGMA)
-    nodes = max(_DEFORMATION_NODES, _deformation_degree(tmap.variable) // 2 + 1)
-    mu, w = gauss_semicircle(nodes, SIGMA)
+    var = SinhVariable(SIGMA, tmap.variable.center, tmap.variable.width)
+    mu, w = gauss_semicircle(_DEFORMATION_NODES, var)
     z = np.asarray(tmap.value(np.concatenate((lam, mu))), dtype=float)
     z_lam, z_mu = z[: lam.size], z[lam.size :]
     inner = np.empty(lam.size)
-    rows = max(1, _BLOCK // nodes)
+    rows = max(1, _BLOCK // mu.size)
     for i in range(0, lam.size, rows):
         j = slice(i, i + rows)
         inner[j] = _log_ratio(tmap, lam[j, None], mu[None, :], z_lam[j, None], z_mu[None, :]) @ w

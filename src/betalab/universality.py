@@ -9,7 +9,6 @@ linearization of a deformed ensemble around the reference one).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,37 +384,6 @@ def hamiltonian_identity_residual(
     )
 
 
-@functools.cache
-def _gh_rule(gh_nodes: int):
-    """The gh_nodes-point rule for a standard normal, folded on its symmetry:
-    the positive nodes, their doubled weights and the zero node's weight.
-    Computed once per node count, read-only."""
-    x, w = np.polynomial.hermite_e.hermegauss(gh_nodes)
-    w = w / w.sum()
-    pos = x > 0
-    xp, wp = x[pos], 2.0 * w[pos]
-    xp.flags.writeable = wp.flags.writeable = False
-    return xp, wp, float(w[x == 0].sum())
-
-
-def _gauss_hermite_factors(q: np.ndarray, c2: np.ndarray, gh_nodes: int) -> np.ndarray:
-    """E exp(q[:, k] sqrt(c2[k]) X), X standard normal, by the gh_nodes-point rule.
-
-    The rule is symmetric, so each pair of nodes +-x adds 2 w cosh(a q x)
-    with a = sqrt(c2) when c2 > 0, and 2 w cos(a q x) with a = sqrt(-c2)
-    when c2 < 0 (the root is imaginary); an odd rule's zero node adds its
-    weight alone. Real arithmetic throughout. Shape of ``q``: (configs,
-    modes).
-    """
-    xp, wp, w0 = _gh_rule(gh_nodes)
-    a = np.sqrt(np.abs(c2))
-    out = np.empty(q.shape)
-    for k in range(q.shape[1]):
-        f = np.cosh if c2[k] > 0 else np.cos
-        out[:, k] = f(np.multiply.outer(q[:, k], a[k] * xp)) @ wp + w0
-    return out
-
-
 def _linearization_rule(eq, tmap, n: int, nodes: int):
     """The linearization check's ordered Gauss-Legendre rule, in the map's variable.
 
@@ -454,19 +422,21 @@ def linearization_check(
     observable,
     n: int = 2,
     modes: int | None = None,
-    gh_nodes: int = 24,
+    gh_nodes=None,
 ) -> LinearizationResult:
     """Deterministic two-route expectation of a symmetric observable.
 
     Left route: quadrature against the exact transported law of the
     deformed ensemble. Right route: quadrature against the reference
-    ensemble reweighted through the diagonalized quadratic form, with
-    each mode decoupled by a Gauss-Hermite auxiliary integral, summed in
-    real arithmetic (:func:`_gauss_hermite_factors`). The tensor-product
-    rule over the modes factorizes, so the weight is a product of 1-D sums.
-    Agreement validates the entire decomposition chain end to end at
-    small n, with no sampling noise involved. ``modes`` defaults to the
-    spectrum's truncation, every mode it keeps.
+    ensemble reweighted through the diagonalized quadratic form. Each
+    mode's auxiliary Gaussian integral is taken in closed form,
+    E exp(sqrt(beta eta_k) q_k X) = exp(beta eta_k q_k^2 / 2) for either
+    sign of eta_k (the root is imaginary when eta_k < 0), so the right
+    route's log weight is the reference one plus (beta/2) sum_k eta_k
+    q_k^2 - (beta/2 - 1) sum_i log zeta'(lambda_i). Agreement validates
+    the entire decomposition chain end to end at small n, with no
+    sampling noise involved. ``modes`` defaults to the spectrum's
+    truncation, every mode it keeps; ``gh_nodes`` is ignored.
 
     Both routes share one ordered Gauss-Legendre rule in the map's
     Chebyshev variable (:func:`_linearization_rule`), whose sinh change
@@ -479,11 +449,12 @@ def linearization_check(
     identity holds pointwise, so the rule's error cancels between the
     routes. Raises "unresolved-quadrature" if no rung within
     ``_LINEARIZATION_BUDGET`` configurations resolves the left route,
-    and "dimension-too-large" outside 1 <= n <= 4.
+    and "dimension-too-large" outside 1 <= n <= 3: the rule has nodes^n
+    rows, and at n=4 none within the budget resolves.
     """
     n = int(n)
-    if not 1 <= n <= 4:
-        raise UsageError("dimension-too-large", f"the linearization check supports 1 <= n <= 4, got {n}")
+    if not 1 <= n <= 3:
+        raise UsageError("dimension-too-large", f"the linearization check supports 1 <= n <= 3, got {n}")
     if modes is None:
         modes = spectrum.truncation
     modes = int(min(modes, len(spectrum.eigenvalues)))
@@ -512,14 +483,12 @@ def linearization_check(
             f"{m} nodes per level, the largest rule within {_LINEARIZATION_BUDGET} configurations",
         )
 
-    log_ref = _log_density_ordered(lambda x: 0.5 * x * x, beta, n, configs) + logw
-    wr = np.exp(log_ref - log_ref.max())
-
     eta = spectrum.eigenvalues[:modes]
     proj = spectrum.semicircle_proj[:modes]
     q = spectrum.phi(nodes, range(modes))[where].sum(axis=1) - n * proj
-    w_mode = np.prod(_gauss_hermite_factors(q, beta * eta, gh_nodes), axis=1)
-    wfull = wr * w_mode * np.exp(-(0.5 * beta - 1.0) * logzp)
+    log_ref = _log_density_ordered(lambda x: 0.5 * x * x, beta, n, configs) + logw
+    log_full = log_ref + 0.5 * beta * ((q * q) @ eta) - (0.5 * beta - 1.0) * logzp
+    wfull = np.exp(log_full - log_full.max())
     right = float((wfull @ obs) / wfull.sum())
 
     scale = max(abs(left), abs(right), 1e-30)

@@ -241,18 +241,17 @@ def ordered_grid_expectation(vfun, n, beta, observables, box, nodes):
     return np.array([wgt @ ob(configs) for ob in observables]) / wgt.sum()
 
 
-def linearization_plain(eq, tmap, spectrum, beta, observable, n, modes, gh_nodes, nodes):
+def linearization_plain(eq, tmap, spectrum, beta, observable, n, modes, nodes):
     """Both routes of the linearization check on a fixed plain rule in lambda.
 
     The ordered Gauss-Legendre rule takes ``nodes`` points per level in
     lambda itself, with no change of variables, and both routes are
-    evaluated once on it, with the package's densities and Gauss-Hermite
-    factors. Returns (left, right). Near a critical potential the map's
-    near-real singularity needs far more nodes here than in the map's
-    variable.
+    evaluated once on it, with the package's densities and each mode's
+    Gaussian integral in closed form, exp(beta eta_k q_k^2 / 2). Returns
+    (left, right). Near a critical potential the map's near-real
+    singularity needs far more nodes here than in the map's variable.
     """
     from betalab.ensembles import _log_density_ordered, _ordered_chunks
-    from betalab.universality import _gauss_hermite_factors
 
     box = (-(2.0 + 0.5 * eq.eps), 2.0 + 0.5 * eq.eps)
     configs, logw = map(np.concatenate, zip(*_ordered_chunks(n, box, nodes)))
@@ -268,7 +267,7 @@ def linearization_plain(eq, tmap, spectrum, beta, observable, n, modes, gh_nodes
     eta = spectrum.eigenvalues[:modes]
     proj = spectrum.semicircle_proj[:modes]
     q = spectrum.phi(configs.ravel(), range(modes)).reshape(len(configs), n, modes).sum(axis=1) - n * proj
-    w_mode = np.prod(_gauss_hermite_factors(q, beta * eta, gh_nodes), axis=1)
+    w_mode = np.exp(0.5 * beta * (q * q) @ eta)
     wfull = wr * w_mode * np.exp(-(0.5 * beta - 1.0) * logzp)
     return float((we @ obs) / we.sum()), float((wfull @ obs) / wfull.sum())
 
@@ -279,7 +278,8 @@ def linearization_right_tensor(
     """Right route of the linearization check on the full tensor-product rule.
 
     Averages exp(q . s) over every point of the gh_nodes**modes
-    Gauss-Hermite tensor grid instead of factorizing the rule per mode.
+    Gauss-Hermite tensor grid in complex arithmetic instead of taking
+    each mode's Gaussian integral in closed form.
     The configuration quadrature is the package's own rule in the map's
     variable at ``gl_nodes`` nodes per level (pass the result's
     ``gl_nodes``), and the reference density is the package's too, so
@@ -318,15 +318,32 @@ def linearization_right_tensor(
     return float((wfull @ obs) / wfull.sum())
 
 
-def gauss_hermite_factors_complex(q, c2, gh_nodes):
-    """Gauss-Hermite means of exp(q sqrt(c2) x) over the full rule in complex arithmetic.
+def deformation_residual_plain(eq, tmap, nodes=None):
+    """The deformation identity's residual and constant on the plain
+    second-kind rule in lambda.
 
-    The square root of a negative c2 is imaginary; the rule is symmetric,
-    so the imaginary part of each mean is rounding and is dropped.
+    The rule's size follows the map's singularity c + i eps: with rho its
+    Bernstein parameter on the window, a series singular there has
+    decayed to 1e-16 of its largest term after ln(1e16) / ln(rho) terms,
+    and the rule, exact to degree 2N - 1, takes N half that and at least
+    256 (``nodes`` overrides). Cost grows like 1/eps near a critical
+    potential. Probes and kernel are the package's. Returns (residual,
+    constant).
     """
-    coef = np.sqrt(np.asarray(c2).astype(complex))
-    gh_x, gh_w = np.polynomial.hermite_e.hermegauss(gh_nodes)
-    return (np.exp(q[:, :, None] * (coef[:, None] * gh_x)) @ (gh_w / gh_w.sum())).real
+    var = tmap.variable
+    lo, hi = var.interval
+    if nodes is None:
+        w = (complex(var.center, var.width) - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
+        degree = int(np.log(1e16) / np.log(abs(w + np.sqrt(w - 1.0) * np.sqrt(w + 1.0))))
+        nodes = max(256, degree // 2 + 1)
+    j = np.arange(nodes, 0, -1)
+    mu = 2.0 * np.cos(j * np.pi / (nodes + 1))
+    wts = 4.0 * (np.pi / (nodes + 1)) * np.sin(j * np.pi / (nodes + 1)) ** 2
+    lam, _ = ops.gauss_inv_sqrt(ops._DEFORMATION_PROBES, ops.SIGMA)
+    inner = ops.log_ratio_kernel(tmap, lam[:, None], mu[None, :]) @ wts / (2.0 * np.pi)
+    g = 2.0 * inner - np.asarray(eq.potential.v(tmap.value(lam)), dtype=float) + lam * lam / 2.0
+    const = float(np.median(g))
+    return float(np.max(np.abs(g - const))), const
 
 
 def pv_transform_numer_single_block(h_prime, lam, quad_nodes=512):

@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -429,3 +431,14 @@ def test_container_rejects_truncation(tmp_path):
     path.write_bytes(raw[: len(raw) - 16])
     with pytest.raises(UsageError):
         ens.load_sample(path)
+    # cut inside the length field, cut inside the header, and a header
+    # without one of its keys: each is the same coded refusal
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + hlen])
+    del header["seed"]
+    blob = json.dumps(header).encode("utf-8")
+    for bad in (raw[:10], raw[: 12 + hlen // 2], raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :]):
+        path.write_bytes(bad)
+        with pytest.raises(UsageError) as err:
+            ens.load_sample(path)
+        assert err.value.code == "invalid-spec"

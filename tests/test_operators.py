@@ -569,8 +569,8 @@ def test_close_pairs_are_the_exact_divided_difference(g, bound):
     for got in (ops.log_ratio_kernel(tmap, x[i], x[j]), ops.kernel_matrix(tmap, grid)[i, j]):
         assert np.max(np.abs(got - want)) <= bound
     lam, _ = ops.gauss_inv_sqrt(ops._DEFORMATION_PROBES, ops.SIGMA)
-    nodes = max(ops._DEFORMATION_NODES, ops._deformation_degree(tmap.variable) // 2 + 1)
-    mu, _ = ops.gauss_semicircle(nodes, ops.SIGMA)
+    var = ops.SinhVariable(ops.SIGMA, tmap.variable.center, tmap.variable.width)
+    mu, _ = ops.gauss_semicircle(ops._DEFORMATION_NODES, var)
     i, j = np.nonzero(np.abs(lam[:, None] - mu[None, :]) < ops._CLOSE_PAIR)
     assert np.max(np.abs(ops.log_ratio_kernel(tmap, lam[i], mu[j]) - log_dd(lam[i], mu[j]))) <= bound
     # off-grid pairs: on both window ends, near them, and either side of
@@ -931,19 +931,49 @@ def test_deformation_identity_constancy(quartic_eq, quartic_tmap, gauss_eq, gaus
     assert abs(dg.constant) < 1e-8
 
 
-@pytest.mark.parametrize("g", [0.8, 0.9])
+@pytest.mark.parametrize("g", [0.1, 0.8, 0.9])
 def test_deformation_rule_follows_the_map(g):
-    # the rule's nodes follow the map's chopped length (368 and 1038
-    # nodes), where a fixed 256 read 4.9e-11 and 7.3e-6. The probe rows
-    # go through in blocks of at most _BLOCK entries: one block's
+    # the rule in the map's variable on its 256 nodes against the plain
+    # rule sized by eps (256, 368 and 1038 nodes). The probe rows go
+    # through in blocks of at most _BLOCK entries: one block's
     # differences and results beside the closed form's two buffers read
-    # 0.98 MiB at g=0.9, where one unblocked matrix is 1.5 MiB
+    # 0.98 MiB at g=0.9 on the plain rule, where one unblocked matrix is
+    # 1.5 MiB
     tmap = _transport_data("even-quartic", g)
     with traced_peak() as peak:
         res = ops.deformation_residual(tmap.eq, tmap)
     assert peak.bytes <= 5 * 8 * ops._BLOCK
-    assert res.residual < 1e-12
+    assert res.residual < 1e-13
+    _, want = oracles.deformation_residual_plain(tmap.eq, tmap)
+    assert abs(res.constant - want) < 1e-13
     assert abs(res.constant - (tmap.eq.robin_constant + 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("g", [0.95, 0.99])
+def test_deformation_rule_near_the_critical_point(g):
+    # the plain rule sized by eps takes 2,400 and 40,000 nodes here
+    tmap = _transport_data("even-quartic", g)
+    res = ops.deformation_residual(tmap.eq, tmap)
+    assert res.residual < 1e-13
+    assert abs(res.constant - (tmap.eq.robin_constant + 1.0)) < 1e-12
+
+
+def test_deformation_plain_rule_control():
+    # the plain rule on the library's node count misses at g=0.9 (7.3e-6)
+    tmap = _transport_data("even-quartic", 0.9)
+    residual, _ = oracles.deformation_residual_plain(tmap.eq, tmap, ops._DEFORMATION_NODES)
+    assert residual > 1e-6
+
+
+def test_semicircle_rule_affine_limit():
+    # an affine variable gives the plain second-kind rule: 4 times the
+    # semicircle's mass and second moment, 2 pi and 2 pi
+    mu, w = ops.gauss_semicircle(64, ops.SinhVariable(ops.SIGMA, 0.0, np.inf))
+    assert abs(w.sum() - 2.0 * np.pi) < 1e-13 and abs(w @ mu**2 - 2.0 * np.pi) < 1e-13
+    # a sinh variable clustered at 0.3 +- 0.01 i integrates the same moments
+    mu, w = ops.gauss_semicircle(64, ops.SinhVariable(ops.SIGMA, 0.3, 0.01))
+    assert np.all(np.diff(mu) > 0) and mu[0] > -2.0 and mu[-1] < 2.0
+    assert abs(w.sum() - 2.0 * np.pi) < 1e-13 and abs(w @ mu**2 - 2.0 * np.pi) < 1e-13
 
 
 def test_deformation_negative_control(quartic_eq, quartic_tmap):

@@ -409,30 +409,26 @@ def test_linearization_two_routes(quartic_eq, quartic_tmap, quartic_spectrum):
 
 
 def test_linearization_factorized_weight_matches_tensor_grid(quartic_eq, quartic_tmap, quartic_spectrum):
-    # beta = 1 keeps the Jacobian factor active; modes 1 and 2 are negative
+    # beta = 1 keeps the Jacobian factor active; modes 1 and 2 are
+    # negative. The closed-form Gaussian integral against the full
+    # Gauss-Hermite tensor grid, whose own error is 8.3e-16 at 8 nodes
+    # (1.2e-11 at 6)
     obs = lambda c: (c**2).sum(axis=1)
-    out = uni.linearization_check(
-        quartic_eq, quartic_tmap, quartic_spectrum, 1.0, obs, n=2, modes=3, gh_nodes=6
-    )
+    out = uni.linearization_check(quartic_eq, quartic_tmap, quartic_spectrum, 1.0, obs, n=2, modes=3)
     want = oracles.linearization_right_tensor(
-        quartic_eq, quartic_tmap, quartic_spectrum, 1.0, obs, n=2, modes=3, gh_nodes=6, gl_nodes=out.gl_nodes
+        quartic_eq, quartic_tmap, quartic_spectrum, 1.0, obs, n=2, modes=3, gh_nodes=8, gl_nodes=out.gl_nodes
     )
     assert abs(out.right - want) < 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("gh_nodes", [6, 7])
-def test_gauss_hermite_factors_match_complex_form(gh_nodes):
-    # an odd rule has a node at zero; c2 covers both signs and zero
-    rng = np.random.default_rng(gh_nodes)
-    q = rng.uniform(-3.0, 3.0, (500, 4))
-    c2 = np.array([0.4, -0.35, -0.23, 0.0])
-    got = uni._gauss_hermite_factors(q, c2, gh_nodes)
-    want = oracles.gauss_hermite_factors_complex(q, c2, gh_nodes)
-    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
-    # the rule is built once per node count and shared read-only
-    rule = uni._gh_rule(gh_nodes)
-    assert uni._gh_rule(gh_nodes) is rule
-    assert not any(a.flags.writeable for a in rule[:2])
+def test_linearization_ignores_gh_nodes(quartic_eq, quartic_tmap, quartic_spectrum):
+    # the Gaussian integral is in closed form: no rule, so no node count
+    obs = lambda c: (c**2).sum(axis=1)
+    runs = [
+        uni.linearization_check(quartic_eq, quartic_tmap, quartic_spectrum, 1.0, obs, n=2, modes=3, gh_nodes=m)
+        for m in (6, 12, 24)
+    ]
+    assert all(r == runs[0] for r in runs[1:])
 
 
 def test_linearization_truncation_control(quartic_eq, quartic_tmap, quartic_spectrum):
@@ -478,11 +474,11 @@ def test_linearization_rule_follows_the_integrand(quartic_eq, quartic_tmap, quar
     # g=0.1 resolves on a small rule in the map's variable; both routes
     # agree with the plain rule in lambda at 96 nodes, which is resolved there
     obs = lambda c: (c**2).sum(axis=1)
-    out = uni.linearization_check(quartic_eq, quartic_tmap, quartic_spectrum, 2.0, obs, n=2, modes=3, gh_nodes=12)
+    out = uni.linearization_check(quartic_eq, quartic_tmap, quartic_spectrum, 2.0, obs, n=2, modes=3)
     assert out.gl_nodes <= 32
     assert out.quadrature_change <= uni._LINEARIZATION_TOL
     left, right = oracles.linearization_plain(
-        quartic_eq, quartic_tmap, quartic_spectrum, 2.0, obs, n=2, modes=3, gh_nodes=12, nodes=96
+        quartic_eq, quartic_tmap, quartic_spectrum, 2.0, obs, n=2, modes=3, nodes=96
     )
     assert abs(out.left - left) < 1e-10 * abs(left)
     assert abs(out.right - right) < 1e-10 * abs(right)
@@ -493,9 +489,9 @@ def test_linearization_rule_follows_the_integrand(quartic_eq, quartic_tmap, quar
     eq, tmap, spec = _quartic_chain(0.8)
     out = uni.linearization_check(eq, tmap, spec, 2.0, obs, n=2)
     assert out.gl_nodes <= 128
-    want = oracles.linearization_plain(eq, tmap, spec, 2.0, obs, n=2, modes=0, gh_nodes=24, nodes=384)[0]
+    want = oracles.linearization_plain(eq, tmap, spec, 2.0, obs, n=2, modes=0, nodes=384)[0]
     assert abs(out.left - want) < 1e-12 * abs(want)
-    coarse = oracles.linearization_plain(eq, tmap, spec, 2.0, obs, n=2, modes=0, gh_nodes=24, nodes=96)[0]
+    coarse = oracles.linearization_plain(eq, tmap, spec, 2.0, obs, n=2, modes=0, nodes=96)[0]
     assert abs(coarse - want) > 1e-6 * abs(want)
     # every kept mode: the routes agree to the kernel's accuracy, not the rule's
     assert out.rel_discrepancy < 2e-8
@@ -509,8 +505,16 @@ def test_linearization_unresolved_raises(monkeypatch):
     assert err.value.code == "unresolved-quadrature"
 
 
-def test_linearization_dimension_guard(quartic_eq, quartic_tmap, quartic_spectrum):
-    with pytest.raises(UsageError):
-        uni.linearization_check(
-            quartic_eq, quartic_tmap, quartic_spectrum, 2.0, lambda c: c.sum(axis=1), n=6
-        )
+def test_linearization_dimension_guard(monkeypatch, quartic_eq, quartic_tmap, quartic_spectrum):
+    # n=4 never resolves within the budget (the 32-node rule's 2^20 rows
+    # still move by 1.1e-12 at g=0.1): refused before any rule is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("the linearization rule was built")
+
+    monkeypatch.setattr(uni, "_linearization_rule", refuse)
+    for n in (0, 4, 6):
+        with pytest.raises(UsageError) as err:
+            uni.linearization_check(
+                quartic_eq, quartic_tmap, quartic_spectrum, 2.0, lambda c: c.sum(axis=1), n=n
+            )
+        assert err.value.code == "dimension-too-large"
