@@ -27,7 +27,7 @@ import numpy as np
 from . import ensembles as ens
 from . import operators as ops
 from . import universality as uni
-from .equilibrium import solve_equilibrium
+from .equilibrium import MASS_TOL, V_RESIDUAL_TOL, solve_equilibrium
 from .errors import BetalabError, NumericalError, UsageError
 from .potentials import make_potential
 from .transport import OVERLAP_TOL, RESIDUAL_TOL, solve_transport
@@ -229,7 +229,7 @@ def cmd_transport(cfg: dict) -> int:
     payload = {"header": _header(cfg)}
     payload.update(tmap.to_dict())
     _write_json(_out_path(cfg, ".transport.json"), payload)
-    xs, _ = ops.gauss_inv_sqrt(257)
+    xs = ops.cheb_grid(257).nodes
     zs, zps = tmap.value_and_derivative(xs)
     res = zps * eq.density(zs) - ops.semicircle_density(xs)
     rows = [(f"{x:.12e}", f"{z:.12e}", f"{zp:.12e}", f"{r:.3e}") for x, z, zp, r in zip(xs, zs, zps, res)]
@@ -392,8 +392,8 @@ def cmd_verify(cfg: dict) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} (tol {tol:.1e})")
 
     eq = _equilibrium(cfg)
-    check("equilibrium-residual", eq.v_residual, 1e-7)
-    check("equilibrium-mass", abs(eq.mass - 1.0), 1e-8)
+    check("equilibrium-residual", eq.v_residual, V_RESIDUAL_TOL)
+    check("equilibrium-mass", abs(eq.mass - 1.0), MASS_TOL)
     tmap = solve_transport(eq)
     check("transport-residual", tmap.residual_max, RESIDUAL_TOL)
     check("transport-overlap", tmap.overlap_max, OVERLAP_TOL)
@@ -403,7 +403,7 @@ def cmd_verify(cfg: dict) -> int:
     for _ in range(10):
         c = rng.standard_normal(7) / np.arange(1.0, 8.0) ** 2
         worst = max(worst, ops.rank_one_identity_residual(lambda x, c=c: ops.cheb_val(c, x, ops.SIGMA)))
-    check("inversion-identity", worst, 1e-6)
+    check("inversion-identity", worst, ops.INVERSION_TOL)
 
     worst = 0.0
     for _ in range(10):
@@ -412,19 +412,19 @@ def cmd_verify(cfg: dict) -> int:
         poly = np.polynomial.Polynomial(pc)
         form = ops.cov_form(poly)
         worst = max(worst, form.rel_discrepancy)
-    check("route-agreement", worst, 1e-6)
+    check("route-agreement", worst, ops.ROUTE_TOL)
 
     spec = _spectrum(cfg, tmap)
     cm = ops.contraction_matrices(spec)
-    check("contraction-norm", max(cm.norm_plus, cm.norm_minus), 1.0 - 1e-3)
-    check("deformation-constancy", ops.deformation_residual(eq, tmap).residual, 1e-6)
+    check("contraction-norm", max(cm.norm_plus, cm.norm_minus), ops.CONTRACTION_TOL)
+    check("deformation-constancy", ops.deformation_residual(eq, tmap).residual, ops.DEFORMATION_TOL)
 
     beta = cfg["ensemble"]["beta"]
     cfgs = ens.sample_gaussian(8, 2.0, 50, seed=5, window=(-2.05, 2.05)).configs
     hid = uni.hamiltonian_identity_residual(eq, tmap, spec, beta, cfgs)
-    check("energy-identity", hid.residual, 1e-6)
+    check("energy-identity", hid.residual, uni.ENERGY_TOL)
     lin = uni.linearization_check(eq, tmap, spec, beta, lambda c: (c * c).sum(axis=1), n=2)
-    check("linearization", lin.rel_discrepancy, 1e-3)
+    check("linearization", lin.rel_discrepancy, uni.DISCREPANCY_TOL)
 
     payload = {
         "header": _header(cfg),

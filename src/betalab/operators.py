@@ -49,10 +49,15 @@ _RECON_TOL = 1e-10
 _SUBSPACE_RANK = 48
 _POWER_STEPS = 2
 _SUBSPACE_SEED = 0
-# the deformation identity's inverse square-root probes, and its semicircle
+# the deformation identity's first-kind probes on SIGMA, and its semicircle
 # rule's nodes in the map's variable, one count for every potential
 _DEFORMATION_PROBES = 192
 _DEFORMATION_NODES = 256
+# the certificates' tolerances; the contraction norm keeps a margin below one
+INVERSION_TOL = 1e-6
+ROUTE_TOL = 1e-6
+CONTRACTION_TOL = 1.0 - 1e-3
+DEFORMATION_TOL = 1e-6
 # pairs of the log-ratio kernel closer than this take the divided
 # difference in closed form; it bounds the difference quotient's rounding,
 # eps max|zeta| / _CLOSE_PAIR, by about 5e-13
@@ -70,8 +75,10 @@ class ChebGrid:
     ``weights`` integrate plain (unweighted) integrands over ``interval``;
     they are the first-kind Gauss weights with the inverse square-root
     factor lifted. They are spectrally accurate only for integrands that
-    vanish like the semicircle factor at the endpoints, which is exactly
-    the situation in the kernel eigenproblem where they are used.
+    vanish like the semicircle factor at the endpoints. K(x, y) phi(y) in
+    the kernel eigenproblem does not, so its eigenvalues converge only
+    like n^-2: at g=0.1 the leading one is off by 2.98e-7, 7.4e-8 and
+    1.9e-8 on 256, 512 and 1024 nodes.
     """
 
     interval: tuple
@@ -333,13 +340,7 @@ def _sigma_series(f, name: str = "h") -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Gauss rules for the two edge weights
-
-
-def gauss_inv_sqrt(n: int, interval=SIGMA):
-    """Nodes for integrals of g(x) / sqrt((b-x)(x-a)); the rule is
-    (pi/n) * sum g(nodes), independent of the interval length."""
-    return cheb_grid(n, interval).nodes, np.pi / n
+# the Gauss rule for the semicircle weight
 
 
 def gauss_semicircle(n: int, var: SinhVariable):
@@ -840,8 +841,8 @@ class ContractionMatrices:
 
     Entries couple kernel modes through the symmetrized covariance
     transform, scaled by the square roots of the eigenvalue magnitudes.
-    Spectral norms strictly below one certify the contraction property
-    that the fluctuation analysis rests on.
+    Spectral norms below ``CONTRACTION_TOL``, one less a margin, certify
+    the contraction property that the fluctuation analysis rests on.
     """
 
     plus: np.ndarray
@@ -853,7 +854,7 @@ class ContractionMatrices:
 
     @property
     def contractive(self) -> bool:
-        return self.norm_plus < 1.0 and self.norm_minus < 1.0
+        return max(self.norm_plus, self.norm_minus) < CONTRACTION_TOL
 
 
 def contraction_matrices(spectrum: KernelSpectrum) -> ContractionMatrices:
@@ -914,7 +915,6 @@ def _mean_shift(c: np.ndarray, eq, beta: float) -> float:
 @dataclass(frozen=True)
 class DeformationResidual:
     residual: float
-    constant: float
 
 
 def deformation_residual(eq, tmap) -> DeformationResidual:
@@ -924,9 +924,9 @@ def deformation_residual(eq, tmap) -> DeformationResidual:
     reproduce the equilibrium condition of the target potential: twice
     the smooth log-ratio kernel integrated against the semicircle, minus
     the potential at the mapped point, plus the reference quadratic
-    confinement, is constant on the interior. The constant equals the
-    Robin constant offset between target and reference; the residual is
-    the max deviation from it.
+    confinement, is constant on the interior: the Robin constant offset
+    between target and reference, ``eq.robin_constant + 1`` in closed
+    form. The residual is the max deviation from it at the probes.
 
     The semicircle rule is :func:`gauss_semicircle` in a sinh variable
     on ``SIGMA`` with the map's center and width, so its
@@ -936,7 +936,7 @@ def deformation_residual(eq, tmap) -> DeformationResidual:
     :meth:`~betalab.transport.TransportMap.value` call, and the kernel is
     taken in row blocks of at most ``_BLOCK`` entries.
     """
-    lam, _ = gauss_inv_sqrt(_DEFORMATION_PROBES, SIGMA)
+    lam = cheb_grid(_DEFORMATION_PROBES).nodes
     var = SinhVariable(SIGMA, tmap.variable.center, tmap.variable.width)
     mu, w = gauss_semicircle(_DEFORMATION_NODES, var)
     z = np.asarray(tmap.value(np.concatenate((lam, mu))), dtype=float)
@@ -949,5 +949,4 @@ def deformation_residual(eq, tmap) -> DeformationResidual:
     inner /= 2.0 * np.pi
     v = np.asarray(eq.potential.v(z_lam), dtype=float)
     g = 2.0 * inner - v + lam * lam / 2.0
-    const = float(np.median(g))
-    return DeformationResidual(residual=float(np.max(np.abs(g - const))), constant=const)
+    return DeformationResidual(residual=float(np.max(np.abs(g - (eq.robin_constant + 1.0)))))

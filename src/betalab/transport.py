@@ -309,7 +309,7 @@ def solve_transport(
     tmap.overlap_max = overlap
 
     # the anchor, the map's value at 0, rides along with the support probes
-    lam, _ = ops.gauss_inv_sqrt(512, ops.SIGMA)
+    lam = ops.cheb_grid(512).nodes
     z, dz = tmap.value_and_derivative(np.append(lam, 0.0))
     tmap.anchor = float(z[-1])
     if np.any(dz <= 0) or np.any(ops.extrema_values(tmap._der_cheb, n) <= 0):

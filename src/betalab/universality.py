@@ -24,6 +24,9 @@ from .ensembles import (
 )
 from .errors import NumericalError, UsageError
 
+# the certificates' tolerances: the energy identity's residual, the linearization's discrepancy
+ENERGY_TOL = 1e-6
+DISCREPANCY_TOL = 1e-3
 # Gauss-Legendre nodes per level of the linearization rule, tried in turn
 _LINEARIZATION_LADDER = (16, 24, 32, 48, 64, 96, 128, 192, 256)
 # the left route's relative move between rungs that marks the rule resolved
@@ -271,7 +274,8 @@ def split_noise_floor(
         b = np.concatenate([per[i] for i in perm[half:]])
         if len(a) and len(b):
             dists.append(_ks_distance(a, b))
-    return float(np.median(dists))
+    # the median, the mean of the middle one or two, by no call that imports numpy.ma
+    return float(np.mean(np.sort(dists)[(len(dists) - 1) // 2 : len(dists) // 2 + 1]))
 
 
 @dataclass
@@ -336,8 +340,21 @@ def universality_distance(
 class HamiltonianIdentity:
     residual: float
     constant: float
-    predicted_constant: float
     modes: int
+
+
+def _reduction_weight(eq, spectrum, modes: int, beta: float, x, where, zeta, log_zp) -> np.ndarray:
+    """The paper's reduction weight per configuration, t = (beta/2)[n sum
+    (V(zeta) - lambda^2/2) - 2 sum log|dzeta/dlambda| + sum_k eta_k q_k^2]
+    - (beta/2) sum log zeta' with q_k = sum_i phi_k(lambda_i) - n proj_k,
+    constant when every mode is kept. Rows of ``where`` index the distinct
+    coordinates ``x``, where the map's values ``zeta`` and ``log_zp`` =
+    log zeta' are taken; the modes are evaluated there."""
+    n = where.shape[1]
+    q = spectrum.phi(x, range(modes))[where].sum(axis=1) - n * spectrum.semicircle_proj[:modes]
+    per_point = n * (np.asarray(eq.potential.v(zeta), dtype=float) - 0.5 * x * x) - log_zp
+    pairs = _pair_log_sum(zeta[where], x[where])
+    return 0.5 * beta * (per_point[where].sum(axis=1) - 2.0 * pairs + (q * q) @ spectrum.eigenvalues[:modes])
 
 
 def hamiltonian_identity_residual(
@@ -345,43 +362,29 @@ def hamiltonian_identity_residual(
 ) -> HamiltonianIdentity:
     """Configuration-wise check of the exact energy-splitting identity.
 
-    For each configuration, the energy difference between the deformed
-    ensemble (at the transported points, including the Jacobian) and the
-    reference ensemble, after removing the diagonalized quadratic form in
-    the kernel modes, must be one and the same constant. The residual is
-    the maximum deviation from the median over configurations; truncating
-    the mode sum too early shows up here directly, which is what makes
-    this a sharp test of the kernel decomposition.
+    For each configuration, the reduction weight of
+    :func:`_reduction_weight`, an energy difference between the reference
+    and the deformed ensemble plus the diagonalized quadratic form, must
+    equal the closed-form constant (beta/2) n^2 (sum_k eta_k proj_k^2 -
+    (R + 1)), R the target's Robin constant (the reference's is -1). The
+    residual is the maximum deviation from it; a truncated mode sum or a
+    wrong R shows up here directly, a sharp test of the decomposition.
     """
     lam = np.atleast_2d(np.asarray(configs, dtype=float))
     n = lam.shape[1]
     if n < 2:
         raise UsageError("invalid-spec", "identity needs configurations with n >= 2")
-    srt = np.sort(lam, axis=1)
-    if np.any(np.diff(srt, axis=1) < 1e-12):
+    if np.any(np.diff(np.sort(lam, axis=1), axis=1) < 1e-12):
         raise NumericalError("coincident-nodes", "configurations contain coincident points")
-    if modes is None:
-        modes = spectrum.truncation
-    modes = int(min(modes, len(spectrum.eigenvalues)))
+    modes = spectrum.truncation if modes is None else int(min(modes, len(spectrum.eigenvalues)))
 
-    zeta, zp = tmap.value_and_derivative(lam)
-    logzp = np.log(zp).sum(axis=1)
-    one_body = n * (eq.potential.v(zeta) - 0.5 * lam * lam).sum(axis=1)
-    direct = 0.5 * beta * (one_body - 2.0 * _pair_log_sum(zeta, lam)) - logzp
-
-    eta = spectrum.eigenvalues[:modes]
-    proj = spectrum.semicircle_proj[:modes]
-    q = spectrum.phi(lam, range(modes)).sum(axis=1) - n * proj
-    t = direct + 0.5 * beta * (q * q) @ eta - (0.5 * beta - 1.0) * logzp
-
-    const = float(np.median(t))
-    residual = float(np.max(np.abs(t - const)))
-    # the constant of ops.deformation_residual in closed form: the target's
-    # Robin constant minus the reference one, which is -1
-    predicted = 0.5 * beta * n * n * (float(eta @ (proj * proj)) - (eq.robin_constant + 1.0))
-    return HamiltonianIdentity(
-        residual=residual, constant=const, predicted_constant=predicted, modes=modes
-    )
+    x = lam.ravel()
+    zeta, zp = tmap.value_and_derivative(x)
+    where = np.arange(x.size).reshape(lam.shape)
+    t = _reduction_weight(eq, spectrum, modes, beta, x, where, zeta, np.log(zp))
+    eta, proj = spectrum.eigenvalues[:modes], spectrum.semicircle_proj[:modes]
+    const = 0.5 * beta * n * n * (float(eta @ (proj * proj)) - (eq.robin_constant + 1.0))
+    return HamiltonianIdentity(residual=float(np.max(np.abs(t - const))), constant=const, modes=modes)
 
 
 def _linearization_rule(eq, tmap, n: int, nodes: int):
@@ -433,10 +436,11 @@ def linearization_check(
     E exp(sqrt(beta eta_k) q_k X) = exp(beta eta_k q_k^2 / 2) for either
     sign of eta_k (the root is imaginary when eta_k < 0), so the right
     route's log weight is the reference one plus (beta/2) sum_k eta_k
-    q_k^2 - (beta/2 - 1) sum_i log zeta'(lambda_i). Agreement validates
-    the entire decomposition chain end to end at small n, with no
-    sampling noise involved. ``modes`` defaults to the spectrum's
-    truncation, every mode it keeps; ``gh_nodes`` is ignored.
+    q_k^2 - (beta/2 - 1) sum_i log zeta'(lambda_i): the left route's plus
+    :func:`_reduction_weight`, on the left route's map values. Agreement
+    validates the entire decomposition chain end to end at small n, with
+    no sampling noise. ``modes`` defaults to the spectrum's truncation,
+    every mode it keeps; ``gh_nodes`` is ignored.
 
     Both routes share one ordered Gauss-Legendre rule in the map's
     Chebyshev variable (:func:`_linearization_rule`), whose sinh change
@@ -455,20 +459,17 @@ def linearization_check(
     n = int(n)
     if not 1 <= n <= 3:
         raise UsageError("dimension-too-large", f"the linearization check supports 1 <= n <= 3, got {n}")
-    if modes is None:
-        modes = spectrum.truncation
-    modes = int(min(modes, len(spectrum.eigenvalues)))
+    modes = spectrum.truncation if modes is None else int(min(modes, len(spectrum.eigenvalues)))
 
     prev, change = None, np.inf
     for m in (m for m in _LINEARIZATION_LADDER if m**n <= _LINEARIZATION_BUDGET):
         # configurations share their coordinates: evaluate the map and the
         # modes once per distinct coordinate
         nodes, where, logw = _linearization_rule(eq, tmap, n, m)
-        configs = nodes[where]
-        obs = np.asarray(observable(configs), dtype=float)
+        obs = np.asarray(observable(nodes[where]), dtype=float)
         zeta, zp = tmap.value_and_derivative(nodes)
-        logzp = np.log(zp)[where].sum(axis=1)
-        log_exact = _log_density_ordered(eq.potential.v, beta, n, zeta[where]) + logzp + logw
+        log_zp = np.log(zp)
+        log_exact = _log_density_ordered(eq.potential.v, beta, n, zeta[where]) + log_zp[where].sum(axis=1) + logw
         we = np.exp(log_exact - log_exact.max())
         left = float((we @ obs) / we.sum())
         if prev is not None:
@@ -483,11 +484,7 @@ def linearization_check(
             f"{m} nodes per level, the largest rule within {_LINEARIZATION_BUDGET} configurations",
         )
 
-    eta = spectrum.eigenvalues[:modes]
-    proj = spectrum.semicircle_proj[:modes]
-    q = spectrum.phi(nodes, range(modes))[where].sum(axis=1) - n * proj
-    log_ref = _log_density_ordered(lambda x: 0.5 * x * x, beta, n, configs) + logw
-    log_full = log_ref + 0.5 * beta * ((q * q) @ eta) - (0.5 * beta - 1.0) * logzp
+    log_full = log_exact + _reduction_weight(eq, spectrum, modes, beta, nodes, where, zeta, log_zp)
     wfull = np.exp(log_full - log_full.max())
     right = float((wfull @ obs) / wfull.sum())
 

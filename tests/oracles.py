@@ -319,16 +319,15 @@ def linearization_right_tensor(
 
 
 def deformation_residual_plain(eq, tmap, nodes=None):
-    """The deformation identity's residual and constant on the plain
-    second-kind rule in lambda.
+    """The deformation identity's residual about its closed-form
+    constant, robin + 1, on the plain second-kind rule in lambda.
 
     The rule's size follows the map's singularity c + i eps: with rho its
     Bernstein parameter on the window, a series singular there has
     decayed to 1e-16 of its largest term after ln(1e16) / ln(rho) terms,
     and the rule, exact to degree 2N - 1, takes N half that and at least
     256 (``nodes`` overrides). Cost grows like 1/eps near a critical
-    potential. Probes and kernel are the package's. Returns (residual,
-    constant).
+    potential. Probes and kernel are the package's.
     """
     var = tmap.variable
     lo, hi = var.interval
@@ -339,11 +338,10 @@ def deformation_residual_plain(eq, tmap, nodes=None):
     j = np.arange(nodes, 0, -1)
     mu = 2.0 * np.cos(j * np.pi / (nodes + 1))
     wts = 4.0 * (np.pi / (nodes + 1)) * np.sin(j * np.pi / (nodes + 1)) ** 2
-    lam, _ = ops.gauss_inv_sqrt(ops._DEFORMATION_PROBES, ops.SIGMA)
+    lam = ops.cheb_grid(ops._DEFORMATION_PROBES).nodes
     inner = ops.log_ratio_kernel(tmap, lam[:, None], mu[None, :]) @ wts / (2.0 * np.pi)
     g = 2.0 * inner - np.asarray(eq.potential.v(tmap.value(lam)), dtype=float) + lam * lam / 2.0
-    const = float(np.median(g))
-    return float(np.max(np.abs(g - const))), const
+    return float(np.max(np.abs(g - (eq.robin_constant + 1.0))))
 
 
 def pv_transform_numer_single_block(h_prime, lam, quad_nodes=512):

@@ -79,7 +79,7 @@ def test_csv_rows_match_pointwise_calls(tmp_path, capsys):
 
     rows = (tmp_path / "run.residual.csv").read_text().strip().splitlines()[1:]
     want = []
-    for x in map(float, ops.gauss_inv_sqrt(257)[0]):
+    for x in map(float, ops.cheb_grid(257).nodes):
         z, zp = tmap.value(x), tmap.derivative(x)
         res = zp * eq.density(z) - float(ops.semicircle_density(x))
         want.append(f"{x:.12e},{z:.12e},{zp:.12e},{res:.3e}")

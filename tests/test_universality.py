@@ -150,9 +150,10 @@ def test_ks_distance_matches_ks_2samp(sizes):
 
 
 def test_reports_leave_scipy_stats_unloaded():
-    # A pipeline run after `import betalab.cli` loads no scipy module and
-    # imports no numpy submodule for the first time: a lazy import inside a
-    # call would be paid inside that call's wall time. The one exception is
+    # A pipeline run after `import betalab.cli`, the structural identities
+    # included, loads no scipy module and imports no numpy submodule for
+    # the first time: a lazy import inside a call would be paid inside
+    # that call's wall time. The one exception is
     # the reference sampler above the dense order, which loads scipy.linalg
     # for LAPACK's tridiagonal solver; the reports then still load none of
     # scipy.stats, scipy.optimize and scipy.integrate.
@@ -170,9 +171,13 @@ from betalab.transport import solve_transport
 pot = make_potential("even-quartic", g=0.1)
 eq = solve_equilibrium(pot)
 grid = ops.cheb_grid(64, eq.interval)
-ops.eigendecompose(ops.kernel_matrix(solve_transport(eq), grid), grid)
+tmap = solve_transport(eq)
+spec = ops.eigendecompose(ops.kernel_matrix(tmap, grid), grid)
+ops.deformation_residual(eq, tmap)
+configs = ens.sample_gaussian(8, 2.0, 20, seed=3, window=(-2.05, 2.05)).configs
+uni.hamiltonian_identity_residual(eq, tmap, spec, 2.0, configs)
+uni.linearization_check(eq, tmap, spec, 2.0, lambda c: (c * c).sum(axis=1), n=2)
 gauss_eq = solve_equilibrium(make_potential("gaussian"))
-ens.sample_gaussian(8, 2.0, 20, seed=3, window=(-2.05, 2.05))
 a = ens.sample_gaussian(ens._DENSE_MAX_ORDER, 2.0, 40, seed=1)
 b = ens.sample_gaussian(ens._DENSE_MAX_ORDER, 2.0, 40, seed=2)
 ens.sample_mcmc(pot, 6, 2.0, 8, seed=4, eq=eq, chains=4, tune_sweeps=20, measure_sweeps=40)
@@ -318,7 +323,6 @@ def test_energy_identity_constancy(quartic_eq, quartic_tmap, quartic_spectrum):
         quartic_eq, quartic_tmap, quartic_spectrum, 2.0, configs
     )
     assert out.residual < 1e-6
-    assert abs(out.constant - out.predicted_constant) < 1e-6
 
 
 def test_pair_log_ratio_matches_per_config_loop(quartic_tmap):
@@ -344,6 +348,17 @@ def test_energy_identity_truncation_control(quartic_eq, quartic_tmap, quartic_sp
         quartic_eq, quartic_tmap, quartic_spectrum, 2.0, configs, modes=2
     )
     assert out.residual > 1e-2
+
+
+def test_identities_see_a_shifted_robin_constant(quartic_eq, quartic_tmap, quartic_spectrum):
+    # both identities are measured about their closed-form constants, so a
+    # Robin constant off by 1e-9 shows at its full size, (beta/2) n^2 1e-9
+    # and 1e-9; a constant fitted to the values themselves absorbs it
+    shifted = dataclasses.replace(quartic_eq, robin_constant=quartic_eq.robin_constant + 1e-9)
+    configs = _probe_configs(50, 8, seed=5)
+    out = uni.hamiltonian_identity_residual(shifted, quartic_tmap, quartic_spectrum, 2.0, configs)
+    assert out.residual >= 0.5 * 2.0 * 8**2 * 1e-9
+    assert ops.deformation_residual(shifted, quartic_tmap).residual >= 1e-9
 
 
 def test_energy_identity_perturbed_map_control(quartic_eq, quartic_tmap, quartic_spectrum):
@@ -502,6 +517,21 @@ def test_linearization_unresolved_raises(monkeypatch):
     monkeypatch.setattr(uni, "_LINEARIZATION_LADDER", uni._LINEARIZATION_LADDER[:2])
     with pytest.raises(NumericalError) as err:
         uni.linearization_check(eq, tmap, spec, 2.0, lambda c: (c**2).sum(axis=1), n=2, modes=3)
+    assert err.value.code == "unresolved-quadrature"
+
+
+def test_linearization_certified_beta_range(quartic_eq, quartic_tmap, quartic_spectrum):
+    # integer beta makes each level's (x_{i+1} - x_i)^beta a polynomial,
+    # and the rule stops at 24-48 nodes for n = 2 and 3; at beta = 0.5 it
+    # is an endpoint singularity, Gauss-Legendre converges algebraically,
+    # and at n=2 the left route still moves by 3.9e-9 on 256 nodes
+    obs = lambda c: (c**2).sum(axis=1)
+    for n in (2, 3):
+        for beta in (1.0, 2.0, 4.0):
+            out = uni.linearization_check(quartic_eq, quartic_tmap, quartic_spectrum, beta, obs, n=n)
+            assert out.gl_nodes <= 48 and out.rel_discrepancy < 1e-13
+    with pytest.raises(NumericalError) as err:
+        uni.linearization_check(quartic_eq, quartic_tmap, quartic_spectrum, 0.5, obs, n=2)
     assert err.value.code == "unresolved-quadrature"
 
 
