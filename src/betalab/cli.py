@@ -144,22 +144,15 @@ def _write_csv(path: str, fieldnames, rows) -> None:
 def _potential(cfg: dict):
     pc = cfg["potential"]
     kind = pc["kind"]
-    if kind == "gaussian":
-        return make_potential("gaussian", eps=pc["eps"])
-    if kind == "even-quartic":
-        return make_potential("even-quartic", eps=pc["eps"], g=pc["g"])
+    if kind not in ("gaussian", "even-quartic", "polynomial"):
+        raise UsageError("invalid-spec", f"unsupported potential kind for the CLI: {kind!r}")
+    params = {"g": pc["g"]} if kind == "even-quartic" else {}
     if kind == "polynomial":
-        text = pc["coeffs"].replace(",", " ")
         try:
-            coeffs = [float(tok) for tok in text.split()]
+            params["coeffs"] = [float(tok) for tok in pc["coeffs"].replace(",", " ").split()]
         except ValueError as exc:
             raise UsageError("invalid-spec", f"bad coeffs: {pc['coeffs']!r}") from exc
-        if not coeffs:
-            raise UsageError("invalid-spec", "polynomial kind needs non-empty coeffs")
-        return make_potential("polynomial", eps=pc["eps"], coeffs=coeffs)
-    raise UsageError(
-        "invalid-spec", f"unsupported potential kind for the CLI: {kind!r}"
-    )
+    return make_potential(kind, eps=pc["eps"], **params)
 
 
 def _equilibrium(cfg: dict):
@@ -178,8 +171,7 @@ def _sample(cfg: dict, eq):
         raise UsageError("invalid-spec", f"unknown sampler {sampler!r}")
     if sampler == "auto":
         sampler = "gaussian" if cfg["potential"]["kind"] == "gaussian" else "mcmc"
-    eps = cfg["potential"]["eps"]
-    window = (-(2.0 + 0.5 * eps), 2.0 + 0.5 * eps)
+    window = eq.potential.window
     if sampler == "gaussian":
         if cfg["potential"]["kind"] != "gaussian":
             raise UsageError(
@@ -350,7 +342,7 @@ def cmd_bulk(cfg: dict) -> int:
     ec = cfg["ensemble"]
     center = cfg["bulk"]["center"]
     halfwidth = cfg["bulk"]["halfwidth"]
-    ref_eq = solve_equilibrium(make_potential("gaussian", eps=cfg["potential"]["eps"]))
+    ref_eq = solve_equilibrium(make_potential("gaussian", eps=eq.potential.eps))
     ref = ens.sample_gaussian(
         ec["n"], ec["beta"], ec["count"], seed=ec["seed"] + 1, window=sample.window
     )
@@ -389,7 +381,7 @@ def cmd_verify(cfg: dict) -> int:
     def check(name, value, tol):
         ok = value < tol
         checks.append((name, float(value), float(tol), ok))
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} (tol {tol:.1e})")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} (tol {tol:g})")
 
     eq = _equilibrium(cfg)
     check("equilibrium-residual", eq.v_residual, V_RESIDUAL_TOL)

@@ -54,6 +54,10 @@ _BLOCK_ENTRIES = 1 << 15
 _DENSE_MAX_ORDER = 32
 # sample_mcmc refuses a chain whose integrated autocorrelation time exceeds this
 _MAX_IAT = 200.0
+# sample_mcmc's sweeps per chain that tune the proposal widths (in blocks
+# of 10), and then measure the autocorrelation time
+_TUNE_SWEEPS = 120
+_MEASURE_SWEEPS = 120
 
 
 @dataclass
@@ -370,8 +374,6 @@ def sample_mcmc(
     eq=None,
     window=None,
     chains: int | None = None,
-    tune_sweeps: int = 120,
-    measure_sweeps: int = 120,
 ) -> EnsembleSample:
     """Metropolis sampler of the n-point law of an arbitrary potential.
 
@@ -381,8 +383,7 @@ def sample_mcmc(
         When given, chains start at the equilibrium quantiles (best
         burn-in behaviour); otherwise at semicircle quantiles.
     window : (float, float), optional
-        Truncation window; defaults to half the potential's margin
-        beyond the reference interval.
+        Truncation window; defaults to ``potential.window``.
 
     Notes
     -----
@@ -394,8 +395,7 @@ def sample_mcmc(
     verdict) so downstream consumers can judge the effective sample size.
     """
     if window is None:
-        eps = potential.domain[1] - 2.0
-        window = (-(2.0 + 0.5 * eps), 2.0 + 0.5 * eps)
+        window = potential.window
     lo, hi = _validate_common(n, beta, count, window)
     if chains is None:
         chains = int(min(count, 64))
@@ -415,8 +415,7 @@ def sample_mcmc(
     moves = chains * np.array([n, 1.0, 1.0])  # proposals per sweep: site, shift, dilation
 
     # tune proposal widths in short blocks
-    blocks = max(1, tune_sweeps // 10)
-    for _ in range(blocks):
+    for _ in range(_TUNE_SWEEPS // 10):
         rates = _run_sweeps(vfun, beta, lt, gens, widths, (lo, hi), 10) / (10 * moves)
         widths *= np.exp(1.0 * (rates - targets))
         widths = np.clip(widths, 1e-6, 2.0)
@@ -424,7 +423,7 @@ def sample_mcmc(
     # measure mixing on the second-moment statistic
     series = []
     _run_sweeps(
-        vfun, beta, lt, gens, widths, (lo, hi), measure_sweeps,
+        vfun, beta, lt, gens, widths, (lo, hi), _MEASURE_SWEEPS,
         collect=lambda cur: series.append((cur * cur).sum(axis=0)),
     )
     series = np.stack(series)
@@ -447,8 +446,8 @@ def sample_mcmc(
 
     configs = np.swapaxes(kept, 0, 1).reshape(chains * reps, n)[:count].copy()
     site_rate = float(rates[0])
-    flagged = not 0.15 <= site_rate <= 0.7 or iat > measure_sweeps / 4.0
-    burn_in = blocks * 10 + measure_sweeps
+    flagged = not 0.15 <= site_rate <= 0.7 or iat > _MEASURE_SWEEPS / 4.0
+    burn_in = _TUNE_SWEEPS + _MEASURE_SWEEPS
     diagnostics = {
         "acceptance_rate": site_rate,
         "shift_acceptance": float(rates[1]),
@@ -555,7 +554,8 @@ def direct_expectation(
     the interaction factor is analytic for every beta > 0, so plain
     Gauss-Legendre converges spectrally; symmetry factors cancel in the
     ratio. Observables must be symmetric callables taking a (m, n) block
-    of configurations and returning m values.
+    of configurations and returning m values. ``box`` defaults to
+    ``potential.window``, the samplers' truncation window.
 
     Raises "dimension-too-large" beyond n = 4.
     """
@@ -564,8 +564,7 @@ def direct_expectation(
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise UsageError("invalid-spec", f"need integer n >= 1, got {n!r}")
     if box is None:
-        eps = potential.domain[1] - 2.0
-        box = (-(2.0 + 0.5 * eps), 2.0 + 0.5 * eps)
+        box = potential.window
     obs = list(observables)
     acc_z = 0.0
     acc_o = np.zeros(len(obs))

@@ -48,14 +48,22 @@ class EquilibriumData:
     """
 
     potential: Potential
-    eps: float
-    interval: tuple
     p_cheb: np.ndarray
     cdf_modes: np.ndarray
     genericity_margin: float
     robin_constant: float
     v_residual: float
     mass: float
+
+    @property
+    def eps(self) -> float:
+        """The potential's margin."""
+        return self.potential.eps
+
+    @property
+    def interval(self) -> tuple:
+        """The working window: the potential's domain."""
+        return self.potential.domain
 
     # -- pointwise data ------------------------------------------------
 
@@ -110,13 +118,9 @@ class EquilibriumData:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        pot = {"kind": self.potential.kind, "eps": self.eps}
-        if "coeffs" in self.potential.params:
-            pot["coeffs"] = list(self.potential.params["coeffs"])
-        if "g" in self.potential.params:
-            pot["g"] = self.potential.params["g"]
+        pot = self.potential
         return {
-            "potential": pot,
+            "potential": {"kind": pot.kind, "eps": pot.eps, **pot.params},
             "interval": list(self.interval),
             "eps": self.eps,
             "p_cheb": [float(c) for c in self.p_cheb],
@@ -130,23 +134,22 @@ class EquilibriumData:
     @classmethod
     def from_dict(cls, d: dict, potential: Potential | None = None) -> "EquilibriumData":
         if potential is None:
-            pd = d["potential"]
-            kind = pd["kind"]
+            params = dict(d["potential"])
+            kind, eps = params.pop("kind"), params.pop("eps")
             if kind == "user-analytic":
                 raise UsageError(
                     "invalid-spec",
                     "user-analytic equilibrium data needs the potential object to rebuild",
                 )
-            kwargs = {}
-            if kind in ("polynomial",):
-                kwargs["coeffs"] = pd["coeffs"]
-            if kind == "even-quartic":
-                kwargs["g"] = pd["g"]
-            potential = make_potential(kind, eps=pd["eps"], **kwargs)
+            potential = make_potential(kind, eps=eps, **params)
+        if tuple(d["interval"]) != potential.domain:
+            raise UsageError(
+                "invalid-spec",
+                f"equilibrium data is on the window {tuple(d['interval'])}, "
+                f"its potential's domain is {potential.domain}",
+            )
         return cls(
             potential=potential,
-            eps=float(d["eps"]),
-            interval=tuple(d["interval"]),
             p_cheb=np.asarray(d["p_cheb"], dtype=float),
             cdf_modes=np.asarray(d["cdf_modes"], dtype=float),
             genericity_margin=float(d["genericity_margin"]),
@@ -316,7 +319,6 @@ def _contour_density(potential: Potential, contour_nodes: int):
 
 def solve_equilibrium(
     potential: Potential,
-    eps: float | None = None,
     contour_nodes: int = 512,
     grid_nodes: int = 256,
 ) -> EquilibriumData:
@@ -326,9 +328,8 @@ def solve_equilibrium(
     ----------
     potential : Potential
         Must already have support equal to the reference interval; use
-        support_endpoints + normalize_support first otherwise.
-    eps : float, optional
-        Working-window margin. Defaults to the potential's own margin.
+        support_endpoints + normalize_support first otherwise. The fit
+        runs on its working window ``potential.domain``.
     contour_nodes : int
         Trapezoid nodes on the circle that wraps the support.
     grid_nodes : int
@@ -346,11 +347,6 @@ def solve_equilibrium(
         inequality outside the support fails; "not-generic" if the
         density polynomial is not strictly positive on the support.
     """
-    if eps is None:
-        eps = potential.domain[1] - 2.0
-    if not 0 < eps <= potential.domain[1] - 2.0 + 1e-12:
-        raise UsageError("invalid-spec", f"eps {eps} exceeds the potential domain")
-
     res = _moment_residual(potential, -2.0, 2.0)
     if np.max(np.abs(res)) > 1e-7:
         raise NumericalError(
@@ -359,7 +355,7 @@ def solve_equilibrium(
             "run support_endpoints and normalize_support first",
         )
 
-    interval = (-(2.0 + eps), 2.0 + eps)
+    interval = potential.domain
     p_at = _contour_density(potential, contour_nodes)
 
     # the first grid that the chop finds resolved, doubling up to grid_nodes
@@ -418,7 +414,7 @@ def solve_equilibrium(
         )
 
     # ... and dominated outside it
-    outside = np.outer([-1.0, 1.0], 2.0 + np.array([0.25, 0.5, 0.9]) * eps).ravel()
+    outside = np.outer([-1.0, 1.0], 2.0 + np.array([0.25, 0.5, 0.9]) * potential.eps).ravel()
     v_out = 2.0 * _log_potential(cdf_modes, outside) - np.asarray(potential.v(outside), dtype=float)
     if np.max(v_out) > robin + 1e-6:
         raise NumericalError(
@@ -429,8 +425,6 @@ def solve_equilibrium(
 
     return EquilibriumData(
         potential=potential,
-        eps=eps,
-        interval=interval,
         p_cheb=p_cheb,
         cdf_modes=cdf_modes,
         genericity_margin=margin,

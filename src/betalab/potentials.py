@@ -1,21 +1,24 @@
 """Confining potentials and support normalization.
 
 A potential here is a smooth even-tempered confining function on a compact
-working window around the reference interval, packaged with its first two
-derivatives and an analyticity radius (half-width of the complex strip the
-analytic continuation is trusted on). Built-in families are polynomial;
-user-supplied closures are accepted after a finite-difference consistency
-audit, since a silently wrong derivative would poison everything downstream.
+working window around the reference interval, packaged with its derivative,
+its margin eps (the one source of the working window and of the samplers'
+truncation window) and an analyticity radius (half-width of the complex
+strip the analytic continuation is trusted on). Built-in families are
+polynomial; user-supplied closures are accepted after a finite-difference
+consistency audit, since a silently wrong derivative would poison
+everything downstream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from . import operators as ops
 from .errors import NumericalError, UsageError
 
 # first-kind nodes of the arcsine moments (endpoint conditions)
@@ -46,15 +49,36 @@ class AffineChange:
 
 @dataclass(frozen=True)
 class Potential:
+    """A validated potential; build it with :func:`make_potential`.
+
+    ``eps`` is the margin it was built with, and every window derives
+    from it. For the built-in kinds, ``params`` is what
+    ``make_potential(kind, eps=eps, **params)`` rebuilds it from.
+    """
+
     kind: str
     label: str
     v: Callable
     dv: Callable
-    d2v: Callable
-    domain: tuple
+    eps: float
     analyticity_radius: float
-    confinement_margin: float
-    params: dict = field(default_factory=dict)
+    params: dict
+
+    @property
+    def domain(self) -> tuple:
+        """The working window (-(2 + eps), 2 + eps)."""
+        return (-(2.0 + self.eps), 2.0 + self.eps)
+
+    @property
+    def window(self) -> tuple:
+        """The truncation window (-(2 + eps/2), 2 + eps/2) of every sampler and quadrature."""
+        return (-(2.0 + 0.5 * self.eps), 2.0 + 0.5 * self.eps)
+
+    @property
+    def confinement_margin(self) -> float:
+        """The smaller outward slope of V at the two ends of ``domain``."""
+        lo, hi = self.domain
+        return float(min(self.dv(hi), -self.dv(lo)))
 
 
 def _horner(c):
@@ -79,21 +103,18 @@ def _horner(c):
 
 def _poly_closures(coeffs):
     c = np.asarray(coeffs, dtype=float)
-    return _horner(c), _horner(npoly.polyder(c)), _horner(npoly.polyder(c, 2))
+    return _horner(c), _horner(npoly.polyder(c))
 
 
-def _check_derivatives(v, dv, d2v, domain):
+def _check_derivative(v, dv, domain):
     lo, hi = domain
     x = np.linspace(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), 64)
     t = 1e-6 * np.maximum(1.0, np.abs(x))
-    fd1 = (np.asarray(v(x + t)) - np.asarray(v(x - t))) / (2.0 * t)
-    fd2 = (np.asarray(dv(x + t)) - np.asarray(dv(x - t))) / (2.0 * t)
-    ok1 = np.all(np.abs(fd1 - np.asarray(dv(x))) <= 1e-5 * np.maximum(1.0, np.abs(fd1)))
-    ok2 = np.all(np.abs(fd2 - np.asarray(d2v(x))) <= 1e-5 * np.maximum(1.0, np.abs(fd2)))
-    if not (ok1 and ok2):
+    fd = (np.asarray(v(x + t)) - np.asarray(v(x - t))) / (2.0 * t)
+    if not np.all(np.abs(fd - np.asarray(dv(x))) <= 1e-5 * np.maximum(1.0, np.abs(fd))):
         raise UsageError(
             "invalid-spec",
-            "supplied derivatives disagree with finite differences of the potential",
+            "the supplied derivative disagrees with finite differences of the potential",
         )
 
 
@@ -106,32 +127,32 @@ def make_potential(kind: str, eps: float = 0.2, **params) -> Potential:
         One of "gaussian" (the reference x^2/2), "even-quartic" (one
         parameter ``g``, interpolating from the reference at g = 0),
         "polynomial" (``coeffs`` ascending), or "user-analytic"
-        (callables ``v``, ``dv``, ``d2v`` plus ``analyticity_radius``).
+        (callables ``v`` and ``dv`` plus ``analyticity_radius``).
     eps : float
-        Half-width margin of the working window beyond the reference
-        interval; the domain is (-(2 + eps), 2 + eps).
+        Margin of the working window beyond the reference interval; the
+        domain is (-(2 + eps), 2 + eps) and the truncation window
+        (-(2 + eps/2), 2 + eps/2).
 
     Raises
     ------
     UsageError
-        Unknown kind, malformed parameters, inconsistent derivatives, or
+        Unknown kind, malformed parameters, an inconsistent derivative, or
         a potential that fails to confine (non-positive outward slope at
         the window ends).
     """
     if not 0 < eps <= 1.0:
         raise UsageError("invalid-spec", f"eps must lie in (0, 1], got {eps}")
-    domain = (-(2.0 + eps), 2.0 + eps)
 
     if kind == "gaussian":
         coeffs = [0.0, 0.0, 0.5]
-        v, dv, d2v = _poly_closures(coeffs)
+        v, dv = _poly_closures(coeffs)
         label = "gaussian"
         radius = float("inf")
         params = {"coeffs": coeffs}
     elif kind == "even-quartic":
         g = float(params.get("g", 0.1))
         coeffs = [0.0, 0.0, (1.0 - 3.0 * g) / 2.0, 0.0, g / 4.0]
-        v, dv, d2v = _poly_closures(coeffs)
+        v, dv = _poly_closures(coeffs)
         label = f"even-quartic(g={g:g})"
         radius = float("inf")
         params = {"g": g, "coeffs": coeffs}
@@ -141,51 +162,44 @@ def make_potential(kind: str, eps: float = 0.2, **params) -> Potential:
         coeffs = [float(c) for c in params["coeffs"]]
         if len(coeffs) < 2:
             raise UsageError("invalid-spec", "polynomial needs degree >= 1")
-        v, dv, d2v = _poly_closures(coeffs)
+        v, dv = _poly_closures(coeffs)
         label = f"polynomial(deg={len(coeffs) - 1})"
         radius = float("inf")
         params = {"coeffs": coeffs}
     elif kind == "user-analytic":
         try:
-            v, dv, d2v = params["v"], params["dv"], params["d2v"]
+            v, dv = params["v"], params["dv"]
             radius = float(params["analyticity_radius"])
         except KeyError as missing:
             raise UsageError(
                 "invalid-spec",
-                f"user-analytic kind needs v, dv, d2v, analyticity_radius ({missing} missing)",
+                f"user-analytic kind needs v, dv, analyticity_radius ({missing} missing)",
             ) from None
         if radius <= 0:
             raise UsageError("invalid-spec", "analyticity_radius must be positive")
-        _check_derivatives(v, dv, d2v, domain)
         label = str(params.get("label", "user-analytic"))
+        params = {}
     else:
         raise UsageError("invalid-spec", f"unknown potential kind {kind!r}")
 
-    margin = float(min(dv(domain[1]), -dv(domain[0])))
+    pot = Potential(
+        kind=kind, label=label, v=v, dv=dv, eps=float(eps), analyticity_radius=radius, params=params
+    )
+    if kind == "user-analytic":
+        _check_derivative(v, dv, pot.domain)
+    margin = pot.confinement_margin
     if margin <= 0:
         raise NumericalError(
             "confinement-violation",
             f"potential slope does not point outward at the window ends (margin {margin:.3g})",
         )
-    return Potential(
-        kind=kind,
-        label=label,
-        v=v,
-        dv=dv,
-        d2v=d2v,
-        domain=domain,
-        analyticity_radius=radius,
-        confinement_margin=margin,
-        params=dict(params) if kind != "user-analytic" else {"label": label},
-    )
+    return pot
 
 
 def _arcsine_moments(f, a: float, b: float):
     """Means of f(x) and of x f(x) / 2 over the arcsine law of [a, b], by
     the ``_MOMENT_NODES``-point first-kind rule."""
-    j = np.arange(_MOMENT_NODES)
-    theta = (2.0 * j + 1.0) * np.pi / (2.0 * _MOMENT_NODES)
-    x = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)
+    x = ops.cheb_grid(_MOMENT_NODES, (a, b)).nodes
     fx = np.asarray(f(x), dtype=float)
     return float(np.mean(fx)), float(np.mean(x * fx)) / 2.0
 
@@ -259,23 +273,21 @@ def normalize_support(pot: Potential, endpoints) -> tuple:
     scale = (b - a) / 4.0
     shift = 0.5 * (a + b)
     change = AffineChange(scale=scale, shift=shift)
-    eps = pot.domain[1] - 2.0
 
     if "coeffs" in pot.params:
         base = np.polynomial.Polynomial(np.asarray(pot.params["coeffs"], dtype=float))
         composed = base(np.polynomial.Polynomial([shift, scale]))
         coeffs = [float(c) for c in composed.coef]
-        out = make_potential("polynomial", eps=eps, coeffs=coeffs)
+        out = make_potential("polynomial", eps=pot.eps, coeffs=coeffs)
         out = replace(out, label=f"{pot.label}|normalized", analyticity_radius=pot.analyticity_radius)
         return out, change
 
-    v0, dv0, d2v0 = pot.v, pot.dv, pot.d2v
+    v0, dv0 = pot.v, pot.dv
     out = make_potential(
         "user-analytic",
-        eps=eps,
+        eps=pot.eps,
         v=lambda x: v0(scale * np.asarray(x) + shift),
         dv=lambda x: scale * np.asarray(dv0(scale * np.asarray(x) + shift)),
-        d2v=lambda x: scale * scale * np.asarray(d2v0(scale * np.asarray(x) + shift)),
         analyticity_radius=pot.analyticity_radius / scale,
         label=f"{pot.label}|normalized",
     )

@@ -75,7 +75,7 @@ class TransportMap:
 
     def _eval(self, coeffs, lam):
         lam = np.asarray(lam, dtype=float)
-        if np.any(np.abs(lam) > 2.0 + self.eq.eps + 1e-9):
+        if np.any(np.abs(lam) > self.eq.interval[1] + 1e-9):
             raise UsageError("out-of-domain", "transport map evaluated outside the working window")
         t = self.variable.t(lam)
         return ops.cheb_val(coeffs, t, ops.UNIT), t

@@ -391,14 +391,14 @@ def _linearization_rule(eq, tmap, n: int, nodes: int):
     """The linearization check's ordered Gauss-Legendre rule, in the map's variable.
 
     The rule is ``nodes`` points per level in t = ``tmap.variable.t``
-    over the box |lambda| < 2 + eps / 2; x(t) is increasing, so the
+    over the potential's truncation window; x(t) is increasing, so the
     ordered region in t is the ordered region in lambda. Returns the
     distinct coordinates lambda = x(t), the (configs, n) index array
     into them, and the log weights, the Jacobian sum of log x'(t)
     included. For an affine variable this is the plain rule in lambda.
     """
     var = tmap.variable
-    box = var.t(np.array([-(2.0 + 0.5 * eq.eps), 2.0 + 0.5 * eq.eps]))
+    box = var.t(np.array(eq.potential.window))
     tc, logw = map(np.concatenate, zip(*_ordered_chunks(n, box, nodes)))
     ts, where = np.unique(tc, return_inverse=True)
     where = where.reshape(tc.shape)

@@ -253,7 +253,7 @@ def linearization_plain(eq, tmap, spectrum, beta, observable, n, modes, nodes):
     """
     from betalab.ensembles import _log_density_ordered, _ordered_chunks
 
-    box = (-(2.0 + 0.5 * eq.eps), 2.0 + 0.5 * eq.eps)
+    box = eq.potential.window
     configs, logw = map(np.concatenate, zip(*_ordered_chunks(n, box, nodes)))
     obs = np.asarray(observable(configs), dtype=float)
     zeta, zp = tmap.value_and_derivative(configs)
@@ -699,8 +699,7 @@ def density_fit_fixed(potential, nodes: int = 256, contour_nodes: int = 512) -> 
     grid of ``nodes`` first-kind nodes of the potential's window, by the
     library's wrapped contour integral. It is the fit ``solve_equilibrium``
     returns when ``nodes`` is its cap and no smaller grid resolves."""
-    eps = potential.domain[1] - 2.0
-    x = ops.cheb_grid(nodes, (-(2.0 + eps), 2.0 + eps)).nodes
+    x = ops.cheb_grid(nodes, potential.domain).nodes
     return ops.chop_coeffs(ops.coeffs_from_values(_contour_density(potential, contour_nodes)(x)))
 
 

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from betalab import cli
+from betalab import ensembles as ens
 from betalab import operators as ops
 from betalab.ensembles import load_sample
 from betalab.equilibrium import EquilibriumData
+from betalab.potentials import make_potential
 from betalab.transport import TransportMap
 
 
@@ -128,6 +130,22 @@ def test_sample_roundtrip(tmp_path, capsys):
         f"thin {d['thin']}, flagged {str(d['flagged']).lower()}"
     )
     assert health in out.splitlines()
+
+
+@pytest.mark.parametrize("eps", [0.03, 0.2])
+def test_every_route_conditions_on_the_potential_window(tmp_path, capsys, monkeypatch, eps):
+    # 2 + eps/2 and 2 + (2.03 - 2)/2 differ by an ulp at eps = 0.03; the
+    # CLI and the library defaults must agree on the potential's window
+    pot = make_potential("gaussian", eps=eps)
+    code, _, err = run_cli(["sample", "--eps", str(eps), "--n", "4", "--count", "8", "-o", str(tmp_path)], capsys)
+    assert code == 0, err
+    assert tuple(load_sample(tmp_path / "run.samples.bin").window) == pot.window
+    assert ens.sample_mcmc(pot, 4, 2.0, 8).window == pot.window
+    boxes = []
+    chunks = ens._ordered_chunks
+    monkeypatch.setattr(ens, "_ordered_chunks", lambda n, box, nodes: boxes.append(box) or chunks(n, box, nodes))
+    ens.direct_expectation(pot, 2, 2.0, [lambda c: c[:, 0]], nodes=8)
+    assert boxes == [pot.window]
 
 
 def test_sampler_kind_conflict(tmp_path, capsys):
@@ -279,6 +297,9 @@ def test_verify_gaussian_passes(tmp_path, capsys):
     lines = [ln for ln in out.strip().splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10
     assert all(ln.startswith("PASS") for ln in lines)
+    # each tolerance prints as the JSON record holds it: the contraction
+    # norm's gate is 1 - 1e-3, not 1
+    assert [ln for ln in lines if "contraction-norm" in ln][0].endswith("(tol 0.999)")
     payload = json.loads((tmp_path / "run.verify.json").read_text())
     assert payload["passed"] is True
 

@@ -363,9 +363,8 @@ def test_ordered_chunks_match_dense_grid(n, nodes):
 def test_direct_expectation_matches_dense_grid(kind, params, n, nodes):
     pot = make_potential(kind, **params)
     obs = [lambda c: (c * c).sum(axis=1), lambda c: c[:, -1]]  # square, largest
-    half = 2.0 + 0.5 * (pot.domain[1] - 2.0)  # the default box
     got = ens.direct_expectation(pot, n, 2.0, obs, nodes=nodes)
-    want = oracles.ordered_grid_expectation(pot.v, n, 2.0, obs, (-half, half), nodes)
+    want = oracles.ordered_grid_expectation(pot.v, n, 2.0, obs, pot.window, nodes)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
 

@@ -101,17 +101,39 @@ def test_unnormalized_support_rejected_with_hint():
     assert "support_endpoints" in err.value.message
 
 
-def test_serialization_roundtrip(quartic_eq):
-    data = quartic_eq.to_dict()
-    back = EquilibriumData.from_dict(data)
+def test_serialization_roundtrip(gauss_eq, quartic_eq):
+    pot = make_potential("polynomial", coeffs=SWEEP_POLYNOMIAL)
+    poly_eq = solve_equilibrium(normalize_support(pot, support_endpoints(pot))[0])
     xs = np.linspace(-1.99, 1.99, 17)
-    assert np.allclose(back.p_value(xs), quartic_eq.p_value(xs), atol=1e-14)
-    assert np.allclose(back.cdf(xs), quartic_eq.cdf(xs), atol=1e-14)
-    assert back.robin_constant == quartic_eq.robin_constant
+    for kind, eq in (("gaussian", gauss_eq), ("even-quartic", quartic_eq), ("polynomial", poly_eq)):
+        data = eq.to_dict()
+        back = EquilibriumData.from_dict(data)
+        # the stored parameters rebuild the same potential on the same windows
+        assert back.potential.kind == kind and back.potential.params == eq.potential.params
+        assert back.eps == eq.eps and back.interval == eq.interval
+        assert back.potential.window == eq.potential.window
+        assert back.to_dict() == data
+        assert np.array_equal(back.potential.v(xs), eq.potential.v(xs))
+        assert np.allclose(back.p_value(xs), eq.p_value(xs), atol=1e-14)
+        assert np.allclose(back.cdf(xs), eq.cdf(xs), atol=1e-14)
+        assert back.robin_constant == eq.robin_constant
     # files written before the contour fields were dropped still load
+    data = quartic_eq.to_dict()
     assert "contour_radius" not in data and "contour_nodes" not in data
     older = EquilibriumData.from_dict({**data, "contour_radius": 2.5, "contour_nodes": 512})
-    assert np.array_equal(older.p_cheb, back.p_cheb) and np.array_equal(older.cdf_modes, back.cdf_modes)
+    assert np.array_equal(older.p_cheb, quartic_eq.p_cheb)
+    assert np.array_equal(older.cdf_modes, quartic_eq.cdf_modes)
+
+
+def test_serialization_rejects_a_window_foreign_to_the_margin(quartic_eq):
+    data = quartic_eq.to_dict()
+    for foreign in (
+        {**data, "interval": [-2.3, 2.3]},
+        {**data, "potential": {**data["potential"], "eps": 0.3}},
+    ):
+        with pytest.raises(UsageError) as err:
+            EquilibriumData.from_dict(foreign)
+        assert err.value.code == "invalid-spec"
 
 
 def test_serialization_user_potential_needs_closures(gauss_eq):
@@ -119,7 +141,6 @@ def test_serialization_user_potential_needs_closures(gauss_eq):
         "user-analytic",
         v=lambda x: 0.5 * x * x,
         dv=lambda x: np.asarray(x),
-        d2v=lambda x: np.ones_like(np.asarray(x)),
         analyticity_radius=100.0,
         label="quad",
     )
@@ -213,8 +234,7 @@ def test_contour_sum_where_its_terms_cancel():
 def _window_grids(monkeypatch, pot):
     """Record the sizes of the first-kind grids built on the window of
     ``pot``, the interval ``solve_equilibrium`` fits the density on."""
-    eps = pot.domain[1] - 2.0
-    interval = (-(2.0 + eps), 2.0 + eps)
+    interval = pot.domain
     sizes = []
     build = ops.cheb_grid
 
@@ -257,7 +277,6 @@ def _log_potential_v():
         "user-analytic",
         v=lambda x: 0.5 * np.asarray(x) ** 2 + np.log1p(np.asarray(x) ** 2 / a2),
         dv=lambda x: np.asarray(x) + 2.0 * np.asarray(x) / (a2 + np.asarray(x) ** 2),
-        d2v=lambda x: 1.0 + 2.0 * (a2 - np.asarray(x) ** 2) / (a2 + np.asarray(x) ** 2) ** 2,
         analyticity_radius=2.6,
         label="log-bump",
     )

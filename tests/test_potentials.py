@@ -13,7 +13,6 @@ def test_gaussian_kind_values():
     xs = np.linspace(-2.1, 2.1, 9)
     assert np.allclose(pot.v(xs), 0.5 * xs * xs)
     assert np.allclose(pot.dv(xs), xs)
-    assert np.allclose(pot.d2v(xs), 1.0)
     assert np.allclose(pot.domain, (-2.2, 2.2))
     assert pot.confinement_margin > 0
 
@@ -24,7 +23,6 @@ def test_quartic_kind_values():
     xs = np.linspace(-2.0, 2.0, 7)
     assert np.allclose(pot.v(xs), 0.5 * (1 - 3 * g) * xs**2 + 0.25 * g * xs**4)
     assert np.allclose(pot.dv(xs), (1 - 3 * g) * xs + g * xs**3)
-    assert np.allclose(pot.d2v(xs), (1 - 3 * g) + 3 * g * xs**2)
 
 
 def test_polynomial_kind_matches_closed_form():
@@ -46,7 +44,7 @@ def test_poly_closures_bit_identical_to_polyval():
     ):
         pot = make_potential(kind, **params)
         c = np.asarray(pot.params["coeffs"], dtype=float)
-        for fn, cf in ((pot.v, c), (pot.dv, npoly.polyder(c)), (pot.d2v, npoly.polyder(c, 2))):
+        for fn, cf in ((pot.v, c), (pot.dv, npoly.polyder(c))):
             for x in (real, cplx, np.float64(0.7)):
                 got, want = fn(x), npoly.polyval(np.asarray(x), cf)
                 assert np.asarray(got).dtype == np.asarray(want).dtype
@@ -58,7 +56,6 @@ def test_user_analytic_derivative_audit():
         "user-analytic",
         v=lambda x: np.cosh(x) - 1.0,
         dv=np.sinh,
-        d2v=np.cosh,
         analyticity_radius=10.0,
         label="cosh",
     )
@@ -67,15 +64,15 @@ def test_user_analytic_derivative_audit():
 
 
 def test_user_analytic_wrong_derivative_rejected():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError) as err:
         make_potential(
             "user-analytic",
             v=lambda x: np.cosh(x),
             dv=np.cosh,  # wrong on purpose
-            d2v=np.cosh,
             analyticity_radius=10.0,
             label="bad",
         )
+    assert err.value.code == "invalid-spec"
 
 
 def test_confinement_violation_reported():

@@ -180,7 +180,7 @@ uni.linearization_check(eq, tmap, spec, 2.0, lambda c: (c * c).sum(axis=1), n=2)
 gauss_eq = solve_equilibrium(make_potential("gaussian"))
 a = ens.sample_gaussian(ens._DENSE_MAX_ORDER, 2.0, 40, seed=1)
 b = ens.sample_gaussian(ens._DENSE_MAX_ORDER, 2.0, 40, seed=2)
-ens.sample_mcmc(pot, 6, 2.0, 8, seed=4, eq=eq, chains=4, tune_sweeps=20, measure_sweeps=40)
+ens.sample_mcmc(pot, 6, 2.0, 8, seed=4, eq=eq, chains=4)
 uni.clt_report(a, np.cos, gauss_eq)
 uni.universality_distance(a, gauss_eq, 0.0, b, gauss_eq, 0.0, 0.4, floor_repeats=5)
 print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
@@ -412,6 +412,18 @@ def test_energy_identity_guards(quartic_eq, quartic_tmap, quartic_spectrum):
             quartic_eq, quartic_tmap, quartic_spectrum, 2.0, twin
         )
     assert err.value.code == "coincident-nodes"
+
+
+@pytest.mark.parametrize("eps", [0.03, 0.2])
+def test_linearization_rule_spans_the_potential_window(monkeypatch, eps):
+    eq = solve_equilibrium(make_potential("even-quartic", eps=eps, g=0.1))
+    tmap = solve_transport(eq)
+    boxes = []
+    chunks = uni._ordered_chunks
+    monkeypatch.setattr(uni, "_ordered_chunks", lambda n, box, nodes: boxes.append(box) or chunks(n, box, nodes))
+    uni._linearization_rule(eq, tmap, 2, 8)
+    assert len(boxes) == 1
+    assert np.array_equal(boxes[0], tmap.variable.t(np.array(eq.potential.window)))
 
 
 def test_linearization_two_routes(quartic_eq, quartic_tmap, quartic_spectrum):
